@@ -299,13 +299,7 @@ def run(job: JobSpec) -> tuple[int, str]:
     """Execute a job; returns (exit status, document)."""
     try:
         rows = _BUILDERS[job.command](job)
-    except VerificationFailure as exc:
-        report = {
-            "meta": {"command": job.command, "parameters": job.parameters, "format_version": FORMAT_VERSION},
-            "error": {"kind": "verification-failure", "message": str(exc)},
-        }
-        return EXIT_VERIFICATION, json.dumps(report, sort_keys=True, indent=2) + "\n"
-    except ArithmeticError as exc:
+    except (VerificationFailure, ArithmeticError) as exc:
         report = {
             "meta": {"command": job.command, "parameters": job.parameters, "format_version": FORMAT_VERSION},
             "error": {"kind": "verification-failure", "message": str(exc)},
@@ -390,6 +384,10 @@ def main(argv=None) -> int:
         if getattr(args, bound, 1) < 1:
             print(f"{args.command}: --{bound.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_USAGE
+    if getattr(args, "q_degree", None) is not None and args.q_degree < 0:
+        # truncating below Q^0 empties every side of the comparison
+        print(f"{args.command}: --q-degree must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     job = JobSpec(
         command=args.command,
         framing=getattr(args, "framing", 0),

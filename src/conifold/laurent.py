@@ -6,6 +6,13 @@ exponents +-n and never a half-integer.  RationalFunctionU is a quotient of
 two LaurentU values with a canonical reduced form (polynomial gcd removed,
 denominator of valuation zero and monic) so that equality is decidable.
 
+Gcds and exact division see a nonzero LaurentU as content * u^v * P(u): one
+rational content, a u-power, and a primitive integer polynomial P with a
+positive top coefficient.  The gcd of the P's is a primitive pseudo-remainder
+sequence over Z and exact division is integer trial division; by Gauss's
+lemma both give the answer over Q (Knuth, TAOCP vol. 2, 4.6.1).  Fractions
+are built only when a result becomes a LaurentU again.
+
 Arithmetic on quotients is lazy: sums keep denominators small by cancelling
 the gcd of the two denominators, products just multiply, and the canonical
 form is computed once on demand (equality, serialization, extraction).
@@ -14,9 +21,9 @@ form is computed once on demand (equality, serialization, extraction).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -252,70 +259,106 @@ def qbinomial(n: int, j: int) -> "RationalFunctionU":
     return RationalFunctionU(num, qfactorial(j))
 
 
-# -- dense polynomial helpers (valuation-zero, lists of Fractions) -------
+# -- integer polynomial core (lists of ints, index = exponent) -------------
 
 
-def _to_dense(p: LaurentU) -> list[Fraction]:
-    v = p.valuation()
-    out = [_ZERO] * (p.degree() - v + 1)
-    for e, c in p.terms.items():
-        out[e - v] = c
-    return out
+def _primitive(p: LaurentU) -> tuple[Fraction, int, list[int]]:
+    """(content, v, P) with p = content * u^v * P(u), for nonzero p."""
+    terms = p.terms
+    v = min(terms)
+    den = lcm(*[c.denominator for c in terms.values()])
+    dense = [0] * (max(terms) - v + 1)
+    for e, c in terms.items():
+        dense[e - v] = c.numerator * (den // c.denominator)
+    prim = _primitive_part(dense)
+    return Fraction(dense[-1] // prim[-1], den), v, prim
 
 
-def _from_dense(coeffs: list[Fraction]) -> LaurentU:
-    return LaurentU({e: c for e, c in enumerate(coeffs) if c})
+def _primitive_part(a: list[int]) -> list[int]:
+    """a divided by its content, signed so that the top coefficient is positive."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
 
 
-def _dense_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _dense_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of dense polynomials; b must be nonzero."""
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of a by b (degree below deg b), up to a nonzero integer factor."""
     a = list(a)
-    _dense_trim(a)
     db = len(b) - 1
-    lead = b[db]
-    q = [_ZERO] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        f = a[da] / lead
-        q[da - db] = f
-        for k in range(db + 1):
-            a[da - db + k] -= f * b[k]
-        _dense_trim(a)
-    return q, a
-
-
-def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd via the Euclidean algorithm, each remainder renormalized."""
-    a, b = list(a), list(b)
-    _dense_trim(a)
-    _dense_trim(b)
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-        if b:
-            lead = b[-1]
-            if lead != 1:
-                b = [c / lead for c in b]
-    if not a:
-        return []
-    lead = a[-1]
-    if lead != 1:
-        a = [c / lead for c in a]
+    lb = b[-1]
+    low = b[:-1]
+    while len(a) > db:
+        la = a[-1]
+        q, r = divmod(la, lb)
+        if r:
+            g = gcd(la, lb)
+            scale, q = lb // g, la // g
+            a = [scale * c for c in a]
+        off = len(a) - 1 - db
+        a[off:-1] = [x - q * y for x, y in zip(a[off:-1], low)]
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
     return a
+
+
+def _gcd_poly(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd (top coefficient positive) of two primitive polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive_part(r)
+    return [1]
+
+
+def _div_poly(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[u] for primitive b, or None when b does not divide a.
+
+    By Gauss's lemma b divides a over Q exactly when this integer trial
+    division leaves no fractional lead and no remainder.
+    """
+    db = len(b) - 1
+    n = len(a) - db
+    if n <= 0:
+        return None
+    lb = b[-1]
+    low = b[:-1]
+    a = list(a)
+    q = [0] * n
+    for i in range(n - 1, -1, -1):
+        la = a[i + db]
+        if la:
+            f, r = divmod(la, lb)
+            if r:
+                return None
+            q[i] = f
+            a[i:i + db] = [x - f * y for x, y in zip(a[i:i + db], low)]
+    if any(a[:db]):
+        return None
+    return q
+
+
+def _laurent(coeffs: list[int], shift: int, scale: Fraction) -> LaurentU:
+    """sum_e scale * coeffs[e] * u^(e + shift)."""
+    n, d = scale.numerator, scale.denominator
+    out = LaurentU()
+    if d == 1:
+        out.terms = {e + shift: Fraction(n * c) for e, c in enumerate(coeffs) if c}
+    else:
+        out.terms = {e + shift: Fraction(n * c, d) for e, c in enumerate(coeffs) if c}
+    return out
 
 
 def laurent_gcd(a: LaurentU, b: LaurentU) -> LaurentU:
     """Monic gcd of the polynomial parts (u-valuations ignored)."""
     if a.is_zero() or b.is_zero():
         raise ValueError("gcd with zero")
-    g = _dense_gcd(_to_dense(a), _to_dense(b))
-    return _from_dense(g)
+    g = _gcd_poly(_primitive(a)[2], _primitive(b)[2])
+    return _laurent(g, 0, Fraction(1, g[-1]))
 
 
 def laurent_exact_div(a: LaurentU, b: LaurentU) -> LaurentU:
@@ -324,11 +367,12 @@ def laurent_exact_div(a: LaurentU, b: LaurentU) -> LaurentU:
         raise ZeroDivisionError("division by zero LaurentU")
     if a.is_zero():
         return LaurentU()
-    shift = a.valuation() - b.valuation()
-    q, r = _dense_divmod(_to_dense(a), _to_dense(b))
-    if r:
+    ca, va, pa = _primitive(a)
+    cb, vb, pb = _primitive(b)
+    q = _div_poly(pa, pb)
+    if q is None:
         raise ArithmeticError("inexact Laurent division")
-    return _from_dense(q).shift(shift)
+    return _laurent(q, va - vb, ca / cb)
 
 
 class RationalFunctionU:
@@ -385,20 +429,17 @@ class RationalFunctionU:
             (e, c), = den.terms.items()
             n = num.shift(-e) * (1 / c)
             return (n, LAURENT_ONE)
-        shift = num.valuation() - den.valuation()
-        dn = _to_dense(num)
-        dd = _to_dense(den)
-        g = _dense_gcd(dn, dd)
+        cn, vn, pn = _primitive(num)
+        cd, vd, pd = _primitive(den)
+        g = _gcd_poly(pn, pd)
         if len(g) > 1:
-            dn, _ = _dense_divmod(dn, g)
-            dd, _ = _dense_divmod(dd, g)
-        lead = dd[-1]
-        if lead != 1:
-            dn = [c / lead for c in dn]
-            dd = [c / lead for c in dd]
-        if len(dd) == 1:
-            return (_from_dense(dn).shift(shift), LAURENT_ONE)
-        return (_from_dense(dn).shift(shift), _from_dense(dd))
+            pn = _div_poly(pn, g)
+            pd = _div_poly(pd, g)
+        lead = pd[-1]
+        n = _laurent(pn, vn - vd, cn / (cd * lead))
+        if len(pd) == 1:
+            return (n, LAURENT_ONE)
+        return (n, _laurent(pd, 0, Fraction(1, lead)))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -72,6 +72,16 @@ def test_usage_error_on_bad_bound(capsys):
     assert "must be positive" in err
 
 
+def test_oracle_compare_rejects_negative_q_degree(capsys):
+    status, out, err = run_main(capsys, "oracle-compare", "--q-degree", "-2", "--n-max", "2")
+    assert status == EXIT_USAGE
+    assert out == ""
+    assert "--q-degree" in err
+    status, out, _ = run_main(capsys, "oracle-compare", "--q-degree", "0", "--n-max", "2")
+    assert status == EXIT_OK
+    assert "agree=true" in out
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
