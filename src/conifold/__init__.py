@@ -5,8 +5,9 @@ u = q^{1/2}, and truncated formal series.  The subpackages:
 
   laurent     quantum brackets [n], quantum binomials, rational functions in u
   series      truncated multivariate series, reversion, log/exp/sqrt, and
-              expansion in the string coupling
-  partitions  integer partitions, symmetric-group characters, Moebius mu
+              expansion in hbar = i * (string coupling) over the rationals
+  partitions  integer partitions, symmetric-group characters (memoized in
+              process), Moebius mu
   fock        the operator oracle: framing twist, cut-and-join, E-correlators
   amplitudes  closed forms for the one-point functions and the genus expansion
   ovinv       Ooguri-Vafa integrality invariants d, e, N and named sequences
@@ -14,7 +15,6 @@ u = q^{1/2}, and truncated formal series.  The subpackages:
   cli         the `conifold` command-line front end
 """
 
-from .gaussian import GaussianRational
 from .laurent import LaurentU, RationalFunctionU, qbinomial, qbracket, qfactorial
 from .partitions import (
     CharacterTable,
@@ -25,19 +25,11 @@ from .partitions import (
     partitions_of,
     z_aut,
 )
-from .series import (
-    TruncatedSeries,
-    lambda_expand,
-    series_exp,
-    series_log,
-    series_reversion,
-    series_sqrt,
-)
+from .series import TruncatedSeries, hbar_expand, series_reversion
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianRational",
     "LaurentU",
     "RationalFunctionU",
     "qbracket",
@@ -45,10 +37,7 @@ __all__ = [
     "qbinomial",
     "TruncatedSeries",
     "series_reversion",
-    "series_log",
-    "series_exp",
-    "series_sqrt",
-    "lambda_expand",
+    "hbar_expand",
     "partitions_of",
     "z_aut",
     "kappa",

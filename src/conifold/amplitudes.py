@@ -14,10 +14,11 @@ from fractions import Fraction
 from math import factorial
 
 from .fock import qpoly, qpoly_one, qpoly_zero
-from .gaussian import GaussianRational
 from .laurent import LaurentU, RationalFunctionU, qbracket, qfactorial
 from .partitions import multiplicities, partitions_of
-from .series import LAMBDA, TruncatedSeries, lambda_expand
+from .series import TruncatedSeries, hbar_expand
+
+LAMBDA = "lambda"
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class GenusSeries:
     framing: int
     winding: int
     g_max: int
-    series: TruncatedSeries  # in (Q, lambda) over GaussianRational, poles allowed
+    series: TruncatedSeries  # in (Q, lambda) over Fraction, odd powers only, poles allowed
 
 
 def onepoint_closed(a: int, n: int) -> OnePointAmplitude:
@@ -126,20 +127,22 @@ def closed_string_logZ(q_order: int) -> TruncatedSeries:
 def genus_expand(amp: OnePointAmplitude, g_max: int) -> GenusSeries:
     """Expand F_n = F_hat_n/(n i) in the string coupling up to lambda^{2 g_max - 1}.
 
-    Every bracket-ring coefficient has at most a simple pole; the lambda^{-1}
-    coefficient reproduces the genus-zero value and only odd powers occur.
+    F_hat_n is expanded in hbar = i*lambda over Fraction; its hbar^k
+    coefficient c_k gives the lambda^k coefficient i^k c_k/(n i) = i^{k-1} c_k/n,
+    which is real only for odd k, so an even power of hbar raises
+    ArithmeticError.  Every bracket-ring coefficient has at most a simple pole;
+    the lambda^{-1} coefficient reproduces the genus-zero value.
     """
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
     n = amp.winding
     order = 2 * g_max - 1
-    prefactor = GaussianRational(0, Fraction(-1, n))  # 1/(n i) = -i/n
-    terms: dict[tuple[int, int], GaussianRational] = {}
+    terms: dict[tuple[int, int], Fraction] = {}
     for (j,), rfu in amp.value.terms.items():
-        expansion = lambda_expand(rfu, order)
-        for (e,), c in expansion.terms.items():
-            v = c * prefactor
-            if v:
-                terms[(j, e)] = v
-    series = TruncatedSeries(("Q", LAMBDA), (n, order), terms, GaussianRational(1))
+        for (k,), c in hbar_expand(rfu, order).terms.items():
+            if k % 2 == 0:
+                raise ArithmeticError(f"hbar^{k} term at Q^{j}: its lambda coefficient is imaginary")
+            # for odd k, i^{k-1} is 1 when k = 1 mod 4 and -1 when k = 3 mod 4
+            terms[(j, k)] = c / n if k % 4 == 1 else -c / n
+    series = TruncatedSeries(("Q", LAMBDA), (n, order), terms)
     return GenusSeries(amp.framing, n, g_max, series)

@@ -48,14 +48,12 @@ class JobSpec:
     n_max: int = 3
     m_max: int = 8
     k_max: int = 6
-    g_max: int = 2
     order: int = 8
     q_degree: int | None = None
     which: str = "catalan"
     count: int = 10
     fmt: str = "text"
     numeric: bool = False
-    cache_dir: str | None = None
     parameters: dict = field(default_factory=dict)
 
 
@@ -151,6 +149,8 @@ def _rows_ovn(job: JobSpec):
 
 def _rows_sequences(job: JobSpec):
     if job.which == "catalan":
+        # anchor: C(1) = |d_{1,2}|, checked even when --count 1 prints only C(0)
+        ovinv.seq_catalan(1)
         values = [ovinv.catalan_number(0)] + [ovinv.seq_catalan(k) for k in range(1, job.count)]
         return [{"index": i, "value": v} for i, v in enumerate(values)]
     if job.which == "dmm":
@@ -213,7 +213,7 @@ def _rows_oracle(job: JobSpec):
     for n in range(1, job.n_max + 1):
         closed = amplitudes.onepoint_closed(job.framing, n).value
         summed = amplitudes.onepoint_partition_sum(job.framing, n).value
-        oracle = fock.oracle_onepoint(job.framing, n, D, cache_dir=job.cache_dir)
+        oracle = fock.oracle_onepoint(job.framing, n, D)
         if D is not None and D < n:
             closed = closed.truncated((D,))
             summed = summed.truncated((D,))
@@ -320,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
         p.add_argument("--numeric", action="store_true",
                        help="render rational values as lossy decimals (marked in the output)")
-        p.add_argument("--cache-dir", default=None,
-                       help="character-table cache directory (default: $CONIFOLD_CACHE_DIR or ./.conifold-cache)")
         if framing:
             p.add_argument("--framing", type=int, default=0)
 
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric", "cache_dir") and v is not None}
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric") and v is not None}
     if args.command == "mirror-check" and args.framing == -1:
         print(
             "mirror-check: framing -1 is excluded: the Lagrange construction inverts "
@@ -400,7 +398,6 @@ def main(argv=None) -> int:
         count=getattr(args, "count", 10),
         fmt=args.fmt,
         numeric=args.numeric,
-        cache_dir=args.cache_dir,
         parameters=params,
     )
     if args.numeric and args.fmt == "csv":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .laurent import (
     LaurentU,
@@ -125,17 +126,10 @@ def beta_neg_exp(coeff_by_weight, degree_bound: int, q_bound: int) -> FockVector
             for n, m in multiplicities(mu).items():
                 cn = coeff_by_weight[n]
                 term = term * cn ** m
-                term = term.scale(Fraction(1, n ** m * _fact(m)))
+                term = term.scale(Fraction(1, n ** m * factorial(m)))
             if not term.is_zero():
                 coeffs[mu] = term
     return FockVector(degree_bound, q_bound, coeffs)
-
-
-def _fact(m: int) -> int:
-    out = 1
-    for j in range(2, m + 1):
-        out *= j
-    return out
 
 
 def beta_apply(v: FockVector, k: int) -> FockVector:
@@ -192,7 +186,7 @@ def cutjoin_apply(v: FockVector) -> FockVector:
     return out
 
 
-def qK_apply(v: FockVector, framing_exponent: int, cache_dir=None) -> FockVector:
+def qK_apply(v: FockVector, framing_exponent: int) -> FockVector:
     """Apply q^{f K}: scale the Schur component s_nu by u^{f kappa_nu}.
 
     Works degree by degree through the character transform
@@ -209,7 +203,7 @@ def qK_apply(v: FockVector, framing_exponent: int, cache_dir=None) -> FockVector
                 out.add_term(mu, c)
             continue
         parts = partitions_of(d)
-        table = CharacterTable.for_size(d, cache_dir)
+        table = CharacterTable.for_size(d)
         scaled = {}
         for nu in parts:
             w = qpoly_zero(v.q_bound)
@@ -229,17 +223,6 @@ def qK_apply(v: FockVector, framing_exponent: int, cache_dir=None) -> FockVector
                     acc = acc + w.scale(Fraction(chi))
             out.add_term(mu, acc.scale(Fraction(1, z_aut(mu))))
     return out
-
-
-def vacuum_pairing(v: FockVector) -> dict[Partition, TruncatedSeries]:
-    """Pair with the left exponential exp(sum_n x_n/(n i) b_n).
-
-    Each monomial p_mu contributes prod_n (x_n / i)^{m_n(mu)}; in the P_n
-    normalization (P_n = x_n / i) the weight of p_mu is exactly its stored
-    coefficient, so the result is the coefficient map itself.  Callers
-    assemble the generating function as sum_mu map[mu] * P_mu.
-    """
-    return {mu: c for mu, c in v.coeffs.items() if not c.is_zero()}
 
 
 def schur_vector(nu, degree_bound=None, q_bound: int = 0) -> FockVector:
@@ -268,7 +251,7 @@ def brane_state(n: int, q_bound: int) -> dict[int, TruncatedSeries]:
     return out
 
 
-def oracle_onepoint(a: int, n: int, q_bound: int | None = None, cache_dir=None) -> TruncatedSeries:
+def oracle_onepoint(a: int, n: int, q_bound: int | None = None) -> TruncatedSeries:
     """Winding-n one-point amplitude by brute force on the Fock space.
 
     Builds the brane state exp(sum_m (c_m/m) b_{-m})|0>, applies the framing
@@ -280,13 +263,14 @@ def oracle_onepoint(a: int, n: int, q_bound: int | None = None, cache_dir=None) 
         raise ValueError("winding must be positive")
     D = n if q_bound is None else q_bound
     state = beta_neg_exp(brane_state(n, D), n, D)
-    twisted = qK_apply(state, a + 1, cache_dir)
-    paired = vacuum_pairing(twisted)
-    # log of the generating function: monomials P_mu multiply by partition
-    # union, so no product of two or more positive-degree monomials is ever a
-    # single P_n; the log agrees with the generating function on one-part
-    # coefficients and the extraction below is exact.
-    linear = paired.get((n,), qpoly_zero(D))
+    twisted = qK_apply(state, a + 1)
+    # Pairing with exp(sum_n x_n/(n i) b_n) weighs p_mu by prod_n (x_n/i)^{m_n},
+    # i.e. by P_mu, so the generating function's coefficients are the stored
+    # ones.  In its log, monomials P_mu multiply by partition union, so no
+    # product of two or more positive-degree monomials is ever a single P_n;
+    # the log agrees with the generating function on one-part coefficients
+    # and the extraction below is exact.
+    linear = twisted.coefficient((n,))
     return linear.scale(Fraction(n))
 
 

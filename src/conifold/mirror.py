@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amplitudes import genus0_onepoint, onepoint_closed
-from .gaussian import GaussianRational, i_power
 from .laurent import RFU_ONE
-from .series import TruncatedSeries, lambda_expand, series_reversion
+from .series import TruncatedSeries, hbar_expand, series_reversion
 
 FRAME = ("x", "E")
 
@@ -153,7 +152,7 @@ def framing_transform_check(a: int) -> bool:
 
 # -- quantum mirror curve ------------------------------------------------------
 
-WVAR = "w"  # marks powers of lambda / i
+WVAR = "w"  # marks powers of lambda / i = -hbar
 
 
 def quantum_mirror_series(a: int, order: int) -> TruncatedSeries:
@@ -162,7 +161,7 @@ def quantum_mirror_series(a: int, order: int) -> TruncatedSeries:
     Each power of the string coupling enters through the marker w = lambda/i,
     so coefficients stay in the bracket ring: the x^n coefficient of the
     exponent is w * F_hat_n(Q).  The classical limit contracts w^K against the
-    lambda^{-K} coefficient of its bracket-ring cofactor.
+    hbar^{-K} coefficient of its bracket-ring cofactor.
     """
     vars_ = ("x", "Q", WVAR)
     orders = (order, order, order)
@@ -179,21 +178,17 @@ def quantum_mirror_series(a: int, order: int) -> TruncatedSeries:
 def quantum_classical_limit(series: TruncatedSeries, order: int) -> TruncatedSeries:
     """lambda -> 0 limit of a quantum mirror series, as a series in (x, E).
 
-    A term c * w^K tends to (lambda^{-K} coefficient of c) * i^{-K}; the limit
-    must be rational, and Q^j is rewritten as (-1)^j E^j.
+    With w = -hbar, a term c * w^K tends to (-1)^K times the hbar^{-K}
+    coefficient of c, a rational number; Q^j is rewritten as (-1)^j E^j.
     """
     vars_, orders = _frame(order)
     out: dict[tuple[int, int], Fraction] = {}
     for (nx, j, k), c in series.terms.items():
-        expansion = lambda_expand(c, 0)
-        lead = expansion.scalar_coefficient((-k,))
-        value = lead * i_power(-k)
+        value = hbar_expand(c, 0).scalar_coefficient((-k,))
         if not value:
             continue
-        if not isinstance(value, GaussianRational) or not value.is_real():
-            raise ArithmeticError("classical limit is not real")
         key = (nx, j)
-        s = out.get(key, Fraction(0)) + value.re * (-1) ** j
+        s = out.get(key, Fraction(0)) + value * (-1) ** (j + k)
         if s:
             out[key] = s
         else:

@@ -2,24 +2,17 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ().  Character values chi_nu(mu) are computed by the
-Murnaghan-Nakayama rule on first-column hook lengths (beta numbers), memoized
-in process and cached on disk per size n as a JSON table.
+Murnaghan-Nakayama rule on first-column hook lengths (beta numbers) and
+memoized in process, value by value and as whole tables per size n.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
+from math import isqrt
 
 Partition = tuple  # weakly decreasing positive ints
-
-CACHE_ENV = "CONIFOLD_CACHE_DIR"
-_DEFAULT_CACHE = ".conifold-cache"
-_CACHE_FORMAT = 1
 
 
 def check_partition(mu) -> Partition:
@@ -106,13 +99,12 @@ def mobius(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n in increasing order."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 # -- characters ---------------------------------------------------------------
-
-_char_memo: dict[tuple[Partition, Partition], int] = {}
 
 
 def _beta_numbers(nu: Partition) -> list[int]:
@@ -141,18 +133,14 @@ def _strip_removals(nu: Partition, r: int):
         yield parts, (-1) ** height
 
 
+@lru_cache(maxsize=None)
 def _mn(nu: Partition, mu: Partition) -> int:
     if not mu:
         return 1 if not nu else 0
-    key = (nu, mu)
-    val = _char_memo.get(key)
-    if val is not None:
-        return val
     r, rest = mu[0], mu[1:]
     total = 0
     for smaller, sign in _strip_removals(nu, r):
         total += sign * _mn(smaller, rest)
-    _char_memo[key] = total
     return total
 
 
@@ -165,25 +153,8 @@ def character(nu, mu) -> int:
     return _mn(nu, mu)
 
 
-def _cache_dir(explicit=None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
-    return Path(os.environ.get(CACHE_ENV, _DEFAULT_CACHE))
-
-
-def _key_str(nu: Partition, mu: Partition) -> str:
-    return ",".join(map(str, nu)) + "|" + ",".join(map(str, mu))
-
-
-def _parse_key(s: str) -> tuple[Partition, Partition]:
-    left, right = s.split("|")
-    nu = tuple(int(x) for x in left.split(",") if x)
-    mu = tuple(int(x) for x in right.split(",") if x)
-    return nu, mu
-
-
 class CharacterTable:
-    """All chi_nu(mu) for partitions of one size n, write-once and disk-cached."""
+    """All chi_nu(mu) for partitions of one size n, built once per process."""
 
     _registry: dict[int, "CharacterTable"] = {}
 
@@ -192,49 +163,13 @@ class CharacterTable:
         self.values = values
 
     @classmethod
-    def for_size(cls, n: int, cache_dir=None) -> "CharacterTable":
+    def for_size(cls, n: int) -> "CharacterTable":
         table = cls._registry.get(n)
-        if table is not None:
-            return table
-        path = _cache_dir(cache_dir) / f"characters_n{n}_v{_CACHE_FORMAT}.json"
-        values = cls._load(path)
-        if values is None:
+        if table is None:
             parts = partitions_of(n)
-            values = {(nu, mu): _mn(nu, mu) for nu in parts for mu in parts}
-            cls._store(path, values)
-        else:
-            _char_memo.update(values)
-        table = cls(n, values)
-        cls._registry[n] = table
+            table = cls(n, {(nu, mu): _mn(nu, mu) for nu in parts for mu in parts})
+            cls._registry[n] = table
         return table
-
-    @staticmethod
-    def _load(path: Path):
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        try:
-            return {_parse_key(k): int(v) for k, v in raw.items()}
-        except (ValueError, AttributeError):
-            return None
-
-    @staticmethod
-    def _store(path: Path, values) -> None:
-        # write-once semantics: dump to a temp file, then atomically rename,
-        # so concurrent builders produce identical files without torn reads
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(
-                {_key_str(nu, mu): v for (nu, mu), v in sorted(values.items())},
-                sort_keys=True,
-            )
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            pass  # cache is an optimization, never a requirement
 
     def value(self, nu, mu) -> int:
         return self.values[(tuple(nu), tuple(mu))]

@@ -4,7 +4,6 @@ JSON forms:
   Fraction          "p/q" (or "p" when the denominator is 1)
   LaurentU          [[exponent, "p/q"], ...] sorted by exponent
   RationalFunctionU {"num": <laurent>, "den": <laurent>} in canonical form
-  GaussianRational  {"re": "p/q", "im": "p/q"}
   TruncatedSeries   {"variables": [...], "orders": [...], "terms": [[[e...], coeff], ...]}
 
 Text forms are the pretty printers of the types themselves; they contain no
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gaussian import GaussianRational
 from .laurent import LaurentU, RationalFunctionU
 from .series import TruncatedSeries
 
@@ -36,8 +34,6 @@ def jsonable(value):
     if isinstance(value, RationalFunctionU):
         num, den = value.canonical()
         return {"num": jsonable(num), "den": jsonable(den)}
-    if isinstance(value, GaussianRational):
-        return {"re": str(value.re), "im": str(value.im)}
     if isinstance(value, TruncatedSeries):
         return {
             "variables": list(value.variables),

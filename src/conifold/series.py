@@ -4,12 +4,13 @@ A series carries an ordered tuple of variable names, one inclusive truncation
 order per variable, and a sparse {exponent-tuple: coefficient} map.  Exponents
 above their order are silently dropped (that is what truncation means);
 negative exponents are allowed so that Laurent expansions in the string
-coupling can carry a finite pole.
+coupling can carry a finite pole.  Those expansions run in hbar = i*lambda,
+where u = exp(hbar/2) has rational coefficients.
 
-The coefficient ring is whatever the stored values are: Fraction,
-GaussianRational, LaurentU, RationalFunctionU, ... anything with exact
-+,-,*,== and a truthiness test for zero.  The ring's unit is carried on the
-series (attribute `one`) so functional operations can build constants.
+The coefficient ring is whatever the stored values are: Fraction, LaurentU,
+RationalFunctionU, ... anything with exact +,-,*,== and a truthiness test for
+zero.  The ring's unit is carried on the series (attribute `one`) so
+functional operations can build constants.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .gaussian import GaussianRational, i_power
 from .laurent import RationalFunctionU
 
 _FR_ONE = Fraction(1)
@@ -382,19 +382,7 @@ class TruncatedSeries:
         return f"<TruncatedSeries [{frame}] {self}>"
 
 
-# -- named functional forms -------------------------------------------------
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    return s.log()
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    return s.exp()
-
-
-def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:
-    return s.sqrt()
+# -- compositional inverse --------------------------------------------------
 
 
 def series_reversion(s: TruncatedSeries, name: str | None = None) -> TruncatedSeries:
@@ -436,44 +424,46 @@ def series_reversion(s: TruncatedSeries, name: str | None = None) -> TruncatedSe
 
 # -- expansion in the string coupling ----------------------------------------
 
-LAMBDA = "lambda"
+HBAR = "hbar"
 
 
-def _laurent_lambda_series(p, order: int) -> list[GaussianRational]:
-    """Coefficients of p(u -> exp(i*lam/2)) up to lam^order (dense list)."""
-    out = [GaussianRational(0) for _ in range(order + 1)]
+def _laurent_hbar_series(p, order: int) -> list[Fraction]:
+    """Coefficients of p(u -> exp(hbar/2)) up to hbar^order (dense list)."""
+    out = [Fraction(0)] * (order + 1)
     for e, c in p.terms.items():
-        # exp(i e lam / 2): lam^k coefficient is (i e / 2)^k / k!
+        # exp(e hbar / 2): hbar^k coefficient is (e / 2)^k / k!
         base = Fraction(e, 2)
         pw = Fraction(1)
         for k in range(order + 1):
-            out[k] = out[k] + i_power(k) * (c * pw / factorial(k))
+            out[k] += c * pw / factorial(k)
             pw *= base
     return out
 
 
-def lambda_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
-    """Expand a bracket-ring value under u = exp(i*lam/2) as a Laurent series.
+def hbar_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
+    """Expand a bracket-ring value under u = exp(hbar/2) as a Laurent series.
 
-    Returns a TruncatedSeries in `lambda` over GaussianRational with exponents
-    from -(pole order) up to `order`.  The denominator's vanishing order at
-    lam = 0 is at most its number of terms minus one, which bounds the search.
+    hbar = i*lambda is the string coupling times i, so every coefficient is
+    rational and the lambda^k coefficient is i^k times the hbar^k one.
+    Returns a TruncatedSeries in `hbar` over Fraction with exponents from
+    -(pole order) up to `order`.  The denominator's vanishing order at
+    hbar = 0 is at most its number of terms minus one, which bounds the search.
     """
     if f.num.is_zero():
-        return TruncatedSeries((LAMBDA,), (order,), {}, GaussianRational(1))
+        return TruncatedSeries((HBAR,), (order,))
     den = f.den
     margin = len(den.terms)  # vanishing order is < number of terms
     work = max(order, 0) + margin
-    den_series = _laurent_lambda_series(den, work)
+    den_series = _laurent_hbar_series(den, work)
     v = next((k for k, c in enumerate(den_series) if c), None)
     if v is None:
         raise ArithmeticError("denominator expansion vanished to its theoretical bound")
     work = max(order + v, 0)
-    num_series = _laurent_lambda_series(f.num, work)
-    den_series = _laurent_lambda_series(den, work + v)[v:]
+    num_series = _laurent_hbar_series(f.num, work)
+    den_series = _laurent_hbar_series(den, work + v)[v:]
     # divide num_series by the unit part of the denominator
     d0 = den_series[0]
-    quot: list[GaussianRational] = []
+    quot: list[Fraction] = []
     for m in range(work + 1):
         acc = num_series[m]
         for k in range(1, min(m, len(den_series) - 1) + 1):
@@ -484,4 +474,4 @@ def lambda_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
         e = m - v
         if e <= order and c:
             terms[(e,)] = c
-    return TruncatedSeries((LAMBDA,), (order,), terms, GaussianRational(1))
+    return TruncatedSeries((HBAR,), (order,), terms)

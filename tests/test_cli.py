@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from conifold import ovinv
 from conifold.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -24,6 +29,19 @@ def test_sequences_catalan_matches_published_prefix(capsys):
     assert status == EXIT_OK
     values = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
     assert values == ["1", "1", "2", "5", "14", "42", "132", "429", "1430", "4862"]
+
+
+def test_sequences_catalan_count_one_runs_its_anchor(capsys, monkeypatch):
+    args = ("sequences", "--which", "catalan", "--count", "1")
+    status, out, _ = run_main(capsys, *args)
+    assert status == EXIT_OK
+    assert out == '# sequences {"count": 1, "which": "catalan"}\nindex=0  value=1\n'
+    # a wrong |d_{1,2}| must fail the job even though only C(0) is printed
+    monkeypatch.setattr(ovinv, "disc_d", lambda a, k, m: ovinv.DiscInvariant(a, k, m, Fraction(7)))
+    status, out, err = run_main(capsys, *args)
+    assert status == EXIT_VERIFICATION
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "verification-failure"
 
 
 def test_sequences_dmm_reports_mismatch_without_failing(capsys):
@@ -80,6 +98,18 @@ def test_oracle_compare_rejects_negative_q_degree(capsys):
     status, out, _ = run_main(capsys, "oracle-compare", "--q-degree", "0", "--n-max", "2")
     assert status == EXIT_OK
     assert "agree=true" in out
+
+
+def test_job_writes_nothing_to_its_working_directory(tmp_path):
+    # a fresh interpreter, so no table memoized by an earlier test can hide a
+    # write, with no environment variable but the import path
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "conifold.cli", "oracle-compare", "--framing", "0", "--n-max", "3"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_command_is_usage_error(capsys):

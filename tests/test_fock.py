@@ -19,7 +19,6 @@ from conifold.fock import (
     qpoly_one,
     schur_vector,
     vacuum,
-    vacuum_pairing,
 )
 from conifold.laurent import LaurentU, RFU_ZERO, RationalFunctionU, bracket_ratio, qbracket
 from conifold.partitions import kappa, partitions_of
@@ -97,15 +96,19 @@ def test_qK_is_multiplicative_on_schur():
 
 
 def test_vacuum_pairing_is_coefficient_map():
-    v = FockVector(2, 1, {(1,): qpoly_one(1).scale(Fraction(3, 7))})
-    paired = vacuum_pairing(v)
-    assert set(paired) == {(1,)}
-    assert paired[(1,)] == qpoly_one(1).scale(Fraction(3, 7))
+    # pairing with exp(sum_n x_n/(n i) b_n) weighs p_mu by P_mu = prod_n (x_n/i)^{m_n},
+    # so the paired coefficients are FockVector.coeffs, which never holds a zero
+    v = FockVector(2, 1, {})
+    v.add_term((1,), qpoly_one(1).scale(Fraction(3, 7)))
+    v.add_term((2,), qpoly_one(1).scale(Fraction(0)))
+    assert set(v.coeffs) == {(1,)}
+    assert v.coeffs[(1,)] == qpoly_one(1).scale(Fraction(3, 7))
+    v.add_term((1,), qpoly_one(1).scale(Fraction(-3, 7)))
+    assert v.coeffs == {}
     # exp((c/1) b_{-1}) |0> pairs to c^k / k! on (1^k)
     c = LaurentU.const(2)
     v = beta_neg_exp(const_weights({1: c, 2: LaurentU(), 3: LaurentU()}), 3, 0)
-    paired = vacuum_pairing(v)
-    assert paired[(1, 1, 1)] == qpoly_one(0).scale(Fraction(8, 6))
+    assert v.coeffs[(1, 1, 1)] == qpoly_one(0).scale(Fraction(8, 6))
 
 
 def test_heisenberg_relations():

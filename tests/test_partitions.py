@@ -1,5 +1,4 @@
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ from conifold.partitions import (
     CharacterTable,
     character,
     conjugate,
+    divisors,
     kappa,
     mobius,
     multiplicities,
@@ -194,18 +194,9 @@ def test_basis_change_round_trip():
                 assert total == (1 if mu == rho else 0)
 
 
-def test_character_cache_round_trip(tmp_path):
-    table = CharacterTable.for_size(4, cache_dir=tmp_path)
-    path = tmp_path / "characters_n4_v1.json"
-    CharacterTable._store(path, table.values)
-    assert path.exists()
-    raw = json.loads(path.read_text())
-    assert raw["2,1,1|2,2"] == character((2, 1, 1), (2, 2))
-    loaded = CharacterTable._load(path)
-    assert loaded == table.values
-    # corrupt files are treated as absent
-    path.write_text("{not json")
-    assert CharacterTable._load(path) is None
+def test_divisors_against_full_scan():
+    for n in range(0, 400):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_multiplicities():
