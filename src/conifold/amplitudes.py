@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .fock import qpoly, qpoly_one, qpoly_zero
-from .laurent import LaurentU, RationalFunctionU, qbracket, qfactorial
+from .laurent import LaurentU, RationalFunctionU, bracket_ratio, qbracket
 from .partitions import multiplicities, partitions_of
 from .series import TruncatedSeries, hbar_expand
 
@@ -45,14 +45,11 @@ def onepoint_closed(a: int, n: int) -> OnePointAmplitude:
     """
     if n < 1:
         raise ValueError("winding must be positive")
-    terms = {}
-    for j in range(n + 1):
-        num = LaurentU.const(1)
-        for k in range(1, n):
-            num = num * qbracket(a * n + j + k)
-        if num.is_zero():
-            continue
-        terms[j] = RationalFunctionU(num, qfactorial(j) * qfactorial(n - j))
+    # qpoly drops the terms whose numerator has a vanishing bracket
+    terms = {
+        j: bracket_ratio([a * n + j + k for k in range(1, n)], [*range(1, j + 1), *range(1, n - j + 1)])
+        for j in range(n + 1)
+    }
     return OnePointAmplitude(a, n, qpoly(terms, n), "closed_form")
 
 
@@ -87,10 +84,7 @@ def onepoint_partition_sum(a: int, n: int) -> OnePointAmplitude:
                 continue
             ratio = RationalFunctionU(Fraction(n))
         else:
-            num = LaurentU.const(1)
-            for j, m in mult.items():
-                num = num * qbracket((a + 1) * j * n) ** m
-            ratio = RationalFunctionU(num, qbracket((a + 1) * n))
+            ratio = bracket_ratio([(a + 1) * j * n for j in mu], ((a + 1) * n,))
         total = total + weight * ratio
     return OnePointAmplitude(a, n, total, "partition_sum")
 
@@ -118,9 +112,7 @@ def closed_string_logZ(q_order: int) -> TruncatedSeries:
         raise ValueError("q_order must be positive")
     terms = {}
     for n in range(1, q_order + 1):
-        terms[n] = RationalFunctionU(
-            LaurentU.const(Fraction((-1) ** (n - 1), n)), qbracket(n) ** 2
-        )
+        terms[n] = bracket_ratio((), (n, n)) * Fraction((-1) ** (n - 1), n)
     return qpoly(terms, q_order)
 
 

@@ -27,20 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
-COMMANDS = (
-    "onepoint",
-    "genus0",
-    "disc-d",
-    "disc-e",
-    "ov-n",
-    "sequences",
-    "mirror-check",
-    "correlator",
-    "oracle-compare",
-    "closed-string",
-)
-
-
 @dataclass
 class JobSpec:
     command: str
@@ -97,13 +83,15 @@ def _rows_genus0(job: JobSpec):
         {"a": job.framing, "n": n, "value": amplitudes.genus0_onepoint(job.framing, n)}
         for n in range(1, job.n_max + 1)
     ]
-    # anchor: the x^2 coefficient is -((2a+1) + 4(a+1) Q + (2a+3) Q^2)/4
+    # anchor: the x^2 coefficient is -((2a+1) + 4(a+1) Q + (2a+3) Q^2)/4;
+    # a series stores no zero coefficient, and the Q term vanishes at a = -1
     a = job.framing
     expected = {
         (0,): Fraction(-(2 * a + 1), 4),
         (1,): Fraction(-4 * (a + 1), 4),
         (2,): Fraction(-(2 * a + 3), 4),
     }
+    expected = {e: c for e, c in expected.items() if c}
     got = amplitudes.genus0_onepoint(a, 2).terms
     _check(got == expected, "genus-zero x^2 coefficient fails its anchor polynomial")
     return rows

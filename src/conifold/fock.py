@@ -279,7 +279,7 @@ def oracle_onepoint(a: int, n: int, q_bound: int | None = None) -> TruncatedSeri
 
 @dataclass(frozen=True)
 class EWord:
-    """A product E_{r_1}(c_1 i lam) ... E_{r_k}(c_k i lam) with a scalar prefactor.
+    """A product E_{r_1}(c_1 i lam) ... E_{r_k}(c_k i lam).
 
     Factors are (weight, argument multiplier) pairs; b_n enters as E_n(0).
     All arguments are integer multiples of i*lam, so every sigma value the
@@ -287,7 +287,6 @@ class EWord:
     """
 
     factors: tuple[tuple[int, int], ...]
-    prefactor: RationalFunctionU = RFU_ONE
 
 
 def beta_correlator_word(n: int, m, a) -> EWord:
@@ -343,7 +342,7 @@ def correlator_reduce(word: EWord) -> RationalFunctionU:
     total = RFU_ZERO
     for num_args, den_args in terms:
         total = total + bracket_ratio(num_args, den_args)
-    return word.prefactor * total
+    return total
 
 
 def correlator_closed(n: int, m, a) -> RationalFunctionU:

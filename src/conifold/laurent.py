@@ -239,10 +239,7 @@ def qfactorial(n: int) -> LaurentU:
     """[n]! = [n][n-1]...[1], with [0]! = 1."""
     if n < 0:
         raise ValueError("qfactorial needs n >= 0")
-    out = LAURENT_ONE
-    for k in range(1, n + 1):
-        out = out * qbracket(k)
-    return out
+    return bracket_product(range(1, n + 1))
 
 
 def qbinomial(n: int, j: int) -> "RationalFunctionU":
@@ -253,10 +250,7 @@ def qbinomial(n: int, j: int) -> "RationalFunctionU":
     """
     if j < 0:
         raise ValueError("qbinomial needs j >= 0")
-    num = LAURENT_ONE
-    for t in range(j):
-        num = num * qbracket(n - t)
-    return RationalFunctionU(num, qfactorial(j))
+    return bracket_ratio(range(n, n - j, -1), range(1, j + 1))
 
 
 # -- integer polynomial core (lists of ints, index = exponent) -------------
@@ -530,9 +524,6 @@ class RationalFunctionU:
 
     # -- extraction -------------------------------------------------------
 
-    def is_laurent(self) -> bool:
-        return self.canonical()[1] == LAURENT_ONE
-
     def as_laurent(self) -> LaurentU:
         n, d = self.canonical()
         if d != LAURENT_ONE:
@@ -554,7 +545,12 @@ RFU_ONE = RationalFunctionU(1)
 
 
 def bracket_product(args) -> LaurentU:
-    """prod_j [d_j] expanded with integer arithmetic (fast path for hot loops)."""
+    """prod_j [d_j] expanded with integer arithmetic.
+
+    The one builder of bracket products in the package: qfactorial, qbinomial,
+    the closed-form amplitudes and the Ooguri-Vafa right sides all come here.
+    A zero argument gives the zero polynomial; no arguments give 1.
+    """
     exps = {0: 1}
     for d in args:
         if d == 0:

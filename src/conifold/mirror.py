@@ -114,9 +114,11 @@ def framed_curve_check(a: int, order: int) -> TruncatedSeries:
     y = (one + e * z0) * (one + z0).inverse()
     if y.log() != xdx_potential(a, order):
         raise ArithmeticError("log of the framed branch disagrees with x d/dx Psi_0")
-    if x * y ** (-(a + 1)) != z0:
+    x_framed = x * y ** (-(a + 1))
+    if x_framed != z0:
         raise ArithmeticError("z0 = x y^{-(a+1)} fails")
-    return y + x * y ** (-a) - one - e * x * y ** (-(a + 1))
+    # x y^{-a} = x y^{-(a+1)} y: one power of y serves both terms
+    return y + x_framed * y - one - e * x_framed
 
 
 # -- framing transformation as an exact Laurent identity ----------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .laurent import LaurentU, RationalFunctionU, qbracket
+from .laurent import LaurentU, RationalFunctionU, bracket_ratio, qbracket
 from .partitions import divisors, mobius
 
 
@@ -131,15 +131,9 @@ def disc_e(a: int, k: int, m: int) -> DiscInvariant:
 def _allgenus_rhs(a: int, k: int, m: int, scale: int) -> RationalFunctionU:
     """(-1)^{ma+k} prod_{j=1}^{m-1}[am+j+k] / ([k]! [m-k]!) evaluated at u -> u^scale."""
     sign = -1 if (m * a + k) % 2 else 1
-    num = LaurentU.const(sign)
-    for j in range(1, m):
-        num = num * qbracket(scale * (m * a + j + k))
-    den = LaurentU.const(1)
-    for j in range(1, k + 1):
-        den = den * qbracket(scale * j)
-    for j in range(1, m - k + 1):
-        den = den * qbracket(scale * j)
-    return RationalFunctionU(num, den)
+    num_args = [scale * (m * a + j + k) for j in range(1, m)]
+    den_args = [scale * j for j in (*range(1, k + 1), *range(1, m - k + 1))]
+    return bracket_ratio(num_args, den_args) * sign
 
 
 def ov_N(a: int, m: int, k: int) -> OVPolynomial:

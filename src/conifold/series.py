@@ -101,14 +101,6 @@ class TruncatedSeries:
                 out[key] = c
         return TruncatedSeries(self.variables, self.orders, out, self.one)
 
-    def max_exponent(self, name: str) -> int:
-        i = self._idx(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def min_exponent(self, name: str) -> int:
-        i = self._idx(name)
-        return min((e[i] for e in self.terms), default=0)
-
     def has_negative_exponents(self) -> bool:
         return any(e < 0 for expts in self.terms for e in expts)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conifold import ovinv
+from conifold import amplitudes, ovinv
 from conifold.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -16,6 +16,7 @@ from conifold.cli import (
     main,
     run,
 )
+from conifold.series import TruncatedSeries
 
 
 def run_main(capsys, *argv):
@@ -42,6 +43,23 @@ def test_sequences_catalan_count_one_runs_its_anchor(capsys, monkeypatch):
     assert status == EXIT_VERIFICATION
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "verification-failure"
+
+
+def test_genus0_framing_minus_one_passes_its_anchor(capsys, monkeypatch):
+    # at a = -1 the anchor's Q coefficient 4(a+1)/4 is zero, which a series never stores
+    args = ("genus0", "--framing", "-1", "--n-max", "2")
+    status, out, _ = run_main(capsys, *args)
+    assert status == EXIT_OK
+    assert "value=1/4 + (-1/4) Q^2" in out
+    # the anchor still fails a wrong genus-zero coefficient at that framing
+    monkeypatch.setattr(
+        amplitudes, "genus0_onepoint",
+        lambda a, n: TruncatedSeries(("Q",), (n,), {(0,): Fraction(1, 4), (1,): Fraction(1, 4)}),
+    )
+    status, out, err = run_main(capsys, *args)
+    assert status == EXIT_VERIFICATION
+    assert out == ""
+    assert "anchor polynomial" in json.loads(err)["error"]["message"]
 
 
 def test_sequences_dmm_reports_mismatch_without_failing(capsys):

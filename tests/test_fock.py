@@ -218,8 +218,3 @@ def _compositions(n):
     for first in range(1, n + 1):
         for rest in _compositions(n - first):
             yield (first,) + rest
-
-
-def test_eword_prefactor():
-    word = EWord(((1, 0), (-1, 2)), prefactor=RationalFunctionU(qbracket(5)))
-    assert correlator_reduce(word) == RationalFunctionU(qbracket(5)) * bracket_ratio((2,), (2,))
