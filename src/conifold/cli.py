@@ -14,9 +14,9 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import amplitudes, fock, mirror, ovinv
@@ -26,21 +26,6 @@ from .serialize import FORMAT_VERSION, jsonable, text
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
-
-@dataclass
-class JobSpec:
-    command: str
-    framing: int = 0
-    n_max: int = 3
-    m_max: int = 8
-    k_max: int = 6
-    order: int = 8
-    q_degree: int | None = None
-    which: str = "catalan"
-    count: int = 10
-    fmt: str = "text"
-    numeric: bool = False
-    parameters: dict = field(default_factory=dict)
 
 
 class VerificationFailure(Exception):
@@ -55,7 +40,7 @@ def _check(condition: bool, message: str) -> None:
 # -- table builders ------------------------------------------------------------
 
 
-def _rows_onepoint(job: JobSpec):
+def _rows_onepoint(job: argparse.Namespace):
     rows = []
     for n in range(1, job.n_max + 1):
         closed = amplitudes.onepoint_closed(job.framing, n)
@@ -78,7 +63,7 @@ def _rows_onepoint(job: JobSpec):
     return rows
 
 
-def _rows_genus0(job: JobSpec):
+def _rows_genus0(job: argparse.Namespace):
     rows = [
         {"a": job.framing, "n": n, "value": amplitudes.genus0_onepoint(job.framing, n)}
         for n in range(1, job.n_max + 1)
@@ -97,7 +82,7 @@ def _rows_genus0(job: JobSpec):
     return rows
 
 
-def _rows_disc(job: JobSpec, kind: str):
+def _rows_disc(job: argparse.Namespace, kind: str):
     fn = ovinv.disc_d if kind == "d" else ovinv.disc_e
     rows = []
     for m in range(1, job.m_max + 1):
@@ -122,7 +107,7 @@ def _rows_disc(job: JobSpec, kind: str):
     return rows
 
 
-def _rows_ovn(job: JobSpec):
+def _rows_ovn(job: argparse.Namespace):
     rows = []
     for m in range(1, job.m_max + 1):
         for k in range(0, m + 1):
@@ -135,7 +120,7 @@ def _rows_ovn(job: JobSpec):
     return rows
 
 
-def _rows_sequences(job: JobSpec):
+def _rows_sequences(job: argparse.Namespace):
     if job.which == "catalan":
         # anchor: C(1) = |d_{1,2}|, checked even when --count 1 prints only C(0)
         ovinv.seq_catalan(1)
@@ -146,7 +131,7 @@ def _rows_sequences(job: JobSpec):
     raise VerificationFailure(f"unknown sequence {job.which!r}")
 
 
-def _rows_mirror(job: JobSpec):
+def _rows_mirror(job: argparse.Namespace):
     a, order = job.framing, job.order
     rows = []
     if a == 0:
@@ -163,11 +148,11 @@ def _rows_mirror(job: JobSpec):
     return rows
 
 
-def _rows_correlator(job: JobSpec):
+def _rows_correlator(job: argparse.Namespace):
     rows = []
     for n in range(1, job.n_max + 1):
         for comp in _compositions(n):
-            for mults in _tuples((1, 2, 3), len(comp)):
+            for mults in itertools.product((1, 2, 3), repeat=len(comp)):
                 word = fock.beta_correlator_word(n, comp, mults)
                 reduced = fock.correlator_reduce(word)
                 closed = fock.correlator_closed(n, comp, mults)
@@ -186,16 +171,7 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-def _tuples(alphabet, length):
-    if length == 0:
-        yield ()
-        return
-    for first in alphabet:
-        for rest in _tuples(alphabet, length - 1):
-            yield (first,) + rest
-
-
-def _rows_oracle(job: JobSpec):
+def _rows_oracle(job: argparse.Namespace):
     rows = []
     D = job.q_degree
     for n in range(1, job.n_max + 1):
@@ -215,7 +191,7 @@ def _rows_oracle(job: JobSpec):
     return rows
 
 
-def _rows_closed_string(job: JobSpec):
+def _rows_closed_string(job: argparse.Namespace):
     series = amplitudes.closed_string_logZ(job.order)
     # anchor: the Q coefficient is 1/[1]^2
     _check(
@@ -255,7 +231,7 @@ def emit_table(rows, fmt: str, meta: dict, numeric: bool = False) -> str:
     if fmt == "json":
         doc = {
             "meta": dict(meta, format_version=FORMAT_VERSION),
-            "rows": [{k: jsonable(_as_jsonable(v)) for k, v in row.items()} for row in rows],
+            "rows": [{k: jsonable(v) for k, v in row.items()} for row in rows],
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     header = list(rows[0].keys()) if rows else []
@@ -274,27 +250,22 @@ def emit_table(rows, fmt: str, meta: dict, numeric: bool = False) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _as_jsonable(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
-
-
 # -- driver -----------------------------------------------------------------------
 
 
-def run(job: JobSpec) -> tuple[int, str]:
-    """Execute a job; returns (exit status, document)."""
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Execute a job parsed by build_parser(); returns (exit status, document)."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric") and v is not None}
     try:
-        rows = _BUILDERS[job.command](job)
+        rows = _BUILDERS[args.command](args)
     except (VerificationFailure, ArithmeticError) as exc:
         report = {
-            "meta": {"command": job.command, "parameters": job.parameters, "format_version": FORMAT_VERSION},
+            "meta": {"command": args.command, "parameters": params, "format_version": FORMAT_VERSION},
             "error": {"kind": "verification-failure", "message": str(exc)},
         }
         return EXIT_VERIFICATION, json.dumps(report, sort_keys=True, indent=2) + "\n"
-    meta = {"command": job.command, "parameters": job.parameters}
-    return EXIT_OK, emit_table(rows, job.fmt, meta, job.numeric)
+    meta = {"command": args.command, "parameters": params}
+    return EXIT_OK, emit_table(rows, args.fmt, meta, args.numeric)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric") and v is not None}
     if args.command == "mirror-check" and args.framing == -1:
         print(
             "mirror-check: framing -1 is excluded: the Lagrange construction inverts "
@@ -374,23 +344,9 @@ def main(argv=None) -> int:
         # truncating below Q^0 empties every side of the comparison
         print(f"{args.command}: --q-degree must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    job = JobSpec(
-        command=args.command,
-        framing=getattr(args, "framing", 0),
-        n_max=getattr(args, "n_max", 3),
-        m_max=getattr(args, "m_max", 8),
-        k_max=getattr(args, "k_max", 6),
-        order=getattr(args, "order", 8),
-        q_degree=getattr(args, "q_degree", None),
-        which=getattr(args, "which", "catalan"),
-        count=getattr(args, "count", 10),
-        fmt=args.fmt,
-        numeric=args.numeric,
-        parameters=params,
-    )
     if args.numeric and args.fmt == "csv":
         print("conifold: --numeric renders lossy decimal approximations", file=sys.stderr)
-    status, doc = run(job)
+    status, doc = run(args)
     out = sys.stdout if status == EXIT_OK else sys.stderr
     out.write(doc)
     return status

@@ -87,9 +87,6 @@ class LaurentU:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def coeff(self, e: int) -> Fraction:
-        return self.terms.get(e, _ZERO)
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
@@ -227,7 +224,6 @@ class LaurentU:
 
 LAURENT_ZERO = LaurentU()
 LAURENT_ONE = LaurentU({0: 1})
-U = LaurentU({1: 1})
 
 
 def qbracket(n: int) -> LaurentU:

@@ -247,7 +247,7 @@ def seq_catalan(k: int) -> int:
     """Catalan number C(k) = (2k)!/(k!(k+1)!); asserted equal to |d_{k,k+1}| at a = 0."""
     if k < 1:
         raise ValueError("k must be positive")
-    value = factorial(2 * k) // (factorial(k) * factorial(k + 1))
+    value = catalan_number(k)
     if value != abs(disc_d(0, k, k + 1).value):
         raise ArithmeticError(f"|d_{{{k},{k + 1}}}| is not the Catalan number C({k})")
     return value

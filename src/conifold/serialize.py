@@ -1,6 +1,7 @@
 """Shared serialization for exact values.
 
 JSON forms:
+  float             its repr, as a string (the lossy --numeric view)
   Fraction          "p/q" (or "p" when the denominator is 1)
   LaurentU          [[exponent, "p/q"], ...] sorted by exponent
   RationalFunctionU {"num": <laurent>, "den": <laurent>} in canonical form
@@ -27,6 +28,8 @@ def jsonable(value):
         return value
     if isinstance(value, str):
         return value
+    if isinstance(value, float):
+        return repr(value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, LaurentU):

@@ -16,7 +16,7 @@ functional operations can build constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .laurent import RationalFunctionU
 
@@ -124,9 +124,7 @@ class TruncatedSeries:
             return NotImplemented
         if self.variables != other.variables:
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -223,8 +221,26 @@ class TruncatedSeries:
 
     # -- functional operations ---------------------------------------------
 
-    def _unit_part(self):
-        """Split self = c0 * (1 + w) with w of positive total degree."""
+    @staticmethod
+    def _power_sum(w, coeff) -> "TruncatedSeries":
+        """sum_k coeff(k) w^k for w with nonnegative exponents and no constant term.
+
+        Every term of w has total degree at least 1 and every stored term total
+        degree at most sum(orders), so w^k vanishes once k > sum(orders); the
+        loop stops there, or earlier when a power truncates to zero.
+        """
+        acc = w.const_like(coeff(0))
+        power = w
+        for k in range(1, sum(w.orders) + 1):
+            if k > 1:
+                power = power * w
+            if power.is_zero():
+                break
+            c = coeff(k)
+            acc = acc + (power if c == 1 else power.scale(c))
+        return acc
+
+    def inverse(self) -> "TruncatedSeries":
         if self.has_negative_exponents():
             raise ValueError("functional operations need nonnegative exponents")
         c0 = self.constant_term()
@@ -232,26 +248,16 @@ class TruncatedSeries:
             raise ValueError("constant term must be invertible")
         if c0 == self.one:
             inv = None
-        elif isinstance(c0, Fraction):
-            inv = 1 / c0
+        elif isinstance(c0, (int, Fraction)):
+            inv = _FR_ONE / c0
         elif hasattr(c0, "inverse"):
             inv = c0.inverse()
         else:
             raise ValueError("constant term is not invertible in this ring")
-        w = self.scale(inv) if inv is not None else self
-        return c0, inv, w - w.const_like(1)
-
-    def inverse(self) -> "TruncatedSeries":
-        c0, c0inv, w = self._unit_part()
+        unit = self if inv is None else self.scale(inv)
         # 1/(1+w) = sum (-w)^k, finite under truncation
-        acc = self.const_like(1)
-        term = self.const_like(1)
-        while True:
-            term = term * (-w)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc if c0inv is None else acc.scale(c0inv)
+        acc = self._power_sum(unit.const_like(1) - unit, lambda k: 1)
+        return acc if inv is None else acc.scale(inv)
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -266,16 +272,7 @@ class TruncatedSeries:
         w = self - self.const_like(1)
         if w.has_negative_exponents():
             raise ValueError("log needs nonnegative exponents")
-        acc = self.zero_like()
-        term = self.const_like(1)
-        k = 0
-        while True:
-            k += 1
-            term = term * w
-            if term.is_zero():
-                break
-            acc = acc + term.scale(Fraction((-1) ** (k - 1), k))
-        return acc
+        return self._power_sum(w, lambda k: Fraction((-1) ** (k - 1), k) if k else 0)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with constant term 0."""
@@ -283,16 +280,7 @@ class TruncatedSeries:
             raise ValueError("exp needs constant term 0")
         if self.has_negative_exponents():
             raise ValueError("exp needs nonnegative exponents")
-        acc = self.const_like(1)
-        term = self.const_like(1)
-        k = 0
-        while True:
-            k += 1
-            term = term * self
-            if term.is_zero():
-                break
-            acc = acc + term.scale(Fraction(1, factorial(k)))
-        return acc
+        return self._power_sum(self, lambda k: Fraction(1, factorial(k)))
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1 (binomial series)."""
@@ -302,18 +290,10 @@ class TruncatedSeries:
         w = self - self.const_like(1)
         if w.has_negative_exponents():
             raise ValueError("sqrt needs nonnegative exponents")
-        acc = self.const_like(1)
-        term = self.const_like(1)
-        binom = _FR_ONE
-        k = 0
-        while True:
-            k += 1
-            binom = binom * (Fraction(1, 2) - (k - 1)) / k
-            term = term * w
-            if term.is_zero():
-                break
-            acc = acc + term.scale(binom)
-        return acc
+        # binom(1/2, k) = (-1)^(k+1) C(2k, k) / (4^k (2k - 1))
+        return self._power_sum(
+            w, lambda k: Fraction((-1) ** (k + 1) * comb(2 * k, k), 4 ** k * (2 * k - 1))
+        )
 
     def substitute(self, name: str, replacement: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute a series (same frame) for the named variable."""

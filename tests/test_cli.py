@@ -11,7 +11,7 @@ from conifold.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
-    JobSpec,
+    build_parser,
     emit_table,
     main,
     run,
@@ -182,6 +182,6 @@ def test_emit_table_empty_rows_csv():
 
 
 def test_run_direct_jobspec():
-    status, doc = run(JobSpec(command="genus0", framing=2, n_max=2, fmt="csv", parameters={}))
+    status, doc = run(build_parser().parse_args(["genus0", "--framing", "2", "--n-max", "2", "--format", "csv"]))
     assert status == EXIT_OK
     assert doc.splitlines()[0] == "a,n,value"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conifold.laurent import LaurentU, RationalFunctionU, qbracket
+from conifold.laurent import RFU_ONE, LaurentU, RationalFunctionU, qbracket
 from conifold.series import TruncatedSeries, hbar_expand, series_reversion
 
 X = ("x",)
@@ -69,6 +69,55 @@ def test_half_sqrt_log_coefficients():
         assert s.scalar_coefficient((2 * j,)) == expected
     for e in range(1, N + 1, 2):
         assert not s.scalar_coefficient((e,))
+
+
+def test_inverse_integer_constant_term():
+    # the Fraction ring keeps int coefficients as given
+    s = TruncatedSeries(X, (3,), {(0,): 2, (1,): 1})
+    inv = s.inverse()
+    assert s * inv == one(3)
+    assert inv.terms == {(0,): Fraction(1, 2), (1,): Fraction(-1, 4), (2,): Fraction(1, 8), (3,): Fraction(-1, 16)}
+    assert all(isinstance(c, Fraction) for c in inv.terms.values())
+
+
+def test_functional_operations_two_variables():
+    # powers of w = x + E survive past max(orders) = 4, up to total degree 7
+    vars_ = ("x", "E")
+    orders = (4, 3)
+    x = TruncatedSeries.variable("x", vars_, orders)
+    e = TruncatedSeries.variable("E", vars_, orders)
+    unit = TruncatedSeries.constant(Fraction(1), vars_, orders)
+    s = Fraction(3, 2) + x - 2 * e + x * e * e
+    assert s * s.inverse() == unit
+    t = unit + x + e - Fraction(1, 3) * x * e
+    assert t.log().exp() == t
+    assert t.sqrt() ** 2 == t
+    assert (x + e).exp().scalar_coefficient((4, 3)) == Fraction(1, factorial(4) * factorial(3))
+
+
+def test_functional_operations_over_bracket_ring():
+    vars_ = ("Q",)
+    orders = (4,)
+    q = TruncatedSeries.variable("Q", vars_, orders, one=RFU_ONE)
+    unit = TruncatedSeries.constant(RFU_ONE, vars_, orders, one=RFU_ONE)
+    c0 = RationalFunctionU(qbracket(2), qbracket(1))
+    c1 = RationalFunctionU(qbracket(1), qbracket(3))
+    s = TruncatedSeries.constant(c0, vars_, orders, one=RFU_ONE) + q * c1 + q * q
+    assert s * s.inverse() == unit
+    assert s.inverse().scalar_coefficient((0,)) == RationalFunctionU(qbracket(1), qbracket(2))
+    f = q * c1
+    ef = f.exp()
+    for k in range(orders[0] + 1):
+        assert ef.scalar_coefficient((k,)) == c1 ** k * Fraction(1, factorial(k))
+    assert ef.log() == f
+
+
+@pytest.mark.parametrize("op", ["inverse", "log", "exp", "sqrt"])
+def test_functional_operations_reject_negative_exponents(op):
+    constant = Fraction(0) if op == "exp" else Fraction(1)
+    s = TruncatedSeries(X, (3,), {(0,): constant, (-1,): Fraction(1), (1,): Fraction(1)})
+    with pytest.raises(ValueError, match="nonnegative exponents"):
+        getattr(s, op)()
 
 
 def test_reversion_identity_and_geometric():
