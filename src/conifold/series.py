@@ -16,11 +16,29 @@ functional operations can build constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add, itemgetter
 
 from .laurent import RationalFunctionU
 
 _FR_ONE = Fraction(1)
+
+
+def _over_common_denominator(terms):
+    """(numerators, d) with every coefficient equal to numerators[e] / d.
+
+    d is None when every coefficient is an int (they are returned as given).
+    Returns None when some coefficient is neither an int nor a Fraction.
+    """
+    d = None
+    for c in terms.values():
+        if isinstance(c, Fraction):
+            d = lcm(d or 1, c.denominator)
+        elif not isinstance(c, int):
+            return None
+    if d is None:
+        return terms, None
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
 class TruncatedSeries:
@@ -182,26 +200,50 @@ class TruncatedSeries:
         return TruncatedSeries(self.variables, self.orders, out, self.one)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._compatible(other)
-            orders = self.orders
-            out: dict[tuple, object] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    if any(x > o for x, o in zip(e, orders)):
+        """Truncated product; only pairs whose exponents stay inside the box are visited.
+
+        The right operand is grouped by its first exponent (groups ascending,
+        each sorted by the second), so for each left term the loops stop once
+        the first or second exponent passes the room left under the orders.
+        Rational operands are multiplied as integer numerators over one common
+        denominator per operand, and each sum becomes one Fraction; when
+        neither operand holds a Fraction the int sums are kept as they are.
+        """
+        if not isinstance(other, TruncatedSeries):
+            return self.scale(other)
+        self._compatible(other)
+        orders = self.orders
+        ra, rb = _over_common_denominator(self.terms), _over_common_denominator(other.terms)
+        if ra is None or rb is None:  # another ring: multiply its own elements
+            ra, rb = (self.terms, None), (other.terms, None)
+        (a, da), (b, db) = ra, rb
+        # j indexes the second exponent; in one variable it repeats the first
+        j = min(1, len(orders) - 1)
+        by_first: dict[int, list] = {}
+        for eb, cb in b.items():
+            by_first.setdefault(eb[0], []).append((eb[j], eb, cb))
+        groups = [(e0, sorted(g, key=itemgetter(0))) for e0, g in sorted(by_first.items())]
+        rest = orders[2:]
+        sums: dict[tuple, object] = {}
+        for ea, ca in a.items():
+            room0, roomj = orders[0] - ea[0], orders[j] - ea[j]
+            for e0, group in groups:
+                if e0 > room0:
+                    break
+                for ej, eb, cb in group:
+                    if ej > roomj:
+                        break
+                    e = tuple(map(add, ea, eb))
+                    if rest and any(x > o for x, o in zip(e[2:], rest)):
                         continue
+                    s = sums.get(e)
                     p = ca * cb
-                    if not p:
-                        continue
-                    s = out.get(e)
-                    s = p if s is None else s + p
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return TruncatedSeries(self.variables, orders, out, self.one)
-        return self.scale(other)
+                    sums[e] = p if s is None else s + p
+        if da is not None or db is not None:
+            den = (da or 1) * (db or 1)
+            sums = {e: Fraction(s, den) for e, s in sums.items()}
+        # the constructor drops the sums that cancelled to zero
+        return TruncatedSeries(self.variables, orders, sums, self.one)
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -102,6 +102,24 @@ def test_mirror_check_ok(capsys):
     assert "ok=true" in out
 
 
+def test_mirror_check_fails_a_product_that_drops_the_x_edge(capsys, monkeypatch):
+    # a series product that loses every term at x^order must fail the check
+    mul = TruncatedSeries.__mul__
+
+    def dropping(self, other):
+        out = mul(self, other)
+        if isinstance(other, TruncatedSeries):
+            out.terms = {e: c for e, c in out.terms.items() if e[0] != out.orders[0]}
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", dropping)
+    for framing in ("2", "-3"):
+        status, out, err = run_main(capsys, "mirror-check", "--framing", framing, "--order", "6")
+        assert status == EXIT_VERIFICATION, framing
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "verification-failure"
+
+
 def test_usage_error_on_bad_bound(capsys):
     status, _, err = run_main(capsys, "onepoint", "--n-max", "0")
     assert status == EXIT_USAGE

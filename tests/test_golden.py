@@ -1,13 +1,9 @@
 """Byte identity of whole CLI jobs against the benchmark's golden digests.
 
-Every job of the `oracle` and `integrality` benchmark pools runs in-process
-through `cli.main`; its exit code and the sha256 of its stdout must equal the
-values recorded in perfbench/golden.json.  A speed-up that changes one output
-byte fails here.
-
-Of the `curves` pool, whose `mirror-check` jobs take seconds each, only the
-short jobs run: every `closed-string` job and the three `mirror-check` jobs
-at framing -3 and order 13.
+Every job of the `oracle`, `integrality` and `curves` benchmark pools runs
+in-process through `cli.main`; its exit code and the sha256 of its stdout must
+equal the values recorded in perfbench/golden.json.  A speed-up that changes
+one output byte fails here.
 """
 
 import contextlib
@@ -36,17 +32,11 @@ def _load_workloads():
 
 
 _workloads = _load_workloads()
-_CURVES = ("closed-string",), ("mirror-check", "--framing", "-3", "--order", "13")
-JOBS = [_workloads.key(argv) for name in ("oracle", "integrality") for argv in _workloads.pool(name)]
-JOBS += [
-    _workloads.key(argv)
-    for argv in _workloads.pool("curves")
-    if any(argv[: len(prefix)] == prefix for prefix in _CURVES)
-]
+JOBS = [_workloads.key(argv) for name in ("oracle", "integrality", "curves") for argv in _workloads.pool(name)]
 
 
 def test_pools_are_recorded():
-    assert len(JOBS) == len(set(JOBS)) == 64
+    assert len(JOBS) == len(set(JOBS)) == 79
     assert all(key in GOLDEN for key in JOBS)
 
 

@@ -19,6 +19,120 @@ def one(order):
     return TruncatedSeries.constant(Fraction(1), X, (order,))
 
 
+# -- the product kernel ---------------------------------------------------------
+# `TruncatedSeries.__mul__` skips the pairs outside the truncation box and
+# multiplies rational coefficients as integers over a common denominator.  The
+# double loop it replaced is kept here as the reference: every pair is formed,
+# the box test drops the ones outside, and each coefficient is multiplied in its
+# own ring.  The products must have equal terms, and for all-int and
+# all-Fraction operands the same coefficient types (JSON renders 2 and
+# Fraction(2) differently).
+
+
+def _reference_mul(self, other):
+    self._compatible(other)
+    orders = self.orders
+    out: dict[tuple, object] = {}
+    for ea, ca in self.terms.items():
+        for eb, cb in other.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if any(x > o for x, o in zip(e, orders)):
+                continue
+            p = ca * cb
+            if not p:
+                continue
+            s = out.get(e)
+            s = p if s is None else s + p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return TruncatedSeries(self.variables, orders, out, self.one)
+
+
+def assert_same_product(s, t):
+    got, ref = s * t, _reference_mul(s, t)
+    assert got.terms == ref.terms, (s, t)
+    return got, ref
+
+
+_COEFFS = {
+    "int": [1, -1, 2, -2, 3],
+    "fraction": [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)],
+}
+_COEFFS["mixed"] = _COEFFS["int"] + _COEFFS["fraction"]
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(1, 3))
+    variables = ("x", "E", "Q")[:n]
+    orders = tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    # exponents run up to the order, so many pairs land exactly on the box edge
+    exponents = st.tuples(*(st.integers(-2, o) for o in orders))
+    operands = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(sorted(_COEFFS)))
+        terms = draw(st.dictionaries(exponents, st.sampled_from(_COEFFS[kind]), max_size=8))
+        operands.append((kind, TruncatedSeries(variables, orders, terms)))
+    if draw(st.booleans()):
+        # s(x) * s(-x): every term of odd x-degree cancels in pairs
+        kind, s = operands[0]
+        flipped = {e: -c if e[0] % 2 else c for e, c in s.terms.items()}
+        operands[1] = kind, TruncatedSeries(variables, orders, flipped)
+    return operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_mul_matches_reference(operands):
+    (kind_a, s), (kind_b, t) = operands
+    got, ref = assert_same_product(s, t)
+    if "mixed" not in (kind_a, kind_b):
+        assert {e: type(c) for e, c in got.terms.items()} == {e: type(c) for e, c in ref.terms.items()}
+
+
+def test_mul_coefficient_types():
+    vars_ = ("x", "E")
+    ints = TruncatedSeries(vars_, (3, 2), {(0, 0): 2, (1, 0): -1, (0, 1): 1})
+    fracs = ints.map_coefficients(Fraction)
+    for s, t, kind in ((ints, ints, int), (fracs, fracs, Fraction), (ints, fracs, Fraction)):
+        got, _ = assert_same_product(s, t)
+        assert got.terms and all(type(c) is kind for c in got.terms.values())
+
+
+def test_mul_over_bracket_ring_matches_reference():
+    vars_ = ("Q", "x")
+    orders = (3, 2)
+
+    def rf(n, d):
+        return RationalFunctionU(qbracket(n), qbracket(d))
+
+    s = TruncatedSeries(vars_, orders, {(0, 0): RFU_ONE, (1, 0): rf(2, 1), (0, 1): rf(1, 3), (2, 1): rf(3, 2)}, RFU_ONE)
+    t = TruncatedSeries(vars_, orders, {(1, 0): -rf(2, 1), (1, 1): rf(1, 1), (3, 2): rf(4, 1), (0, 2): RFU_ONE}, RFU_ONE)
+    for a, b in ((s, t), (t, s), (s, s)):
+        got, ref = assert_same_product(a, b)
+        # the same numerator and denominator pairs, not only canonical equality
+        for e, c in ref.terms.items():
+            assert (got.terms[e].num, got.terms[e].den) == (c.num, c.den), e
+
+
+def test_mul_in_hbar_frame_matches_reference():
+    # Laurent series in hbar with poles: negative exponents on both sides
+    order = 5
+    pole = hbar_expand(RationalFunctionU(LaurentU.const(1), qbracket(1) ** 2), order)
+    sine = hbar_expand(RationalFunctionU(qbracket(2)), order)
+    ratio = hbar_expand(RationalFunctionU(qbracket(3), qbracket(1) * qbracket(2)), order)
+    assert pole.has_negative_exponents() and ratio.has_negative_exponents()
+    for a, b in ((pole, sine), (pole, pole), (ratio, pole), (sine, ratio)):
+        assert_same_product(a, b)
+    # 1/[1]^2 * [1]^2 = 1 up to truncation: the hbar^6 term of [1]^2, cut at
+    # the order, would meet the hbar^-2 pole at hbar^4 = hbar^(order - 1)
+    square = hbar_expand(RationalFunctionU(qbracket(1) ** 2), order)
+    exact = {e: c for e, c in (pole * square).terms.items() if e[0] < order - 1}
+    assert exact == {(0,): Fraction(1)}
+
+
 def test_mul_truncates():
     x = xs(3)
     assert (x ** 3) * x == TruncatedSeries.zero(X, (3,))
