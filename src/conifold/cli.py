@@ -258,7 +258,8 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric") and v is not None}
     try:
         rows = _BUILDERS[args.command](args)
-    except (VerificationFailure, ArithmeticError) as exc:
+    # main has rejected usage errors, so a ValueError here is a check that broke
+    except (VerificationFailure, ArithmeticError, ValueError) as exc:
         report = {
             "meta": {"command": args.command, "parameters": params, "format_version": FORMAT_VERSION},
             "error": {"kind": "verification-failure", "message": str(exc)},

@@ -186,26 +186,36 @@ def cutjoin_apply(v: FockVector) -> FockVector:
     return out
 
 
-def qK_apply(v: FockVector, framing_exponent: int) -> FockVector:
+def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
     """Apply q^{f K}: scale the Schur component s_nu by u^{f kappa_nu}.
 
     Works degree by degree through the character transform
         w_nu = sum_mu chi_nu(mu) c_mu,   c'_mu = (1/z_mu) sum_nu u^{f kappa_nu} chi_nu(mu) w_nu.
+    With `only`, a collection of partitions, the result holds just the
+    coefficients c'_mu of those mu (each equal to its value in the full
+    transform), and w_nu is built only for the nu with chi_nu(mu) != 0 for
+    some requested mu of its degree.
     """
     f = framing_exponent
+    wanted = None if only is None else tuple(dict.fromkeys(tuple(mu) for mu in only))
     out = FockVector(v.degree_bound, v.q_bound, {})
     by_degree: dict[int, dict[Partition, TruncatedSeries]] = {}
     for mu, c in v.coeffs.items():
         by_degree.setdefault(sum(mu), {})[mu] = c
     for d, sector in by_degree.items():
+        targets = partitions_of(d) if wanted is None else [mu for mu in wanted if sum(mu) == d]
+        if not targets:
+            continue
         if d == 0 or f == 0:
             for mu, c in sector.items():
-                out.add_term(mu, c)
+                if mu in targets:
+                    out.add_term(mu, c)
             continue
-        parts = partitions_of(d)
         table = CharacterTable.for_size(d)
         scaled = {}
-        for nu in parts:
+        for nu in partitions_of(d):
+            if not any(table.value(nu, mu) for mu in targets):
+                continue
             w = qpoly_zero(v.q_bound)
             for mu, c in sector.items():
                 chi = table.value(nu, mu)
@@ -215,7 +225,7 @@ def qK_apply(v: FockVector, framing_exponent: int) -> FockVector:
                 continue
             twist = RationalFunctionU(LaurentU.monomial(f * kappa(nu)))
             scaled[nu] = w * twist
-        for mu in parts:
+        for mu in targets:
             acc = qpoly_zero(v.q_bound)
             for nu, w in scaled.items():
                 chi = table.value(nu, mu)
@@ -258,12 +268,16 @@ def oracle_onepoint(a: int, n: int, q_bound: int | None = None) -> TruncatedSeri
     twist q^{(a+1)K}, pairs against the vacuum, and reads the p_n coefficient
     of the logarithm of the generating function.  Reported value is
     (n i) * F_n, a pure bracket-ring polynomial in Q.
+
+    Only that coefficient is twisted: chi_nu((n)) vanishes off the n hooks
+    nu = (n-r, 1^r) (Murnaghan-Nakayama), so qK_apply builds n of the p(n)
+    character rows.
     """
     if n < 1:
         raise ValueError("winding must be positive")
     D = n if q_bound is None else q_bound
     state = beta_neg_exp(brane_state(n, D), n, D)
-    twisted = qK_apply(state, a + 1)
+    twisted = qK_apply(state, a + 1, only=((n,),))
     # Pairing with exp(sum_n x_n/(n i) b_n) weighs p_mu by prod_n (x_n/i)^{m_n},
     # i.e. by P_mu, so the generating function's coefficients are the stored
     # ones.  In its log, monomials P_mu multiply by partition union, so no

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conifold import amplitudes, ovinv
+from conifold import amplitudes, ovinv, partitions
 from conifold.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -114,10 +114,32 @@ def test_mirror_check_fails_a_product_that_drops_the_x_edge(capsys, monkeypatch)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", dropping)
     for framing in ("2", "-3"):
-        status, out, err = run_main(capsys, "mirror-check", "--framing", framing, "--order", "6")
-        assert status == EXIT_VERIFICATION, framing
-        assert out == ""
-        assert json.loads(err)["error"]["kind"] == "verification-failure"
+        for order in ("6", "1"):
+            status, out, err = run_main(capsys, "mirror-check", "--framing", framing, "--order", order)
+            assert status == EXIT_VERIFICATION, (framing, order)
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["kind"] == "verification-failure"
+            if order == "1":
+                # at order 1 the fault surfaces as a ValueError inside the reversion
+                assert "reversion needs an invertible linear coefficient" in error["message"]
+
+
+def test_oracle_compare_fails_a_corrupted_character_value(capsys, monkeypatch):
+    # a wrong chi_(3,1,1)((2,2,1)) lies in a hook row, which the oracle's twist reads
+    value = partitions.CharacterTable.value
+
+    def corrupted(self, nu, mu):
+        chi = value(self, nu, mu)
+        return chi + 1 if (tuple(nu), tuple(mu)) == ((3, 1, 1), (2, 2, 1)) else chi
+
+    monkeypatch.setattr(partitions.CharacterTable, "value", corrupted)
+    status, out, err = run_main(capsys, "oracle-compare", "--framing", "1", "--n-max", "5")
+    assert status == EXIT_VERIFICATION
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "verification-failure"
+    assert "oracle disagreement" in error["message"]
 
 
 def test_usage_error_on_bad_bound(capsys):

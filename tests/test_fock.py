@@ -157,6 +157,32 @@ def test_oracle_onepoint_zero_framing_n2():
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "n, framings", [(n, (-2, -1, 0, 1, 3)) for n in range(1, 7)] + [(7, (2,))]
+)
+def test_qK_only_equals_full_transform(n, framings):
+    # the restricted transform returns exactly the requested coefficients of
+    # the full one; the repeated (n,) would come out doubled without the dedup
+    st = beta_neg_exp(brane_state(n, n), n, n)
+    onlys = (((n,),), ((n,), (1,) * n), partitions_of(n - 1), ((n,), (n,)))
+    for f in framings:
+        full = qK_apply(st, f)
+        for only in onlys:
+            got = qK_apply(st, f, only=only)
+            assert set(got.coeffs) <= set(only), (f, only)
+            for mu in only:
+                assert got.coefficient(mu) == full.coefficient(mu), (f, mu)
+
+
+def test_oracle_onepoint_truncated_matches_full_transform():
+    # at Q-bound D < n the oracle equals the full twist's p_n coefficient cut at Q^D
+    for a, n in ((-3, 3), (0, 4), (2, 4)):
+        full = qK_apply(beta_neg_exp(brane_state(n, n), n, n), a + 1)
+        value = full.coefficient((n,)).scale(Fraction(n))
+        for D in range(n):
+            assert oracle_onepoint(a, n, D) == value.truncated((D,)), (a, n, D)
+
+
 # -- correlators ----------------------------------------------------------------
 
 
