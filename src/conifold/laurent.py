@@ -1,17 +1,22 @@
 """The quantum-bracket ring: Laurent polynomials in u = q^{1/2} and their quotients.
 
-A LaurentU is a finite map {exponent: coefficient} over the rationals; the
-exponent is measured in units of u, so the bracket [n] = u^n - u^{-n} has
-exponents +-n and never a half-integer.  RationalFunctionU is a quotient of
-two LaurentU values with a canonical reduced form (polynomial gcd removed,
-denominator of valuation zero and monic) so that equality is decidable.
+A nonzero LaurentU is stored as content * P(u) (FLINT's fmpq_poly layout): a
+signed nonzero Fraction content and a sparse {exponent: int} polynomial P that
+is primitive (its coefficients have gcd 1) with a positive top coefficient.
+The pair is unique, so equality and hashing compare it directly; the zero
+polynomial has content 0 and an empty P.  Exponents are in units of u, so the
+bracket [n] = u^n - u^{-n} has exponents +-n and never a half-integer.
+RationalFunctionU is a quotient of two LaurentU values with a canonical reduced
+form (polynomial gcd removed, denominator of valuation zero and monic) so that
+equality is decidable.
 
-Gcds and exact division see a nonzero LaurentU as content * u^v * P(u): one
-rational content, a u-power, and a primitive integer polynomial P with a
-positive top coefficient.  The gcd of the P's is a primitive pseudo-remainder
-sequence over Z and exact division is integer trial division; by Gauss's
-lemma both give the answer over Q (Knuth, TAOCP vol. 2, 4.6.1).  Fractions
-are built only when a result becomes a LaurentU again.
+By Gauss's lemma a product of primitive polynomials is primitive and the top
+coefficients multiply, so a product multiplies the contents and convolves the
+integer P's with no gcd; a sum takes one lcm of the content denominators and
+one gcd of the integer result (Knuth, TAOCP vol. 2, 4.6.1).  Gcds and exact
+division work on P as a dense integer list: the gcd is a primitive
+pseudo-remainder sequence over Z and exact division is integer trial
+division, both giving the answer over Q.
 
 Arithmetic on quotients is lazy: sums keep denominators small by cancelling
 the gcd of the two denominators, products just multiply, and the canonical
@@ -24,29 +29,71 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a rational coefficient")
+def _over_common_denominator(terms):
+    """(numerators, d) with every coefficient equal to numerators[e] / d.
+
+    d is None when every coefficient is an int (they are returned as given).
+    Returns None when some coefficient is neither an int nor a Fraction.
+    """
+    d = None
+    for c in terms.values():
+        if isinstance(c, Fraction):
+            d = lcm(d or 1, c.denominator)
+        elif not isinstance(c, int):
+            return None
+    if d is None:
+        return terms, None
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _lu(content: Fraction, poly: dict[int, int]) -> "LaurentU":
+    """content * P(u) for a P already primitive with a positive top coefficient."""
+    out = object.__new__(LaurentU)
+    out.content = content
+    out.poly = poly
+    return out
+
+
+def _from_ints(nums: dict[int, int], d: int) -> "LaurentU":
+    """sum_e nums[e] / d * u^e, for nonzero integers nums and a positive d."""
+    if not nums:
+        return LAURENT_ZERO
+    g = gcd(*nums.values())
+    if nums[max(nums)] < 0:
+        g = -g
+    return _lu(Fraction(g, d), nums if g == 1 else {e: v // g for e, v in nums.items()})
 
 
 class LaurentU:
-    """Laurent polynomial in u with Fraction coefficients; immutable by convention."""
+    """Laurent polynomial in u over the rationals, stored as content * P(u); immutable by convention.
 
-    __slots__ = ("terms",)
+    Invariants of a nonzero value: `content` is a nonzero Fraction, `poly` is
+    a nonempty {exponent: int} map with no zero value, the gcd of its values
+    is 1 and its value at the largest exponent is positive.  Zero has content
+    0 and an empty poly.  `terms` is the derived {exponent: Fraction} view.
+    """
+
+    __slots__ = ("content", "poly")
 
     def __init__(self, terms=None):
-        clean = {}
+        self.content, self.poly = _ZERO, {}
         if terms:
-            for e, c in terms.items():
-                c = _frac(c)
-                if c:
-                    clean[int(e)] = c
-        self.terms = clean
+            split = _over_common_denominator(terms)
+            if split is None:
+                raise TypeError("LaurentU coefficients must be int or Fraction")
+            nums, d = split
+            x = _from_ints({int(e): int(v) for e, v in nums.items() if v}, d or 1)
+            self.content, self.poly = x.content, x.poly
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        n, d = self.content.numerator, self.content.denominator
+        if d == 1:
+            return {e: Fraction(n * v) for e, v in self.poly.items()}
+        return {e: Fraction(n * v, d) for e, v in self.poly.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -69,55 +116,60 @@ class LaurentU:
     # -- structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.poly)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.poly
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.poly:
             raise ValueError("degree of the zero polynomial")
-        return max(self.terms)
+        return max(self.poly)
 
     def valuation(self) -> int:
-        if not self.terms:
+        if not self.poly:
             raise ValueError("valuation of the zero polynomial")
-        return min(self.terms)
+        return min(self.poly)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.poly) == 1
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.terms == o.terms
+        return self.content == o.content and self.poly == o.poly
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.content, frozenset(self.poly.items())))
 
     # -- ring operations ----------------------------------------------
 
     def __neg__(self):
-        out = LaurentU()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _lu(-self.content, self.poly)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        big, small = (self.terms, o.terms) if len(self.terms) >= len(o.terms) else (o.terms, self.terms)
-        out = dict(big)
-        for e, c in small.items():
-            s = out.get(e, _ZERO) + c
+        if not o.poly:
+            return self
+        if not self.poly:
+            return o
+        ca, cb = self.content, o.content
+        d = lcm(ca.denominator, cb.denominator)
+        fa, fb = ca.numerator * (d // ca.denominator), cb.numerator * (d // cb.denominator)
+        a, b = self.poly, o.poly
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        out = {e: v * fa for e, v in a.items()}
+        for e, v in b.items():
+            s = out.get(e, 0) + v * fb
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        r = LaurentU()
-        r.terms = out
-        return r
+                del out[e]
+        return _from_ints(out, d)
 
     __radd__ = __add__
 
@@ -132,31 +184,27 @@ class LaurentU:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
-                return LaurentU()
-            out = LaurentU()
-            out.terms = {e: v * c for e, v in self.terms.items()}
-            return out
+            if not other or not self.poly:
+                return LAURENT_ZERO
+            return _lu(self.content * other, self.poly)
         if not isinstance(other, LaurentU):
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self.poly, other.poly
         if not a or not b:
-            return LaurentU()
+            return LAURENT_ZERO
+        content = self.content * other.content
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
+        if len(a) == 1:  # a primitive monomial is u^k
+            (k,) = a
+            return _lu(content, {e + k: v for e, v in b.items()} if k else b)
+        # Gauss's lemma: the product of primitive polynomials is primitive
+        out: dict[int, int] = {}
+        for ea, va in a.items():
+            for eb, vb in b.items():
                 e = ea + eb
-                s = out.get(e, _ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        r = LaurentU()
-        r.terms = out
-        return r
+                out[e] = out.get(e, 0) + va * vb
+        return _lu(content, {e: v for e, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -183,27 +231,29 @@ class LaurentU:
 
     def shift(self, k: int) -> "LaurentU":
         """Multiply by u^k."""
-        out = LaurentU()
-        out.terms = {e + k: c for e, c in self.terms.items()}
-        return out
+        return _lu(self.content, {e + k: v for e, v in self.poly.items()})
 
     def bar(self) -> "LaurentU":
         """The involution u -> u^{-1}."""
-        out = LaurentU()
-        out.terms = {-e: c for e, c in self.terms.items()}
-        return out
+        if not self.poly:
+            return self
+        # the new top coefficient is the old bottom one, whose sign may differ
+        if self.poly[min(self.poly)] < 0:
+            return _lu(-self.content, {-e: -v for e, v in self.poly.items()})
+        return _lu(self.content, {-e: v for e, v in self.poly.items()})
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.content.denominator == 1
 
     # -- display --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if e == 0:
@@ -228,7 +278,7 @@ LAURENT_ONE = LaurentU({0: 1})
 
 def qbracket(n: int) -> LaurentU:
     """[n] = u^n - u^{-n}; [0] = 0 and [-n] = -[n]."""
-    return LaurentU.monomial(n) - LaurentU.monomial(-n)
+    return bracket_product((n,))
 
 
 def qfactorial(n: int) -> LaurentU:
@@ -253,15 +303,13 @@ def qbinomial(n: int, j: int) -> "RationalFunctionU":
 
 
 def _primitive(p: LaurentU) -> tuple[Fraction, int, list[int]]:
-    """(content, v, P) with p = content * u^v * P(u), for nonzero p."""
-    terms = p.terms
-    v = min(terms)
-    den = lcm(*[c.denominator for c in terms.values()])
-    dense = [0] * (max(terms) - v + 1)
-    for e, c in terms.items():
-        dense[e - v] = c.numerator * (den // c.denominator)
-    prim = _primitive_part(dense)
-    return Fraction(dense[-1] // prim[-1], den), v, prim
+    """(content, v, P) with p = content * u^v * P(u), for nonzero p; P is a dense list."""
+    poly = p.poly
+    v = min(poly)
+    dense = [0] * (max(poly) - v + 1)
+    for e, c in poly.items():
+        dense[e - v] = c
+    return p.content, v, dense
 
 
 def _primitive_part(a: list[int]) -> list[int]:
@@ -333,14 +381,12 @@ def _div_poly(a: list[int], b: list[int]) -> list[int] | None:
 
 
 def _laurent(coeffs: list[int], shift: int, scale: Fraction) -> LaurentU:
-    """sum_e scale * coeffs[e] * u^(e + shift)."""
-    n, d = scale.numerator, scale.denominator
-    out = LaurentU()
-    if d == 1:
-        out.terms = {e + shift: Fraction(n * c) for e, c in enumerate(coeffs) if c}
-    else:
-        out.terms = {e + shift: Fraction(n * c, d) for e, c in enumerate(coeffs) if c}
-    return out
+    """sum_e scale * coeffs[e] * u^(e + shift), for coeffs primitive with a positive top.
+
+    _gcd_poly and _div_poly of primitive inputs return such lists (Gauss's
+    lemma), so the pair is taken as it stands.
+    """
+    return _lu(scale, {e + shift: c for e, c in enumerate(coeffs) if c})
 
 
 def laurent_gcd(a: LaurentU, b: LaurentU) -> LaurentU:
@@ -416,8 +462,7 @@ class RationalFunctionU:
         if num.is_zero():
             return (LAURENT_ZERO, LAURENT_ONE)
         if den.is_monomial():
-            (e, c), = den.terms.items()
-            n = num.shift(-e) * (1 / c)
+            n = num.shift(-den.valuation()) * (1 / den.content)
             return (n, LAURENT_ONE)
         cn, vn, pn = _primitive(num)
         cd, vd, pd = _primitive(den)
@@ -566,9 +611,10 @@ def bracket_product(args) -> LaurentU:
             else:
                 del new[dn]
         exps = new
-    out = LaurentU()
-    out.terms = {e: Fraction(c) for e, c in exps.items() if c}
-    return out
+    # primitive by Gauss's lemma; a negative argument makes the top coefficient -1
+    if exps[max(exps)] < 0:
+        return _lu(-_ONE, {e: -c for e, c in exps.items()})
+    return _lu(_ONE, exps)
 
 
 def bracket_ratio(num_args, den_args) -> RationalFunctionU:

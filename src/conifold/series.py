@@ -16,29 +16,12 @@ functional operations can build constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import add, itemgetter
 
-from .laurent import RationalFunctionU
+from .laurent import RationalFunctionU, _over_common_denominator
 
 _FR_ONE = Fraction(1)
-
-
-def _over_common_denominator(terms):
-    """(numerators, d) with every coefficient equal to numerators[e] / d.
-
-    d is None when every coefficient is an int (they are returned as given).
-    Returns None when some coefficient is neither an int nor a Fraction.
-    """
-    d = None
-    for c in terms.values():
-        if isinstance(c, Fraction):
-            d = lcm(d or 1, c.denominator)
-        elif not isinstance(c, int):
-            return None
-    if d is None:
-        return terms, None
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
 class TruncatedSeries:
@@ -125,13 +108,11 @@ class TruncatedSeries:
     def truncated(self, orders) -> "TruncatedSeries":
         return TruncatedSeries(self.variables, tuple(orders), self.terms, self.one)
 
-    def map_coefficients(self, f) -> "TruncatedSeries":
-        out = {}
-        for expts, c in self.terms.items():
-            v = f(c)
-            if v:
-                out[expts] = v
-        return TruncatedSeries(self.variables, self.orders, out, self.one)
+    def _with_terms(self, terms) -> "TruncatedSeries":
+        """A series in this frame from nonzero terms already inside the box, taken unchecked."""
+        out = object.__new__(TruncatedSeries)
+        out.variables, out.orders, out.terms, out.one = self.variables, self.orders, terms, self.one
+        return out
 
     def _compatible(self, other: "TruncatedSeries"):
         if self.variables != other.variables or self.orders != other.orders:
@@ -149,8 +130,7 @@ class TruncatedSeries:
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        out = {e: -c for e, c in self.terms.items()}
-        return TruncatedSeries(self.variables, self.orders, out, self.one)
+        return self._with_terms({e: -c for e, c in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, TruncatedSeries):
@@ -173,7 +153,7 @@ class TruncatedSeries:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return TruncatedSeries(self.variables, self.orders, out, self.one)
+        return self._with_terms(out)
 
     __radd__ = __add__
 
@@ -197,7 +177,7 @@ class TruncatedSeries:
             w = v * c
             if w:
                 out[e] = w
-        return TruncatedSeries(self.variables, self.orders, out, self.one)
+        return self._with_terms(out)
 
     def __mul__(self, other):
         """Truncated product; only pairs whose exponents stay inside the box are visited.
@@ -239,11 +219,10 @@ class TruncatedSeries:
                     s = sums.get(e)
                     p = ca * cb
                     sums[e] = p if s is None else s + p
-        if da is not None or db is not None:
-            den = (da or 1) * (db or 1)
-            sums = {e: Fraction(s, den) for e, s in sums.items()}
-        # the constructor drops the sums that cancelled to zero
-        return TruncatedSeries(self.variables, orders, sums, self.one)
+        if da is None and db is None:
+            return self._with_terms({e: s for e, s in sums.items() if s})
+        den = (da or 1) * (db or 1)
+        return self._with_terms({e: Fraction(s, den) for e, s in sums.items() if s})
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -1,12 +1,14 @@
+import inspect
 import json
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conifold import amplitudes, ovinv, partitions
+from conifold import amplitudes, ovinv, partitions, series
 from conifold.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -102,27 +104,70 @@ def test_mirror_check_ok(capsys):
     assert "ok=true" in out
 
 
-def test_mirror_check_fails_a_product_that_drops_the_x_edge(capsys, monkeypatch):
-    # a series product that loses every term at x^order must fail the check
+# every mirror-check slot an injected product fault must fail: framing x order
+MIRROR_SLOTS = [(f, o) for f in ("-3", "-2", "0", "1", "2", "3") for o in ("1", "2", "6")]
+
+
+def _dropping_product(keep):
+    """A series product that loses every result term whose exponents `keep` rejects."""
     mul = TruncatedSeries.__mul__
 
     def dropping(self, other):
         out = mul(self, other)
         if isinstance(other, TruncatedSeries):
-            out.terms = {e: c for e, c in out.terms.items() if e[0] != out.orders[0]}
+            out.terms = {e: c for e, c in out.terms.items() if keep(e, out.orders)}
         return out
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", dropping)
+    return dropping
+
+
+def _mutated_product(old, new):
+    """TruncatedSeries.__mul__ recompiled with one fragment of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(TruncatedSeries.__mul__))
+    assert source.count(old) == 1
+    namespace = dict(vars(series))
+    exec(compile(source.replace(old, new), series.__file__, "exec"), namespace)
+    return namespace["__mul__"]
+
+
+def _mirror_check_failures(capsys):
+    """Run every slot, assert each is a verification failure, and return the messages."""
+    messages = {}
+    for framing, order in MIRROR_SLOTS:
+        status, out, err = run_main(capsys, "mirror-check", "--framing", framing, "--order", order)
+        assert status == EXIT_VERIFICATION, (framing, order)
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "verification-failure"
+        messages[framing, order] = error["message"]
+    return messages
+
+
+def test_mirror_check_passes_every_fault_slot_without_a_fault(capsys):
+    for framing, order in MIRROR_SLOTS:
+        status, out, _ = run_main(capsys, "mirror-check", "--framing", framing, "--order", order)
+        assert status == EXIT_OK, (framing, order)
+        assert "ok=false" not in out
+
+
+def test_mirror_check_fails_a_product_that_drops_the_x_edge(capsys, monkeypatch):
+    # a series product that loses every term at x^order must fail the check
+    monkeypatch.setattr(TruncatedSeries, "__mul__", _dropping_product(lambda e, orders: e[0] != orders[0]))
+    messages = _mirror_check_failures(capsys)
     for framing in ("2", "-3"):
-        for order in ("6", "1"):
-            status, out, err = run_main(capsys, "mirror-check", "--framing", framing, "--order", order)
-            assert status == EXIT_VERIFICATION, (framing, order)
-            assert out == ""
-            error = json.loads(err)["error"]
-            assert error["kind"] == "verification-failure"
-            if order == "1":
-                # at order 1 the fault surfaces as a ValueError inside the reversion
-                assert "reversion needs an invertible linear coefficient" in error["message"]
+        # at order 1 the fault surfaces as a ValueError inside the reversion
+        assert "reversion needs an invertible linear coefficient" in messages[framing, "1"]
+
+
+def test_mirror_check_fails_a_product_that_drops_the_E_edge(capsys, monkeypatch):
+    monkeypatch.setattr(TruncatedSeries, "__mul__", _dropping_product(lambda e, orders: e[1] != orders[1]))
+    _mirror_check_failures(capsys)
+
+
+def test_mirror_check_fails_a_product_that_stops_short_of_the_E_bound(capsys, monkeypatch):
+    # `>=` for `>` skips every pair whose E exponents sum to exactly the order
+    monkeypatch.setattr(TruncatedSeries, "__mul__", _mutated_product("if ej > roomj:", "if ej >= roomj:"))
+    _mirror_check_failures(capsys)
 
 
 def test_oracle_compare_fails_a_corrupted_character_value(capsys, monkeypatch):

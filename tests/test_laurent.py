@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,23 @@ def test_laurent_ring_axioms(da, db):
     assert (a + b).bar() == a.bar() + b.bar()
     assert (a * b).bar() == a.bar() * b.bar()
     assert a - a == LaurentU()
+
+
+def test_sign_of_the_top_coefficient_lives_in_the_content():
+    # a negative bracket argument gives top coefficient -1 before the sign moves out
+    p = bracket_product((-2, 3))
+    assert p == -(qbracket(2) * qbracket(3))
+    assert (p.content, p.poly[p.degree()]) == (-1, 1)
+    # u -> 1/u turns the bottom coefficient -1 of u - 1/u into the top one
+    d = LaurentU({1: 1, -1: -1})
+    assert d.bar() == LaurentU({-1: 1, 1: -1})
+    assert (d.bar().content, d.bar().poly) == (-1, {1: 1, -1: -1})
+    t = qbracket(1) * Fraction(-1, 3)
+    assert t.terms == {1: Fraction(-1, 3), -1: Fraction(1, 3)}
+    assert (t.content, t.poly) == (Fraction(-1, 3), {1: 1, -1: -1})
+    assert not t.has_integer_coeffs()
+    assert (t * 3).has_integer_coeffs()
+    assert not LaurentU({2: Fraction(3, 2), 0: 1}).has_integer_coeffs()
 
 
 # -- reference: Euclid over Fraction coefficients --------------------------
@@ -339,3 +357,34 @@ def test_inexact_division_raises():
     a = (qbracket(2) * LaurentU({1: 3, 0: Fraction(-1, 2)})).shift(5) * Fraction(4, 9)
     b = LaurentU({1: 3, 0: Fraction(-1, 2)}).shift(-2) * Fraction(-2, 7)
     assert laurent_exact_div(a, b) == qbracket(2).shift(7) * Fraction(4 * -7, 9 * 2)
+
+
+def _assert_content_layout(x):
+    """x = content * P(u) with P primitive, its top coefficient positive, and the pair unique."""
+    assert LaurentU(x.terms) == x
+    assert hash(LaurentU(x.terms)) == hash(x)
+    if x.is_zero():
+        assert (x.content, x.poly) == (0, {})
+        return
+    assert x.content != 0
+    assert all(type(v) is int and v for v in x.poly.values())
+    assert gcd(*x.poly.values()) == 1
+    assert x.poly[max(x.poly)] > 0
+
+
+signed_bracket_args = st.lists(st.integers(-7, 7).filter(bool), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurents(), laurents(), nonzero_fracs, st.integers(-6, 6), signed_bracket_args)
+def test_every_result_keeps_the_content_layout(a, b, scale, k, args):
+    brackets = bracket_product(args)
+    values = [
+        a + b, a - b, a - a, a * b, a * scale, -a, a.shift(k), a.bar(),
+        brackets, brackets.bar(), brackets * a, (a * b).bar(),
+        laurent_exact_div(a * b, b), laurent_gcd(a, b),
+        *RationalFunctionU(a * brackets, b * brackets).canonical(),
+        *RationalFunctionU(a, LaurentU.monomial(k, scale)).canonical(),
+    ]
+    for x in values:
+        _assert_content_layout(x)

@@ -95,7 +95,7 @@ def test_mul_matches_reference(operands):
 def test_mul_coefficient_types():
     vars_ = ("x", "E")
     ints = TruncatedSeries(vars_, (3, 2), {(0, 0): 2, (1, 0): -1, (0, 1): 1})
-    fracs = ints.map_coefficients(Fraction)
+    fracs = TruncatedSeries(vars_, (3, 2), {e: Fraction(c) for e, c in ints.terms.items()})
     for s, t, kind in ((ints, ints, int), (fracs, fracs, Fraction), (ints, fracs, Fraction)):
         got, _ = assert_same_product(s, t)
         assert got.terms and all(type(c) is kind for c in got.terms.values())
@@ -131,6 +131,20 @@ def test_mul_in_hbar_frame_matches_reference():
     square = hbar_expand(RationalFunctionU(qbracket(1) ** 2), order)
     exact = {e: c for e, c in (pole * square).terms.items() if e[0] < order - 1}
     assert exact == {(0,): Fraction(1)}
+
+
+def test_public_constructor_validates_terms():
+    # the internal results skip these checks; the public constructor keeps them
+    s = TruncatedSeries(("x", "E"), (2, 1), {(0, 0): 1, (3, 0): 5, (1, 2): 7, (1, 1): 0, (2, 1): Fraction(0), (2, 0): -2})
+    assert s.terms == {(0, 0): 1, (2, 0): -2}
+    with pytest.raises(ValueError):
+        TruncatedSeries(("x", "E"), (2, 1), {(1,): 1})
+    with pytest.raises(ValueError):
+        TruncatedSeries(("x", "E"), (2, 1, 4))
+    # the results of the internal path hold no zero and nothing outside the box
+    x = TruncatedSeries.variable("x", ("x", "E"), (2, 1))
+    for r in ((s + x) * (s - x), s * x * x * x, -s + s, (s * x).scale(0), (s + x).inverse()):
+        assert all(c and all(e <= o for e, o in zip(k, r.orders)) for k, c in r.terms.items())
 
 
 def test_mul_truncates():
