@@ -58,11 +58,14 @@ def y_from_amplitude(a: int, order: int) -> MirrorSeries:
 
 
 def zero_framing_curve_check(order: int) -> TruncatedSeries:
-    """Residual of y^2 - (1-x) y - x E for the zero-framing branch.
+    """Residual of y - (1-x) - x E y^{-1} for the zero-framing branch.
 
     The branch is the closed form y = (1-x)/2 + sqrt((1-x)^2 + 4 x E)/2; its
     log is first checked against x d/dx Psi_0, then the residual of y is
-    returned, which must vanish identically.
+    returned, which must vanish identically.  It is the curve
+    y^2 - (1-x) y - x E divided by y: y is built without a series product,
+    and the product (x E) y^{-1} has terms on both edges of the box, so a
+    product that loses an edge leaves a nonzero residual.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -74,7 +77,7 @@ def zero_framing_curve_check(order: int) -> TruncatedSeries:
     y = ((one - x) + radicand.sqrt()).scale(Fraction(1, 2))
     if y.log() != xdx_potential(0, order):
         raise ArithmeticError("log of the square-root closed form disagrees with x d/dx Psi_0")
-    return y * y - (one - x) * y - x * e
+    return y - (one - x) - (x * e) * y.inverse()
 
 
 def lagrange_z0(a: int, order: int) -> TruncatedSeries:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .laurent import LaurentU, RationalFunctionU, bracket_ratio, qbracket
+from .laurent import LaurentU, RationalFunctionU, _lu, bracket_ratio, qbracket
 from .partitions import divisors, mobius
 
 
@@ -162,7 +162,8 @@ def ov_N_consistency(a: int, m: int, k: int) -> bool:
     lhs = RationalFunctionU(0)
     for j in divisors(_gcd0(k, m)):
         nj = ov_N(a, m // j, k // j).value
-        rescaled = LaurentU({e * j: c for e, c in nj.terms.items()})
+        # u -> u^j (j >= 1) keeps P primitive with a positive top coefficient
+        rescaled = _lu(nj.content, {e * j: v for e, v in nj.poly.items()})
         lhs = lhs + RationalFunctionU(rescaled, qbracket(j))
     return lhs == _allgenus_rhs(a, k, m, 1)
 

@@ -10,14 +10,18 @@ where u = exp(hbar/2) has rational coefficients.
 The coefficient ring is whatever the stored values are: Fraction, LaurentU,
 RationalFunctionU, ... anything with exact +,-,*,== and a truthiness test for
 zero.  The ring's unit is carried on the series (attribute `one`) so
-functional operations can build constants.
+functional operations can build constants.  Inverse, log, exp, sqrt, negative
+powers and reversion each solve one first-order recurrence in the
+total-degree Euler operator (`TruncatedSeries._euler`), at about the cost of
+one product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from operator import add, itemgetter
+from itertools import product
+from math import factorial
+from operator import add, gt, itemgetter, le, mul
 
 from .laurent import RationalFunctionU, _over_common_denominator
 
@@ -229,7 +233,9 @@ class TruncatedSeries:
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
-            return self.inverse() ** (-k)
+            if self.constant_term() != self.one:
+                return self.inverse() ** (-k)
+            return self._with_terms(self._euler("power", Fraction(k)))
         result = self.const_like(1)
         base = self
         while k:
@@ -242,42 +248,99 @@ class TruncatedSeries:
 
     # -- functional operations ---------------------------------------------
 
-    @staticmethod
-    def _power_sum(w, coeff) -> "TruncatedSeries":
-        """sum_k coeff(k) w^k for w with nonnegative exponents and no constant term.
-
-        Every term of w has total degree at least 1 and every stored term total
-        degree at most sum(orders), so w^k vanishes once k > sum(orders); the
-        loop stops there, or earlier when a power truncates to zero.
-        """
-        acc = w.const_like(coeff(0))
-        power = w
-        for k in range(1, sum(w.orders) + 1):
-            if k > 1:
-                power = power * w
-            if power.is_zero():
-                break
-            c = coeff(k)
-            acc = acc + (power if c == 1 else power.scale(c))
-        return acc
-
-    def inverse(self) -> "TruncatedSeries":
-        if self.has_negative_exponents():
-            raise ValueError("functional operations need nonnegative exponents")
+    def _unit(self):
+        """(self / c0, 1 / c0) for the constant term c0; (self, None) when c0 is the ring's one."""
         c0 = self.constant_term()
         if c0 is None or not c0:
             raise ValueError("constant term must be invertible")
         if c0 == self.one:
-            inv = None
-        elif isinstance(c0, (int, Fraction)):
+            return self, None
+        if isinstance(c0, (int, Fraction)):
             inv = _FR_ONE / c0
         elif hasattr(c0, "inverse"):
             inv = c0.inverse()
         else:
             raise ValueError("constant term is not invertible in this ring")
-        unit = self if inv is None else self.scale(inv)
-        # 1/(1+w) = sum (-w)^k, finite under truncation
-        acc = self._power_sum(unit.const_like(1) - unit, lambda k: 1)
+        return self.scale(inv), inv
+
+    def _euler(self, op: str, alpha: Fraction = _FR_ONE, orders=None) -> dict:
+        """Terms of 1/f, log f, exp f or f**alpha for f = self, in the box `orders`.
+
+        f has nonnegative exponents and constant term one (zero for exp); the
+        box defaults to f's own.  The total-degree Euler operator D, with
+        D x^e = |e| x^e, commutes with truncation, and f b = 1,
+        f D(log f) = D f, D(exp f) = exp f D f and f D P = alpha P D f
+        (P = f**alpha) give each coefficient from those of lower total degree.
+        With S1 = sum_{0 != k <= e} f_k b_{e-k} and S2 the same sum weighted
+        by |k|:
+            1/f:       b_e = -S1
+            log f:     g_e = |e| f_e - S1 for g = D(log f), and L_e = g_e / |e|
+            exp f:     |e| b_e = S2
+            f**alpha:  |e| b_e = (alpha + 1) S2 - |e| S1
+        Rational coefficients run as integers: under x -> c x, with c the
+        common denominator of f times q^2 for alpha = p/q, f, 1/f, g and
+        f**alpha all have integer coefficients (q^(2m) binom(p/q, m) is an
+        integer), and a coefficient of exp stays an int where |e| divides it.
+        Each result coefficient is divided by c^|e| on the way out, into one
+        Fraction.  Other rings run the same recurrence on their own elements.
+        """
+        if self.has_negative_exponents():
+            raise ValueError("functional operations need nonnegative exponents")
+        orders = self.orders if orders is None else orders
+        if any(o < 0 for o in orders):
+            return {}
+        f = {k: v for k, v in self.terms.items() if any(k) and all(map(le, k, orders))}
+        split = _over_common_denominator(f) if isinstance(self.one, (int, Fraction)) else None
+        p, q = alpha.numerator, alpha.denominator
+        if split is None:  # another ring: solve on its own elements
+            c, b0, zero = None, self.one, self.one - self.one
+
+            def div(s, m):
+                return s * Fraction(1, m)
+        else:
+            nums, d = split
+            d = d or 1
+            c, b0, zero = d * q * q, 1, 0
+            f = {k: v * c ** sum(k) // d for k, v in nums.items()}
+
+            def div(s, m):
+                if type(s) is int and not s % m:
+                    return s // m
+                return Fraction(s, m)
+        g = None
+        if op == "inverse":
+            def step(e, n, s1, s2):
+                return -s1
+        elif op == "log":  # b = D(log f), whose constant term is zero
+            b0 = None
+
+            def step(e, n, s1, s2):
+                fe = f.get(e)
+                return -s1 if fe is None else n * fe - s1
+        elif op == "exp":
+            f = {k: sum(k) * v for k, v in f.items()}
+
+            def step(e, n, s1, s2):
+                return div(s1, n)
+        else:  # power
+            g = {k: sum(k) * v for k, v in f.items()}
+
+            def step(e, n, s1, s2):
+                return div((p + q) * s2 - q * n * s1, q * n)
+        b = _solve(f, g, orders, b0, zero, step)
+        if op == "log":
+            if c is None:
+                return {e: v * Fraction(1, sum(e)) for e, v in b.items()}
+            return {e: Fraction(v, sum(e) * c ** sum(e)) for e, v in b.items()}
+        if c is None:
+            return b
+        return {e: Fraction(v, c ** sum(e)) for e, v in b.items()}
+
+    def inverse(self) -> "TruncatedSeries":
+        if self.has_negative_exponents():
+            raise ValueError("functional operations need nonnegative exponents")
+        unit, inv = self._unit()
+        acc = self._with_terms(unit._euler("inverse"))
         return acc if inv is None else acc.scale(inv)
 
     def __truediv__(self, other):
@@ -287,13 +350,11 @@ class TruncatedSeries:
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term 1."""
-        c0 = self.constant_term()
-        if c0 != self.one:
+        if self.constant_term() != self.one:
             raise ValueError("log needs constant term 1")
-        w = self - self.const_like(1)
-        if w.has_negative_exponents():
+        if self.has_negative_exponents():
             raise ValueError("log needs nonnegative exponents")
-        return self._power_sum(w, lambda k: Fraction((-1) ** (k - 1), k) if k else 0)
+        return self._with_terms(self._euler("log"))
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with constant term 0."""
@@ -301,20 +362,15 @@ class TruncatedSeries:
             raise ValueError("exp needs constant term 0")
         if self.has_negative_exponents():
             raise ValueError("exp needs nonnegative exponents")
-        return self._power_sum(self, lambda k: Fraction(1, factorial(k)))
+        return self._with_terms(self._euler("exp"))
 
     def sqrt(self) -> "TruncatedSeries":
-        """Square root of a series with constant term 1 (binomial series)."""
-        c0 = self.constant_term()
-        if c0 != self.one:
+        """Square root of a series with constant term 1 (the power 1/2)."""
+        if self.constant_term() != self.one:
             raise ValueError("sqrt needs constant term 1")
-        w = self - self.const_like(1)
-        if w.has_negative_exponents():
+        if self.has_negative_exponents():
             raise ValueError("sqrt needs nonnegative exponents")
-        # binom(1/2, k) = (-1)^(k+1) C(2k, k) / (4^k (2k - 1))
-        return self._power_sum(
-            w, lambda k: Fraction((-1) ** (k + 1) * comb(2 * k, k), 4 ** k * (2 * k - 1))
-        )
+        return self._with_terms(self._euler("power", Fraction(1, 2)))
 
     def substitute(self, name: str, replacement: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute a series (same frame) for the named variable."""
@@ -337,17 +393,6 @@ class TruncatedSeries:
             part = TruncatedSeries(self.variables, self.orders, by_exp[e], self.one)
             acc = acc + part * power
         return acc
-
-    def xdx(self, name: str) -> "TruncatedSeries":
-        """The Euler operator x d/dx in the named variable."""
-        i = self._idx(name)
-        out = {}
-        for expts, c in self.terms.items():
-            if expts[i]:
-                v = c * Fraction(expts[i])
-                if v:
-                    out[expts] = v
-        return TruncatedSeries(self.variables, self.orders, out, self.one)
 
     # -- display --------------------------------------------------------------
 
@@ -383,7 +428,10 @@ def series_reversion(s: TruncatedSeries, name: str | None = None) -> TruncatedSe
 
     Needs zero constant term, an invertible linear coefficient, and every term
     divisible by the variable.  Uses the Lagrange formula
-        [v^n] t = (1/n) [v^{n-1}] (v / s)^n.
+        [v^n] t = (1/n) [v^{n-1}] (v / s)^n,
+    with (v / s)^n = c1^{-n} h^{-n} for s / v = c1 h (c1 the linear
+    coefficient).  The formula reads h^{-n} only below v^n, so each power is
+    solved by the power recurrence in the box cut to v-order n - 1.
     """
     name = name or s.variables[0]
     i = s._idx(name)
@@ -401,18 +449,64 @@ def series_reversion(s: TruncatedSeries, name: str | None = None) -> TruncatedSe
     c1 = g.constant_term()
     if c1 is None or not c1:
         raise ValueError("reversion needs an invertible linear coefficient")
-    r = g.inverse()  # v / s
-    out = s.zero_like()
-    rpow = s.const_like(1)
+    h, inv = g._unit()
+    out = {}
     for n in range(1, N + 1):
-        rpow = rpow * r
-        coeff = rpow.coefficient(name, n - 1).scale(Fraction(1, n))
-        shifted_up = {}
-        for expts, c in coeff.terms.items():
-            key = expts[:i] + (n,) + expts[i + 1:]
-            shifted_up[key] = c
-        out = out + TruncatedSeries(s.variables, s.orders, shifted_up, s.one)
-    return out
+        box = s.orders[:i] + (n - 1,) + s.orders[i + 1:]
+        scale = Fraction(1, n) if inv is None else inv ** n * Fraction(1, n)
+        for expts, c in h._euler("power", Fraction(-n), box).items():
+            if expts[i] == n - 1:
+                out[expts[:i] + (n,) + expts[i + 1:]] = c * scale
+    return s._with_terms(out)
+
+
+def _solve(f, g, orders, b0, zero, step) -> dict:
+    """{e: b_e} for the nonzero b_e of a first-order recurrence on the box `orders`.
+
+    f, and g when given (with the same keys), map exponents k != 0 inside the
+    box to coefficients.  b_0 is b0 (None for zero).  Every other e of the box
+    is solved in lexicographic order, which puts each e - k with 0 != k <= e
+    first: b_e = step(e, |e|, S1, S2) with S1 = sum f_k b_{e-k} and
+    S2 = sum g_k b_{e-k} (S2 stays `zero` without g).  The terms of f are
+    grouped as in the product (by first exponent ascending, each group sorted
+    by the second), so the loops stop once k passes e there; further
+    exponents are compared one by one.  Exponents are flattened to mixed-radix
+    indices, in which e - k sits at index(e) - index(k).
+    """
+    box = list(product(*(range(o + 1) for o in orders)))
+    strides = [1] * len(orders)
+    for m in range(len(orders) - 1, 0, -1):
+        strides[m - 1] = strides[m] * (orders[m] + 1)
+    # j indexes the second exponent; in one variable it repeats the first
+    j = min(1, len(orders) - 1)
+    by_first: dict[int, list] = {}
+    for k, c in f.items():
+        w = None if g is None else g[k]
+        by_first.setdefault(k[0], []).append((k[j], sum(map(mul, k, strides)), k[2:], c, w))
+    groups = [(k0, sorted(grp, key=itemgetter(0))) for k0, grp in sorted(by_first.items())]
+    b = [None] * len(box)
+    b[0] = b0
+    for ie in range(1, len(box)):
+        e = box[ie]
+        e0, ej, rest = e[0], e[j], e[2:]
+        s1 = s2 = zero
+        for k0, group in groups:
+            if k0 > e0:
+                break
+            for kj, ik, krest, c, w in group:
+                if kj > ej:
+                    break
+                if krest and any(map(gt, krest, rest)):
+                    continue
+                v = b[ie - ik]
+                if v is not None:
+                    s1 += c * v
+                    if w is not None:
+                        s2 += w * v
+        v = step(e, sum(e), s1, s2)
+        if v:
+            b[ie] = v
+    return {e: v for e, v in zip(box, b) if v is not None}
 
 
 # -- expansion in the string coupling ----------------------------------------
@@ -445,7 +539,7 @@ def hbar_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
     if f.num.is_zero():
         return TruncatedSeries((HBAR,), (order,))
     den = f.den
-    margin = len(den.terms)  # vanishing order is < number of terms
+    margin = len(den.poly)  # vanishing order is < number of terms
     work = max(order, 0) + margin
     den_series = _laurent_hbar_series(den, work)
     v = next((k for k, c in enumerate(den_series) if c), None)

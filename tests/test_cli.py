@@ -121,13 +121,23 @@ def _dropping_product(keep):
     return dropping
 
 
-def _mutated_product(old, new):
-    """TruncatedSeries.__mul__ recompiled with one fragment of its source replaced."""
-    source = textwrap.dedent(inspect.getsource(TruncatedSeries.__mul__))
+def _dropping_kernel(keep):
+    """The series recurrence kernel, losing every result term whose exponents `keep` rejects."""
+    solve = series._solve
+
+    def dropping(f, g, orders, b0, zero, step):
+        return {e: v for e, v in solve(f, g, orders, b0, zero, step).items() if keep(e, orders)}
+
+    return dropping
+
+
+def _mutated(function, old, new):
+    """A function of conifold.series recompiled with one fragment of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
     namespace = dict(vars(series))
     exec(compile(source.replace(old, new), series.__file__, "exec"), namespace)
-    return namespace["__mul__"]
+    return namespace[function.__name__]
 
 
 def _mirror_check_failures(capsys):
@@ -166,7 +176,26 @@ def test_mirror_check_fails_a_product_that_drops_the_E_edge(capsys, monkeypatch)
 
 def test_mirror_check_fails_a_product_that_stops_short_of_the_E_bound(capsys, monkeypatch):
     # `>=` for `>` skips every pair whose E exponents sum to exactly the order
-    monkeypatch.setattr(TruncatedSeries, "__mul__", _mutated_product("if ej > roomj:", "if ej >= roomj:"))
+    monkeypatch.setattr(TruncatedSeries, "__mul__", _mutated(TruncatedSeries.__mul__, "if ej > roomj:", "if ej >= roomj:"))
+    _mirror_check_failures(capsys)
+
+
+# the recurrence kernel behind inverse, log, sqrt, negative powers and reversion
+
+
+def test_mirror_check_fails_a_kernel_that_drops_the_x_edge(capsys, monkeypatch):
+    monkeypatch.setattr(series, "_solve", _dropping_kernel(lambda e, orders: e[0] != orders[0]))
+    _mirror_check_failures(capsys)
+
+
+def test_mirror_check_fails_a_kernel_that_drops_the_E_edge(capsys, monkeypatch):
+    monkeypatch.setattr(series, "_solve", _dropping_kernel(lambda e, orders: e[1] != orders[1]))
+    _mirror_check_failures(capsys)
+
+
+def test_mirror_check_fails_a_kernel_that_stops_short_of_the_E_bound(capsys, monkeypatch):
+    # `>=` for `>` skips every pair (k, e - k) whose E exponent e - k is zero
+    monkeypatch.setattr(series, "_solve", _mutated(series._solve, "if kj > ej:", "if kj >= ej:"))
     _mirror_check_failures(capsys)
 
 

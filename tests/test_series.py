@@ -1,11 +1,13 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conifold.amplitudes import onepoint_closed
 from conifold.laurent import RFU_ONE, LaurentU, RationalFunctionU, qbracket
+from conifold.mirror import quantum_mirror_check, quantum_mirror_series
 from conifold.series import TruncatedSeries, hbar_expand, series_reversion
 
 X = ("x",)
@@ -131,6 +133,172 @@ def test_mul_in_hbar_frame_matches_reference():
     square = hbar_expand(RationalFunctionU(qbracket(1) ** 2), order)
     exact = {e: c for e, c in (pole * square).terms.items() if e[0] < order - 1}
     assert exact == {(0,): Fraction(1)}
+
+
+# -- the recurrence kernel ------------------------------------------------------
+# inverse, log, exp, sqrt, negative powers and reversion solve one first-order
+# recurrence in the total-degree Euler operator.  The power sums and the
+# running-product reversion they replaced are kept here as references; the
+# results must have equal terms, and over the rationals every coefficient is a
+# Fraction.
+
+
+def _reference_power_sum(w, coeff):
+    acc = w.const_like(coeff(0))
+    power = w
+    for k in range(1, sum(w.orders) + 1):
+        if k > 1:
+            power = power * w
+        if power.is_zero():
+            break
+        c = coeff(k)
+        acc = acc + (power if c == 1 else power.scale(c))
+    return acc
+
+
+def _reference_inverse(self):
+    c0 = self.constant_term()
+    if c0 == self.one:
+        inv = None
+    elif isinstance(c0, (int, Fraction)):
+        inv = Fraction(1) / c0
+    else:
+        inv = c0.inverse()
+    unit = self if inv is None else self.scale(inv)
+    # 1/(1+w) = sum (-w)^k, finite under truncation
+    acc = _reference_power_sum(unit.const_like(1) - unit, lambda k: 1)
+    return acc if inv is None else acc.scale(inv)
+
+
+def _reference_log(self):
+    w = self - self.const_like(1)
+    return _reference_power_sum(w, lambda k: Fraction((-1) ** (k - 1), k) if k else 0)
+
+
+def _reference_exp(self):
+    return _reference_power_sum(self, lambda k: Fraction(1, factorial(k)))
+
+
+def _reference_sqrt(self):
+    w = self - self.const_like(1)
+    # binom(1/2, k) = (-1)^(k+1) C(2k, k) / (4^k (2k - 1))
+    return _reference_power_sum(
+        w, lambda k: Fraction((-1) ** (k + 1) * comb(2 * k, k), 4 ** k * (2 * k - 1))
+    )
+
+
+def _reference_reversion(s, name=None):
+    name = name or s.variables[0]
+    i = s._idx(name)
+    N = s.orders[i]
+    shifted = {}
+    for expts, c in s.terms.items():
+        key = expts[:i] + (expts[i] - 1,) + expts[i + 1:]
+        shifted[key] = c
+    g = TruncatedSeries(s.variables, s.orders, shifted, s.one)  # s / v
+    r = _reference_inverse(g)  # v / s
+    out = s.zero_like()
+    rpow = s.const_like(1)
+    for n in range(1, N + 1):
+        rpow = rpow * r
+        coeff = rpow.coefficient(name, n - 1).scale(Fraction(1, n))
+        shifted_up = {}
+        for expts, c in coeff.terms.items():
+            key = expts[:i] + (n,) + expts[i + 1:]
+            shifted_up[key] = c
+        out = out + TruncatedSeries(s.variables, s.orders, shifted_up, s.one)
+    return out
+
+
+_NONZERO = {kind: [c for c in cs if c] for kind, cs in _COEFFS.items()}
+
+
+@st.composite
+def functional_cases(draw):
+    """(operation, series): a frame of 1-3 variables with orders 0-6 and a
+    sparse series of int, Fraction or mixed coefficients shaped for the operation."""
+    op = draw(st.sampled_from(["inverse", "inverse_unit", "log", "exp", "sqrt", "pow", "reversion"]))
+    n = draw(st.integers(1, 3))
+    variables = ("x", "E", "Q")[:n]
+    # reversion in x needs room for the linear term
+    first = draw(st.integers(1 if op == "reversion" else 0, 6))
+    orders = (first, *draw(st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1)))
+    kind = draw(st.sampled_from(sorted(_COEFFS)))
+    exponents = st.tuples(*(st.integers(0, o) for o in orders)).filter(any)
+    terms = draw(st.dictionaries(exponents, st.sampled_from(_NONZERO[kind]), max_size=5))
+    zero = (0,) * n
+    if op == "reversion":
+        unit = (1,) + zero[1:]
+        terms = {e: c for e, c in terms.items() if e[0] >= 1}
+        terms[unit] = draw(st.sampled_from(_NONZERO[kind]))
+    elif op == "inverse":
+        terms[zero] = draw(st.sampled_from(_NONZERO[kind]))
+    elif op != "exp":
+        terms[zero] = draw(st.sampled_from([1, Fraction(1)]))
+    s = TruncatedSeries(variables, orders, terms)
+    if op == "pow":
+        return -draw(st.integers(1, 4)), s
+    return op, s
+
+
+_REFERENCES = {
+    "inverse": _reference_inverse,
+    "inverse_unit": _reference_inverse,
+    "log": _reference_log,
+    "exp": _reference_exp,
+    "sqrt": _reference_sqrt,
+    "reversion": _reference_reversion,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(functional_cases())
+def test_functional_operations_match_references(case):
+    op, s = case
+    if isinstance(op, int):
+        got, ref = s ** op, _reference_inverse(s) ** -op
+    elif op == "reversion":
+        got, ref = series_reversion(s), _reference_reversion(s)
+    else:
+        got, ref = getattr(s, op.removesuffix("_unit"))(), _REFERENCES[op](s)
+    assert got.terms == ref.terms, (op, s)
+    assert all(type(c) is Fraction for c in got.terms.values()), (op, s)
+
+
+def test_reversion_matches_reference_in_each_variable():
+    vars_ = ("x", "E", "Q")
+    orders = (4, 3, 2)
+    x, e, q = (TruncatedSeries.variable(v, vars_, orders) for v in vars_)
+    base = Fraction(2, 3) - e + q * x + Fraction(1, 2) * x * e * q
+    for v, name in ((x, "x"), (e, "E"), (q, "Q")):
+        s = v * base
+        assert series_reversion(s, name).terms == _reference_reversion(s, name).terms, name
+
+
+def test_exp_over_bracket_ring_matches_reference():
+    vars_ = ("x", "Q")
+    orders = (4, 3)
+
+    def rf(n, d):
+        return RationalFunctionU(qbracket(n), qbracket(d))
+
+    w = TruncatedSeries(vars_, orders, {(1, 0): rf(1, 2), (1, 1): -rf(3, 1), (2, 0): RFU_ONE, (0, 1): rf(2, 3)}, RFU_ONE)
+    got, ref = w.exp(), _reference_exp(w)
+    assert got.terms == ref.terms
+    assert got.log().terms == w.terms
+    assert (got ** -2).terms == (_reference_inverse(ref) ** 2).terms
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_quantum_mirror_exp_matches_reference(a):
+    # the quantum branch is exp of a bracket-ring series in (x, Q, w)
+    order = 4
+    terms = {(n, j, 1): c for n in range(1, order + 1) for (j,), c in onepoint_closed(a, n).value.terms.items()}
+    exponent = TruncatedSeries(("x", "Q", "w"), (order,) * 3, terms, RFU_ONE)
+    y = quantum_mirror_series(a, order)
+    assert y.terms == _reference_exp(exponent).terms
+    assert y.log().terms == exponent.terms
+    assert quantum_mirror_check(a, order)
 
 
 def test_public_constructor_validates_terms():
@@ -289,14 +457,13 @@ def test_reversion_round_trip_random(coeffs):
     assert t.substitute("x", s) == x
 
 
-def test_substitute_and_xdx():
+def test_substitute():
     vars_ = ("x", "E")
     orders = (4, 4)
     x = TruncatedSeries.variable("x", vars_, orders)
     e = TruncatedSeries.variable("E", vars_, orders)
     s = 1 + x * e + x ** 2
     assert s.substitute("x", x + e) == 1 + (x + e) * e + (x + e) ** 2
-    assert s.xdx("x") == x * e + 2 * x ** 2
 
 
 # -- expansions in the string coupling ----------------------------------------
