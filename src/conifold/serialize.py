@@ -14,7 +14,6 @@ commas, so CSV output needs no quoting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .laurent import LaurentU, RationalFunctionU
 from .series import TruncatedSeries
@@ -34,13 +33,7 @@ def jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, LaurentU):
-        # content n/d is reduced, so n v / d reduces by gcd(v, d): no Fraction is built
-        n, d = value.content.numerator, value.content.denominator
-        out = []
-        for e, v in sorted(value.poly.items()):
-            g = gcd(v, d)
-            out.append([e, str(n * (v // g)) if g == d else f"{n * (v // g)}/{d // g}"])
-        return out
+        return [[e, str(c)] for e, c in sorted(value.terms.items())]
     if isinstance(value, RationalFunctionU):
         num, den = value.canonical()
         return {"num": jsonable(num), "den": jsonable(den)}

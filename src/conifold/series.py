@@ -96,16 +96,6 @@ class TruncatedSeries:
         c = self.terms.get(tuple(expts))
         return c if c is not None else self.one - self.one
 
-    def coefficient(self, name: str, e: int) -> "TruncatedSeries":
-        """Sub-series multiplying name^e, with that exponent reset to zero."""
-        i = self._idx(name)
-        out = {}
-        for expts, c in self.terms.items():
-            if expts[i] == e:
-                key = expts[:i] + (0,) + expts[i + 1:]
-                out[key] = c
-        return TruncatedSeries(self.variables, self.orders, out, self.one)
-
     def has_negative_exponents(self) -> bool:
         return any(e < 0 for expts in self.terms for e in expts)
 
@@ -233,9 +223,11 @@ class TruncatedSeries:
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
-            if self.constant_term() != self.one:
-                return self.inverse() ** (-k)
-            return self._with_terms(self._euler("power", Fraction(k)))
+            if self.has_negative_exponents():
+                raise ValueError("functional operations need nonnegative exponents")
+            unit, inv = self._unit()
+            out = self._with_terms(unit._euler("power", Fraction(k)))
+            return out if inv is None else out.scale(inv ** -k)
         result = self.const_like(1)
         base = self
         while k:

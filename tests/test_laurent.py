@@ -16,7 +16,6 @@ from conifold.laurent import (
     qbracket,
     qfactorial,
 )
-from conifold.serialize import jsonable
 
 
 def test_qbracket_basics():
@@ -389,11 +388,3 @@ def test_every_result_keeps_the_content_layout(a, b, scale, k, args):
     ]
     for x in values:
         _assert_content_layout(x)
-
-
-@settings(max_examples=200, deadline=None)
-@given(laurents(), st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 6), 0]), signed_bracket_args)
-def test_jsonable_reads_content_and_poly(a, scale, args):
-    # printed from content and poly: the same strings as the Fraction terms give
-    for x in (a, a * scale, bracket_product(args), bracket_product(args) * a):
-        assert jsonable(x) == [[e, str(c)] for e, c in sorted(x.terms.items())]

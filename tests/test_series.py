@@ -201,11 +201,10 @@ def _reference_reversion(s, name=None):
     rpow = s.const_like(1)
     for n in range(1, N + 1):
         rpow = rpow * r
-        coeff = rpow.coefficient(name, n - 1).scale(Fraction(1, n))
         shifted_up = {}
-        for expts, c in coeff.terms.items():
-            key = expts[:i] + (n,) + expts[i + 1:]
-            shifted_up[key] = c
+        for expts, c in rpow.terms.items():
+            if expts[i] == n - 1:  # [v^(n-1)] of rpow, moved to v^n
+                shifted_up[expts[:i] + (n,) + expts[i + 1:]] = c * Fraction(1, n)
         out = out + TruncatedSeries(s.variables, s.orders, shifted_up, s.one)
     return out
 
