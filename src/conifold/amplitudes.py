@@ -5,13 +5,17 @@ the coefficient of the n-th power sum in the open-string free energy.  This
 keeps every coefficient in the bracket ring (a polynomial in Q = -e^{-t} with
 RationalFunctionU coefficients); genus_expand reinstates the 1/(n i) prefactor
 when passing to the string-coupling expansion.
+
+The closed formula is written once, as the bracket arguments of onepoint_args;
+onepoint_bracket reads them in the bracket ring at an Adams scale u -> u^s,
+genus0_coefficient in the classical limit [d] -> d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .fock import qpoly, qpoly_one, qpoly_zero
 from .laurent import LaurentU, RationalFunctionU, bracket_ratio, qbracket
@@ -37,6 +41,24 @@ class GenusSeries:
     series: TruncatedSeries  # in (Q, lambda) over Fraction, odd powers only, poles allowed
 
 
+def onepoint_args(a: int, n: int, j: int) -> tuple[list[int], list[int]]:
+    """Bracket arguments of [Q^j] F_hat_n: numerator an+j+k for k = 1..n-1, denominator
+    1..j and 1..n-j.  Built from ranges, as the Moebius loops of ovinv call it per term."""
+    return [*range(a * n + j + 1, a * n + j + n)], [*range(1, j + 1), *range(1, n - j + 1)]
+
+
+def onepoint_bracket(a: int, n: int, j: int, scale: int = 1) -> RationalFunctionU:
+    """[Q^j] F_hat_n over brackets, at the Adams scale u -> u^scale."""
+    num, den = onepoint_args(a, n, j)
+    return bracket_ratio([scale * d for d in num], [scale * d for d in den])
+
+
+def genus0_coefficient(a: int, n: int, j: int) -> Fraction:
+    """[Q^j] genus0_onepoint(a, n): -1/n times the classical limit [d] -> d of [Q^j] F_hat_n."""
+    num, den = onepoint_args(a, n, j)
+    return Fraction(-prod(num), n * prod(den))
+
+
 def onepoint_closed(a: int, n: int) -> OnePointAmplitude:
     """F_hat_n = sum_{j=0}^{n} prod_{k=1}^{n-1}[an+j+k] / ([j]! [n-j]!) Q^j.
 
@@ -46,10 +68,7 @@ def onepoint_closed(a: int, n: int) -> OnePointAmplitude:
     if n < 1:
         raise ValueError("winding must be positive")
     # qpoly drops the terms whose numerator has a vanishing bracket
-    terms = {
-        j: bracket_ratio([a * n + j + k for k in range(1, n)], [*range(1, j + 1), *range(1, n - j + 1)])
-        for j in range(n + 1)
-    }
+    terms = {j: onepoint_bracket(a, n, j) for j in range(n + 1)}
     return OnePointAmplitude(a, n, qpoly(terms, n), "closed_form")
 
 
@@ -95,14 +114,7 @@ def genus0_onepoint(a: int, n: int) -> TruncatedSeries:
     """
     if n < 1:
         raise ValueError("winding must be positive")
-    terms = {}
-    for j in range(n + 1):
-        prod = 1
-        for k in range(1, n):
-            prod *= n * a + j + k
-        c = Fraction(-prod, n * factorial(j) * factorial(n - j))
-        if c:
-            terms[(j,)] = c
+    terms = {(j,): c for j in range(n + 1) if (c := genus0_coefficient(a, n, j))}
     return TruncatedSeries(("Q",), (n,), terms)
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import amplitudes, fock, mirror, ovinv
 from .laurent import LaurentU, RationalFunctionU, qbracket
+from .series import hbar_expand
 from .serialize import FORMAT_VERSION, jsonable, text
 
 EXIT_OK = 0
@@ -104,6 +105,7 @@ def _rows_disc(job: argparse.Namespace, kind: str):
         for (k, m), v in anchors.items():
             if (k, m) == (1, 1) or (m <= job.m_max and k <= job.k_max):
                 _check(ovinv.disc_e(0, k, m).value == v, f"e_{{{k},{m}}} fails its anchor")
+    _check_framing(job.framing)
     return rows
 
 
@@ -117,7 +119,39 @@ def _rows_ovn(job: argparse.Namespace):
         ovinv.ov_N(0, 2, 1).value == LaurentU({1: -1, -1: -1}),
         "N_{2,1} at zero framing fails its anchor",
     )
+    a = job.framing
+    _check_framing(a)
+    # anchor: the bracket right side's hbar^{-1} coefficient is -m times the
+    # genus-zero one; m <= 3 only, since the expansion grows steeply with m
+    for m in range(1, min(job.m_max, 3) + 1):
+        psi = amplitudes.genus0_onepoint(a, m)
+        for k in range(m + 1):
+            sign = -1 if (m * a + k) % 2 else 1
+            got = hbar_expand(ovinv.allgenus_rhs(a, k, m, 1), -1).scalar_coefficient((-1,))
+            _check(
+                got == sign * -m * psi.scalar_coefficient((k,)),
+                f"hbar^-1 coefficient of the all-genus right side at (m={m}, k={k}) is not the genus-zero one",
+            )
     return rows
+
+
+def _check_framing(a: int) -> None:
+    """Anchor a table at its own framing through the genus-zero potential.
+
+    Tables and genus0_onepoint read one formula, so the mirror-curve
+    comparison of log y with x d/dx Psi_0 at framing a checks the formula
+    the table was built from.  Framing -1 has no Lagrange construction; there
+    the amplitude degenerates to ((-1)^{n-1} + Q^n)/[n], whose genus-zero part
+    -((-1)^{n-1} + Q^n)/n^2 is the anchor.
+    """
+    if a == -1:
+        for n in range(1, 4):
+            expected = {(0,): Fraction((-1) ** n, n * n), (n,): Fraction(-1, n * n)}
+            _check(amplitudes.genus0_onepoint(a, n).terms == expected,
+                   f"genus-zero x^{n} coefficient at framing -1 fails its anchor")
+        return
+    residual = mirror.zero_framing_curve_check(4) if a == 0 else mirror.framed_curve_check(a, 4)
+    _check(residual.is_zero(), f"mirror curve residual at framing {a} does not vanish")
 
 
 def _rows_sequences(job: argparse.Namespace):
@@ -193,11 +227,13 @@ def _rows_oracle(job: argparse.Namespace):
 
 def _rows_closed_string(job: argparse.Namespace):
     series = amplitudes.closed_string_logZ(job.order)
-    # anchor: the Q coefficient is 1/[1]^2
-    _check(
-        series.scalar_coefficient((1,)) == RationalFunctionU(LaurentU.const(1), qbracket(1) ** 2),
-        "closed-string Q coefficient fails its anchor 1/[1]^2",
-    )
+    # anchor: every Q^n coefficient is (-1)^{n-1}/(n [n]^2)
+    for n in range(1, job.order + 1):
+        expected = RationalFunctionU(LaurentU.const(Fraction((-1) ** (n - 1), n)), qbracket(n) ** 2)
+        _check(
+            series.scalar_coefficient((n,)) == expected,
+            f"closed-string Q^{n} coefficient fails its anchor (-1)^{{n-1}}/(n [n]^2)",
+        )
     return [{"q_order": job.order, "log_Z": series}]
 
 

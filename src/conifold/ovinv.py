@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .laurent import LaurentU, RationalFunctionU, _lu, bracket_ratio, qbracket
+from .amplitudes import genus0_coefficient, onepoint_bracket
+from .laurent import LaurentU, RationalFunctionU, _lu, qbracket
 from .partitions import divisors, mobius
 
 
@@ -42,14 +43,6 @@ def _gcd0(k: int, m: int) -> int:
     return m if k == 0 else gcd(k, m)
 
 
-def _genus0_rhs(a: int, k: int, m: int) -> Fraction:
-    """prod_{j=1}^{m-1}(ma+j+k) / (m k! (m-k)!), the recursion's right side (no sign)."""
-    prod = 1
-    for j in range(1, m):
-        prod *= m * a + j + k
-    return Fraction(prod, m * factorial(k) * factorial(m - k))
-
-
 def disc_d_raw(a: int, k: int, m: int) -> Fraction:
     """The Moebius-inversion value of d_{k,m}, with no integrality assertion.
 
@@ -61,21 +54,18 @@ def disc_d_raw(a: int, k: int, m: int) -> Fraction:
         raise ValueError("need 0 <= k <= m")
     value = Fraction(0)
     for n in divisors(_gcd0(k, m)):
-        value += (
-            Fraction(mobius(n), n * n)
-            * (-1) ** (k // n)
-            * _genus0_rhs(a, k // n, m // n)
-        )
+        value -= Fraction(mobius(n), n * n) * (-1) ** (k // n) * genus0_coefficient(a, m // n, k // n)
     return value
 
 
 def disc_d_recursion_holds(a: int, k: int, m: int) -> bool:
-    """Independent check of d_{k,m} + sum_{j>1} d_{k/j,m/j}/j^2 = (-1)^k (rhs)."""
+    """Independent check of d_{k,m} + sum_{j>1} d_{k/j,m/j}/j^2 = (-1)^k (rhs),
+    where rhs = -[Q^k] genus0_onepoint(a, m)."""
     lhs = disc_d_raw(a, k, m)
     for j in divisors(_gcd0(k, m)):
         if j > 1:
             lhs += Fraction(1, j * j) * disc_d_raw(a, k // j, m // j)
-    return lhs == (-1) ** k * _genus0_rhs(a, k, m)
+    return lhs == (-1) ** (k + 1) * genus0_coefficient(a, m, k)
 
 
 def disc_d(a: int, k: int, m: int) -> DiscInvariant:
@@ -98,7 +88,7 @@ def disc_e_raw(a: int, k: int, m: int) -> Fraction:
         raise ValueError("need 0 <= k <= m")
     value = Fraction(0)
     for n in divisors(_gcd0(k, m)):
-        value += Fraction(mobius(n), n * n) * _genus0_rhs(a, k // n, m // n)
+        value -= Fraction(mobius(n), n * n) * genus0_coefficient(a, m // n, k // n)
     return value
 
 
@@ -107,7 +97,7 @@ def disc_e_recursion_holds(a: int, k: int, m: int) -> bool:
     for j in divisors(_gcd0(k, m)):
         if j > 1:
             lhs += Fraction(1, j * j) * disc_e_raw(a, k // j, m // j)
-    return lhs == _genus0_rhs(a, k, m)
+    return lhs == -genus0_coefficient(a, m, k)
 
 
 def disc_e(a: int, k: int, m: int) -> DiscInvariant:
@@ -128,12 +118,9 @@ def disc_e(a: int, k: int, m: int) -> DiscInvariant:
     return DiscInvariant(a, k, m, value)
 
 
-def _allgenus_rhs(a: int, k: int, m: int, scale: int) -> RationalFunctionU:
-    """(-1)^{ma+k} prod_{j=1}^{m-1}[am+j+k] / ([k]! [m-k]!) evaluated at u -> u^scale."""
-    sign = -1 if (m * a + k) % 2 else 1
-    num_args = [scale * (m * a + j + k) for j in range(1, m)]
-    den_args = [scale * j for j in (*range(1, k + 1), *range(1, m - k + 1))]
-    return bracket_ratio(num_args, den_args) * sign
+def allgenus_rhs(a: int, k: int, m: int, scale: int) -> RationalFunctionU:
+    """(-1)^{ma+k} [Q^k] F_hat_m evaluated at u -> u^scale: the all-genus recursion's right side."""
+    return onepoint_bracket(a, m, k, scale) * (-1 if (m * a + k) % 2 else 1)
 
 
 def ov_N(a: int, m: int, k: int) -> OVPolynomial:
@@ -148,7 +135,7 @@ def ov_N(a: int, m: int, k: int) -> OVPolynomial:
     for n in divisors(g):
         if (m * a + k) % n:  # n | k and n | m force this; guard the sign exponent
             raise ArithmeticError(f"sign exponent (ma+k)/n not integral at n={n}")
-        total = total + Fraction(mobius(n)) * _allgenus_rhs(a, k // n, m // n, n)
+        total = total + Fraction(mobius(n)) * allgenus_rhs(a, k // n, m // n, n)
     value = (RationalFunctionU(qbracket(1)) * total).as_laurent()
     if not value.has_integer_coeffs():
         raise ArithmeticError(f"N_{{{m},{k}}}^({a}) has non-integer coefficients")
@@ -165,7 +152,7 @@ def ov_N_consistency(a: int, m: int, k: int) -> bool:
         # u -> u^j (j >= 1) keeps P primitive with a positive top coefficient
         rescaled = _lu(nj.content, {e * j: v for e, v in nj.poly.items()})
         lhs = lhs + RationalFunctionU(rescaled, qbracket(j))
-    return lhs == _allgenus_rhs(a, k, m, 1)
+    return lhs == allgenus_rhs(a, k, m, 1)
 
 
 # -- special-case cross-checks --------------------------------------------------
@@ -195,14 +182,14 @@ def disc_d_prime(a: int, p: int, n: int) -> Fraction:
     tail = 1
     for j in range(2, n + 1):
         tail *= n * a + j
-    return (-1) ** p * _genus0_rhs(a, p, p * n) + Fraction(tail, p * p * factorial(n))
+    return (-1) ** (p + 1) * genus0_coefficient(a, p * n, p) + Fraction(tail, p * p * factorial(n))
 
 
 def disc_d_prime_square(a: int, p: int, n: int) -> Fraction:
     """d_{p^2, pn} for prime p with gcd(p, n) = 1 and n >= p."""
     if not _is_prime(p) or gcd(p, n) != 1 or n < p:
         raise ValueError("need prime p, gcd(p, n) = 1, and n >= p")
-    head = (-1) ** p * _genus0_rhs(a, p * p, p * n)
+    head = (-1) ** (p + 1) * genus0_coefficient(a, p * n, p * p)
     tail = 1
     for i in range(1, n):
         tail *= n * a + i + p
@@ -213,7 +200,7 @@ def ov_N_prime(a: int, p: int, n: int) -> LaurentU:
     """N_{pn, p} for prime p: the two-term divisor sum written out."""
     if not _is_prime(p):
         raise ValueError("p must be prime")
-    total = _allgenus_rhs(a, p, p * n, 1) - _allgenus_rhs(a, 1, n, p)
+    total = allgenus_rhs(a, p, p * n, 1) - allgenus_rhs(a, 1, n, p)
     return (RationalFunctionU(qbracket(1)) * total).as_laurent()
 
 
@@ -221,7 +208,7 @@ def ov_N_prime_square(a: int, p: int, n: int) -> LaurentU:
     """N_{pn, p^2} for prime p with gcd(p, n) = 1 and n >= p."""
     if not _is_prime(p) or gcd(p, n) != 1 or n < p:
         raise ValueError("need prime p, gcd(p, n) = 1, and n >= p")
-    total = _allgenus_rhs(a, p * p, p * n, 1) - _allgenus_rhs(a, p, n, p)
+    total = allgenus_rhs(a, p * p, p * n, 1) - allgenus_rhs(a, p, n, p)
     return (RationalFunctionU(qbracket(1)) * total).as_laurent()
 
 

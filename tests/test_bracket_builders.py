@@ -5,13 +5,18 @@ Before `bracket_product` became the one builder, the functions below multiplied
 loop forms are kept here as references.  The builders must return the same
 numerator and denominator term dicts, not only equal canonical forms: equal
 dicts mean every later gcd, canonical form and printed byte is unchanged.
+
+The rational ring's references are the integer loops that `genus0_onepoint`
+and the genus-zero recursion's right side ran before both read the bracket
+arguments of `onepoint_args` in the classical limit [d] -> d.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from conifold.amplitudes import closed_string_logZ, onepoint_closed
+from conifold.amplitudes import closed_string_logZ, genus0_coefficient, genus0_onepoint, onepoint_closed
 from conifold.laurent import LaurentU, RationalFunctionU, qbinomial, qbracket, qfactorial
-from conifold.ovinv import _allgenus_rhs
+from conifold.ovinv import allgenus_rhs
 
 
 def loop_qfactorial(n):
@@ -53,6 +58,25 @@ def loop_allgenus_rhs(a, k, m, scale):
     return RationalFunctionU(num, den)
 
 
+def loop_genus0_rhs(a, k, m):
+    prod = 1
+    for j in range(1, m):
+        prod *= m * a + j + k
+    return Fraction(prod, m * factorial(k) * factorial(m - k))
+
+
+def loop_genus0_onepoint_terms(a, n):
+    terms = {}
+    for j in range(n + 1):
+        prod = 1
+        for k in range(1, n):
+            prod *= n * a + j + k
+        c = Fraction(-prod, n * factorial(j) * factorial(n - j))
+        if c:
+            terms[(j,)] = c
+    return terms
+
+
 def assert_same_pair(got, ref):
     # LaurentU equality compares the term dicts; RationalFunctionU equality
     # would compare canonical forms and hide a different unreduced pair
@@ -86,7 +110,7 @@ def test_allgenus_rhs_matches_loop():
         for m in range(1, 7):
             for k in range(m + 1):
                 for scale in (1, 2, 3):
-                    assert_same_pair(_allgenus_rhs(a, k, m, scale), loop_allgenus_rhs(a, k, m, scale))
+                    assert_same_pair(allgenus_rhs(a, k, m, scale), loop_allgenus_rhs(a, k, m, scale))
 
 
 def test_closed_string_coefficients_match_loop():
@@ -94,3 +118,21 @@ def test_closed_string_coefficients_match_loop():
     for n in range(1, 9):
         ref = RationalFunctionU(LaurentU.const(Fraction((-1) ** (n - 1), n)), qbracket(n) ** 2)
         assert_same_pair(terms[(n,)], ref)
+
+
+def test_genus0_rhs_matches_loop():
+    # the genus-zero recursion's right side is -[Q^k] genus0_onepoint(a, m)
+    for a in range(-3, 4):
+        for m in range(1, 8):
+            for k in range(m + 1):
+                got = -genus0_coefficient(a, m, k)
+                assert type(got) is Fraction and got == loop_genus0_rhs(a, k, m), (a, k, m)
+
+
+def test_genus0_onepoint_matches_loop():
+    for a in range(-3, 4):
+        for n in range(1, 8):
+            got = genus0_onepoint(a, n)
+            assert got.variables == ("Q",) and got.orders == (n,)
+            assert got.terms == loop_genus0_onepoint_terms(a, n), (a, n)
+            assert all(type(c) is Fraction for c in got.terms.values())

@@ -216,6 +216,81 @@ def test_oracle_compare_fails_a_corrupted_character_value(capsys, monkeypatch):
     assert "oracle disagreement" in error["message"]
 
 
+# the table jobs that a framing-2 fault in the one-point formula must fail
+FRAMING_TWO_TABLES = [
+    ("disc-d", "--framing", "2", "--m-max", "8", "--k-max", "4"),
+    ("disc-e", "--framing", "2", "--m-max", "8", "--k-max", "4"),
+    ("ov-n", "--framing", "2", "--m-max", "6"),
+]
+
+
+def _assert_verification_failure(capsys, *argv):
+    status, out, err = run_main(capsys, *argv)
+    assert status == EXIT_VERIFICATION, argv
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "verification-failure"
+    return error["message"]
+
+
+def _shifted_args(shift):
+    """onepoint_args reading framing shift[a] in place of each framing a in `shift`."""
+    args = amplitudes.onepoint_args
+    return lambda a, n, j: args(shift.get(a, a), n, j)
+
+
+@pytest.mark.parametrize("argv", FRAMING_TWO_TABLES, ids=lambda argv: argv[0])
+def test_tables_fail_a_framing_shifted_formula(capsys, monkeypatch, argv):
+    # the framing-0 anchors alone pass framing-4 values served at framing 2
+    status, _, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args({2: 4}))
+    assert "x d/dx Psi_0" in _assert_verification_failure(capsys, *argv)
+
+
+@pytest.mark.parametrize("command", ["disc-e", "ov-n"])
+def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch, command):
+    # framing -1 has no mirror-curve check; its degenerate genus-zero value is the anchor
+    argv = (command, "--framing", "-1", "--m-max", "4")
+    status, _, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args({-1: 1}))
+    assert "framing -1 fails its anchor" in _assert_verification_failure(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # a sign flipped at framing 2 alone keeps N integral and bar symmetric,
+        # so only the hbar^-1 comparison with the genus-zero value sees it
+        (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, scale) * (-1 if a == 2 else 1), "hbar^-1 coefficient"),
+        # a doubled Adams scale leaves [1] times the divisor sum no Laurent polynomial
+        (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, 2 * scale), "not a Laurent polynomial"),
+    ],
+    ids=["sign", "scale"],
+)
+def test_ov_n_fails_a_fault_in_the_bracket_right_side(capsys, monkeypatch, fault, message):
+    argv = ("ov-n", "--framing", "2", "--m-max", "3")
+    status, _, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    monkeypatch.setattr(ovinv, "allgenus_rhs", fault(ovinv.allgenus_rhs))
+    assert message in _assert_verification_failure(capsys, *argv)
+
+
+def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):
+    argv = ("closed-string", "--order", "5")
+    status, _, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    log_z = amplitudes.closed_string_logZ
+
+    def doubled(order):
+        s = log_z(order)
+        return TruncatedSeries(s.variables, s.orders, {**s.terms, (2,): s.terms[(2,)] * 2}, s.one)
+
+    monkeypatch.setattr(amplitudes, "closed_string_logZ", doubled)
+    assert "Q^2 coefficient" in _assert_verification_failure(capsys, *argv)
+
+
 def test_usage_error_on_bad_bound(capsys):
     status, _, err = run_main(capsys, "onepoint", "--n-max", "0")
     assert status == EXIT_USAGE
