@@ -150,8 +150,7 @@ def _check_framing(a: int) -> None:
             _check(amplitudes.genus0_onepoint(a, n).terms == expected,
                    f"genus-zero x^{n} coefficient at framing -1 fails its anchor")
         return
-    residual = mirror.zero_framing_curve_check(4) if a == 0 else mirror.framed_curve_check(a, 4)
-    _check(residual.is_zero(), f"mirror curve residual at framing {a} does not vanish")
+    _check(mirror.framed_curve_check(a, 4).is_zero(), f"mirror curve residual at framing {a} does not vanish")
 
 
 def _rows_sequences(job: argparse.Namespace):

@@ -248,6 +248,25 @@ def test_tables_fail_a_framing_shifted_formula(capsys, monkeypatch, argv):
     assert "x d/dx Psi_0" in _assert_verification_failure(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("disc-d", "--framing", "0", "--m-max", "3", "--k-max", "2"),
+        ("disc-e", "--framing", "0", "--m-max", "3", "--k-max", "2"),
+        ("ov-n", "--framing", "0", "--m-max", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tables_at_framing_zero_fail_a_shifted_formula(capsys, monkeypatch, argv):
+    # at these bounds the tables and their Catalan, boxed-e and N_{2,1} anchors read
+    # winding n <= 3; the order-4 curve check also reads n = 4, so it alone sees a fault there
+    status, _, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    args = amplitudes.onepoint_args
+    monkeypatch.setattr(amplitudes, "onepoint_args", lambda a, n, j: args(4 if (a, n) == (0, 4) else a, n, j))
+    assert "x d/dx Psi_0" in _assert_verification_failure(capsys, *argv)
+
+
 @pytest.mark.parametrize("command", ["disc-e", "ov-n"])
 def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch, command):
     # framing -1 has no mirror-curve check; its degenerate genus-zero value is the anchor
