@@ -13,7 +13,7 @@ genus0_coefficient in the classical limit [d] -> d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, prod
 
@@ -25,20 +25,14 @@ from .series import TruncatedSeries, hbar_expand
 LAMBDA = "lambda"
 
 
-@dataclass(frozen=True)
-class OnePointAmplitude:
-    framing: int
-    winding: int
-    value: TruncatedSeries  # polynomial in Q over RationalFunctionU, (n i) F_n
-    provenance: str
+# The records of the package are namedtuples, not dataclasses: `dataclasses`
+# imports `inspect`, which costs about 20 ms of every CLI job's start-up.
 
+# value: a polynomial in Q over RationalFunctionU, (n i) F_n
+OnePointAmplitude = namedtuple("OnePointAmplitude", "framing winding value provenance")
 
-@dataclass(frozen=True)
-class GenusSeries:
-    framing: int
-    winding: int
-    g_max: int
-    series: TruncatedSeries  # in (Q, lambda) over Fraction, odd powers only, poles allowed
+# series: in (Q, lambda) over Fraction, odd powers only, poles allowed
+GenusSeries = namedtuple("GenusSeries", "framing winding g_max series")
 
 
 def onepoint_args(a: int, n: int, j: int) -> tuple[list[int], list[int]]:

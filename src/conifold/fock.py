@@ -21,7 +21,6 @@ the overall 1/(n i) prefactor of the free-energy coefficient stripped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -59,13 +58,13 @@ def qpoly_one(q_bound: int) -> TruncatedSeries:
     return qpoly({0: RFU_ONE}, q_bound)
 
 
-@dataclass
 class FockVector:
     """Finite combination sum c_mu p_mu, |mu| <= degree_bound, Q-degree <= q_bound."""
 
-    degree_bound: int
-    q_bound: int
-    coeffs: dict[Partition, TruncatedSeries]
+    def __init__(self, degree_bound: int, q_bound: int, coeffs: dict[Partition, TruncatedSeries]):
+        self.degree_bound = degree_bound
+        self.q_bound = q_bound
+        self.coeffs = coeffs
 
     def copy(self) -> "FockVector":
         return FockVector(self.degree_bound, self.q_bound, dict(self.coeffs))
@@ -291,24 +290,17 @@ def oracle_onepoint(a: int, n: int, q_bound: int | None = None) -> TruncatedSeri
 # -- correlators of E operators ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EWord:
-    """A product E_{r_1}(c_1 i lam) ... E_{r_k}(c_k i lam).
+def beta_correlator_word(n: int, m, a) -> tuple[tuple[int, int], ...]:
+    """The word b_n E_{-m_1}(a_1 i lam) ... E_{-m_l}(a_l i lam).
 
-    Factors are (weight, argument multiplier) pairs; b_n enters as E_n(0).
-    All arguments are integer multiples of i*lam, so every sigma value the
+    A word E_{r_1}(c_1 i lam) ... E_{r_k}(c_k i lam) is the tuple of its
+    factors, (weight, argument multiplier) pairs; b_n enters as E_n(0).  All
+    arguments are integer multiples of i*lam, so every sigma value the
     reduction meets is a quantum bracket.
     """
-
-    factors: tuple[tuple[int, int], ...]
-
-
-def beta_correlator_word(n: int, m, a) -> EWord:
-    """The word b_n E_{-m_1}(a_1 i lam) ... E_{-m_l}(a_l i lam)."""
     if len(m) != len(a):
         raise ValueError("weights and argument multipliers must align")
-    factors = ((n, 0),) + tuple((-mi, ai) for mi, ai in zip(m, a))
-    return EWord(factors)
+    return ((n, 0),) + tuple((-mi, ai) for mi, ai in zip(m, a))
 
 
 def _reduce_terms(factors: tuple[tuple[int, int], ...], acc: tuple[int, ...], out: list) -> None:
@@ -344,15 +336,15 @@ def _reduce_terms(factors: tuple[tuple[int, int], ...], acc: tuple[int, ...], ou
         _reduce_terms(merged, acc + (sigma,), out)
 
 
-def correlator_reduce(word: EWord) -> RationalFunctionU:
-    """Vacuum expectation of an EWord by commutator rewriting.
+def correlator_reduce(word: tuple[tuple[int, int], ...]) -> RationalFunctionU:
+    """Vacuum expectation of a word of E factors by commutator rewriting.
 
     The leftmost positive-weight factor is commuted rightward; each step
     either shortens the word or moves that factor closer to the vacuum, so
     the rewriting terminates.  Words of nonzero total weight vanish.
     """
     terms: list = []
-    _reduce_terms(word.factors, (), terms)
+    _reduce_terms(word, (), terms)
     total = RFU_ZERO
     for num_args, den_args in terms:
         total = total + bracket_ratio(num_args, den_args)

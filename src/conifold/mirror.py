@@ -15,7 +15,7 @@ branch convention.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .amplitudes import genus0_onepoint, onepoint_closed
@@ -25,11 +25,8 @@ from .series import TruncatedSeries, hbar_expand, series_reversion
 FRAME = ("x", "E")
 
 
-@dataclass(frozen=True)
-class MirrorSeries:
-    framing: int
-    order: int
-    series: TruncatedSeries  # y(x) in (x, E) over Fraction, y(0) = 1
+# series: y(x) in (x, E) over Fraction, y(0) = 1
+MirrorSeries = namedtuple("MirrorSeries", "framing order series")
 
 
 def _frame(order: int) -> tuple:

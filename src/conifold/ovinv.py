@@ -13,7 +13,7 @@ The gcd convention gcd(0, m) = m makes the k = 0 columns well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -22,20 +22,11 @@ from .laurent import LaurentU, RationalFunctionU, _lu, qbracket
 from .partitions import divisors, mobius
 
 
-@dataclass(frozen=True)
-class DiscInvariant:
-    framing: int
-    degree: int   # k, the power of e^{-t} (resp. Q)
-    winding: int  # m, the power of x
-    value: Fraction
+# degree k: the power of e^{-t} (resp. Q); winding m: the power of x; value: a Fraction
+DiscInvariant = namedtuple("DiscInvariant", "framing degree winding value")
 
-
-@dataclass(frozen=True)
-class OVPolynomial:
-    framing: int
-    winding: int  # m
-    degree: int   # k
-    value: LaurentU
+# winding m, degree k, value: a LaurentU
+OVPolynomial = namedtuple("OVPolynomial", "framing winding degree value")
 
 
 def _gcd0(k: int, m: int) -> int:

@@ -20,6 +20,8 @@ from conifold.cli import (
 )
 from conifold.series import TruncatedSeries
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_main(capsys, *argv):
     status = main(list(argv))
@@ -328,14 +330,32 @@ def test_oracle_compare_rejects_negative_q_degree(capsys):
 
 def test_job_writes_nothing_to_its_working_directory(tmp_path):
     # a fresh interpreter, so no table memoized by an earlier test can hide a
-    # write, with no environment variable but the import path
-    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # write, with no environment variable but the import path; -B keeps its
+    # bytecode out of src/
     proc = subprocess.run(
-        [sys.executable, "-m", "conifold.cli", "oracle-compare", "--framing", "0", "--n-max", "3"],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-B", "-m", "conifold.cli", "oracle-compare", "--framing", "0", "--n-max", "3"],
+        cwd=tmp_path, env={"PYTHONPATH": SRC}, capture_output=True, text=True,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_jobs_import_neither_dataclasses_nor_inspect():
+    # every CLI job is a fresh interpreter; `dataclasses` and the `inspect` it
+    # imports would add about 20 ms to each job's start-up
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from conifold import cli
+        for argv in ("mirror-check --framing 3 --order 4", "oracle-compare --n-max 3", "ov-n --m-max 3"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv.split()) == 0, argv
+        print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script], env={"PYTHONPATH": SRC}, capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

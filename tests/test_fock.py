@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from conifold.fock import (
-    EWord,
     FockVector,
     beta_apply,
     beta_correlator_word,
@@ -218,10 +217,10 @@ def test_correlator_reduce_single_commutation():
 
 
 def test_correlator_reduce_vanishing_rules():
-    assert correlator_reduce(EWord(((1, 0), (-2, 1)))) == RFU_ZERO  # graded
-    assert correlator_reduce(EWord(((-1, 1), (1, 1)))) == RFU_ZERO  # leftmost negative
-    assert correlator_reduce(EWord(((0, 1), (1, 1), (-1, 1)))) != RFU_ZERO
-    assert correlator_reduce(EWord(())) == RationalFunctionU(1)
+    assert correlator_reduce(((1, 0), (-2, 1))) == RFU_ZERO  # graded
+    assert correlator_reduce(((-1, 1), (1, 1))) == RFU_ZERO  # leftmost negative
+    assert correlator_reduce(((0, 1), (1, 1), (-1, 1))) != RFU_ZERO
+    assert correlator_reduce(()) == RationalFunctionU(1)
 
 
 def test_correlator_reduce_two_steps():
