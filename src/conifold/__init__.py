@@ -17,7 +17,6 @@ u = q^{1/2}, and truncated formal series.  The subpackages:
 
 from .laurent import LaurentU, RationalFunctionU, qbinomial, qbracket, qfactorial
 from .partitions import (
-    CharacterTable,
     character,
     conjugate,
     kappa,
@@ -44,6 +43,5 @@ __all__ = [
     "conjugate",
     "character",
     "mobius",
-    "CharacterTable",
     "__version__",
 ]

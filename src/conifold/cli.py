@@ -2,8 +2,8 @@
 
 Every table command recomputes at least one independently known anchor value
 and fails loudly (exit code 3) if its own output disagrees; exit code 2 marks
-bad usage.  Output is deterministic: identical invocations produce identical
-bytes.
+bad usage, such as a parameter outside its range in COMMANDS.  Output is
+deterministic: identical invocations produce identical bytes.
 
     conifold onepoint --framing 0 --n-max 3
     conifold disc-e --framing 0 --m-max 16 --k-max 6 --format csv
@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import amplitudes, fock, mirror, ovinv
@@ -159,9 +160,7 @@ def _rows_sequences(job: argparse.Namespace):
         ovinv.seq_catalan(1)
         values = [ovinv.catalan_number(0)] + [ovinv.seq_catalan(k) for k in range(1, job.count)]
         return [{"index": i, "value": v} for i, v in enumerate(values)]
-    if job.which == "dmm":
-        return ovinv.dmm_report(job.count)
-    raise VerificationFailure(f"unknown sequence {job.which!r}")
+    return ovinv.dmm_report(job.count)
 
 
 def _rows_mirror(job: argparse.Namespace):
@@ -236,18 +235,59 @@ def _rows_closed_string(job: argparse.Namespace):
     return [{"q_order": job.order, "log_Z": series}]
 
 
-_BUILDERS = {
-    "onepoint": _rows_onepoint,
-    "genus0": _rows_genus0,
-    "disc-d": lambda job: _rows_disc(job, "d"),
-    "disc-e": lambda job: _rows_disc(job, "e"),
-    "ov-n": _rows_ovn,
-    "sequences": _rows_sequences,
-    "mirror-check": _rows_mirror,
-    "correlator": _rows_correlator,
-    "oracle-compare": _rows_oracle,
-    "closed-string": _rows_closed_string,
+# -- the command table -----------------------------------------------------------
+
+# Each parameter maps its dest to (default, lowest, highest), None for no limit,
+# or to its choices, the first being the default.  A highest value keeps the
+# job under about 4 s at the costliest framing in -3..3 on a 2-core host with
+# Python 3.11.7, so under about 10 s on a host 2.5 times slower.
+Command = namedtuple("Command", "rows help params excluded", defaults=({},))
+
+FRAMING = {"framing": (0, None, None)}
+DISC = {**FRAMING, "m_max": (8, 1, 160), "k_max": (6, 1, 160)}
+
+COMMANDS = {
+    "onepoint": Command(_rows_onepoint, "closed-form one-point amplitudes", {**FRAMING, "n_max": (3, 1, 11)}),
+    "genus0": Command(_rows_genus0, "genus-zero potential coefficients", {**FRAMING, "n_max": (5, 1, 300)}),
+    "disc-d": Command(lambda job: _rows_disc(job, "d"), "integrality table of d invariants", DISC),
+    "disc-e": Command(lambda job: _rows_disc(job, "e"), "integrality table of e invariants", DISC),
+    "ov-n": Command(_rows_ovn, "all-genus Laurent-polynomial invariants", {**FRAMING, "m_max": (3, 1, 16)}),
+    "sequences": Command(_rows_sequences, "named integer sequences with cross-checks",
+                         {"which": ("catalan", "dmm"), "count": (10, 1, 1000)}),
+    "mirror-check": Command(
+        _rows_mirror, "mirror-curve residual verification", {**FRAMING, "order": (8, 1, 56)},
+        {-1: "the Lagrange construction inverts x = z(1-Qz)^{a+1}/(1+z)^{a+1}, which degenerates when "
+             "a+1 = 0 (the amplitude there is elementary: ((-1)^{n-1} + Q^n)/[n])."},
+    ),
+    "correlator": Command(_rows_correlator, "operator correlators vs the closed form", {"n_max": (4, 1, 7)}),
+    # truncating below Q^0 would empty every side of the comparison
+    "oracle-compare": Command(_rows_oracle, "closed form vs partition sum vs Fock oracle",
+                              {**FRAMING, "n_max": (4, 1, 10), "q_degree": (None, 0, None)}),
+    "closed-string": Command(_rows_closed_string, "closed-string free energy", {"order": (5, 1, 4000)}),
 }
+
+
+def _limits(lowest, highest) -> str:
+    """A legal range in words: 'positive and at most 11', 'at least 0', or ''."""
+    words = [] if lowest is None else ["positive" if lowest == 1 else f"at least {lowest}"]
+    return " and ".join(words + ([] if highest is None else [f"at most {highest}"]))
+
+
+def _usage_error(args: argparse.Namespace) -> str | None:
+    """The rule of its COMMANDS entry that a parsed job breaks, or None."""
+    name, command = args.command, COMMANDS[args.command]
+    reason = command.excluded.get(getattr(args, "framing", None))
+    if reason:
+        return f"{name}: framing {args.framing} is excluded: {reason}"
+    for dest, spec in command.params.items():
+        value = getattr(args, dest)
+        # argparse checks the choices, and an unset --q-degree is None
+        if isinstance(value, int):
+            _, lowest, highest = spec
+            if (lowest is not None and value < lowest) or (highest is not None and value > highest):
+                flag = "--" + dest.replace("_", "-")
+                return f"{name}: {flag} must be {_limits(lowest, highest)}, got {value}"
+    return None
 
 
 # -- output ----------------------------------------------------------------------
@@ -292,7 +332,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     """Execute a job parsed by build_parser(); returns (exit status, document)."""
     params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric") and v is not None}
     try:
-        rows = _BUILDERS[args.command](args)
+        rows = COMMANDS[args.command].rows(args)
     # main has rejected usage errors, so a ValueError here is a check that broke
     except (VerificationFailure, ArithmeticError, ValueError) as exc:
         report = {
@@ -310,75 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact one-point open-string amplitudes of the resolved conifold.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, framing=True):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
         p.add_argument("--numeric", action="store_true",
                        help="render rational values as lossy decimals (marked in the output)")
-        if framing:
-            p.add_argument("--framing", type=int, default=0)
-
-    p = sub.add_parser("onepoint", help="closed-form one-point amplitudes")
-    common(p)
-    p.add_argument("--n-max", type=int, default=3)
-
-    p = sub.add_parser("genus0", help="genus-zero potential coefficients")
-    common(p)
-    p.add_argument("--n-max", type=int, default=5)
-
-    for kind in ("disc-d", "disc-e"):
-        p = sub.add_parser(kind, help=f"integrality table of {kind[-1]} invariants")
-        common(p)
-        p.add_argument("--m-max", type=int, default=8)
-        p.add_argument("--k-max", type=int, default=6)
-
-    p = sub.add_parser("ov-n", help="all-genus Laurent-polynomial invariants")
-    common(p)
-    p.add_argument("--m-max", type=int, default=3)
-
-    p = sub.add_parser("sequences", help="named integer sequences with cross-checks")
-    common(p, framing=False)
-    p.add_argument("--which", choices=("catalan", "dmm"), default="catalan")
-    p.add_argument("--count", type=int, default=10)
-
-    p = sub.add_parser("mirror-check", help="mirror-curve residual verification")
-    common(p)
-    p.add_argument("--order", type=int, default=8)
-
-    p = sub.add_parser("correlator", help="operator correlators vs the closed form")
-    common(p, framing=False)
-    p.add_argument("--n-max", type=int, default=4)
-
-    p = sub.add_parser("oracle-compare", help="closed form vs partition sum vs Fock oracle")
-    common(p)
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--q-degree", type=int, default=None)
-
-    p = sub.add_parser("closed-string", help="closed-string free energy")
-    common(p, framing=False)
-    p.add_argument("--order", type=int, default=5)
-
+        for dest, spec in command.params.items():
+            flag = "--" + dest.replace("_", "-")
+            if isinstance(spec[0], str):
+                p.add_argument(flag, choices=spec, default=spec[0])
+            else:
+                p.add_argument(flag, type=int, default=spec[0], help=_limits(*spec[1:]) or None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "mirror-check" and args.framing == -1:
-        print(
-            "mirror-check: framing -1 is excluded: the Lagrange construction inverts "
-            "x = z(1-Qz)^{a+1}/(1+z)^{a+1}, which degenerates when a+1 = 0 "
-            "(the amplitude there is elementary: ((-1)^{n-1} + Q^n)/[n]).",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    for bound in ("n_max", "m_max", "k_max", "order", "count"):
-        if getattr(args, bound, 1) < 1:
-            print(f"{args.command}: --{bound.replace('_', '-')} must be positive", file=sys.stderr)
-            return EXIT_USAGE
-    if getattr(args, "q_degree", None) is not None and args.q_degree < 0:
-        # truncating below Q^0 empties every side of the comparison
-        print(f"{args.command}: --q-degree must be nonnegative", file=sys.stderr)
+    args = build_parser().parse_args(argv)
+    error = _usage_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return EXIT_USAGE
     if args.numeric and args.fmt == "csv":
         print("conifold: --numeric renders lossy decimal approximations", file=sys.stderr)

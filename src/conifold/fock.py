@@ -33,8 +33,8 @@ from .laurent import (
     qbracket,
 )
 from .partitions import (
-    CharacterTable,
     Partition,
+    character,
     kappa,
     multiplicities,
     partitions_of,
@@ -210,14 +210,13 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
                 if mu in targets:
                     out.add_term(mu, c)
             continue
-        table = CharacterTable.for_size(d)
         scaled = {}
         for nu in partitions_of(d):
-            if not any(table.value(nu, mu) for mu in targets):
+            if not any(character(nu, mu) for mu in targets):
                 continue
             w = qpoly_zero(v.q_bound)
             for mu, c in sector.items():
-                chi = table.value(nu, mu)
+                chi = character(nu, mu)
                 if chi:
                     w = w + c.scale(Fraction(chi))
             if w.is_zero():
@@ -227,7 +226,7 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
         for mu in targets:
             acc = qpoly_zero(v.q_bound)
             for nu, w in scaled.items():
-                chi = table.value(nu, mu)
+                chi = character(nu, mu)
                 if chi:
                     acc = acc + w.scale(Fraction(chi))
             out.add_term(mu, acc.scale(Fraction(1, z_aut(mu))))
@@ -269,8 +268,8 @@ def oracle_onepoint(a: int, n: int, q_bound: int | None = None) -> TruncatedSeri
     (n i) * F_n, a pure bracket-ring polynomial in Q.
 
     Only that coefficient is twisted: chi_nu((n)) vanishes off the n hooks
-    nu = (n-r, 1^r) (Murnaghan-Nakayama), so qK_apply builds n of the p(n)
-    character rows.
+    nu = (n-r, 1^r) (Murnaghan-Nakayama), so qK_apply reads the column (n)
+    and the n hook rows: about n p(n) character values, not p(n)^2.
     """
     if n < 1:
         raise ValueError("winding must be positive")

@@ -3,7 +3,7 @@
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ().  Character values chi_nu(mu) are computed by the
 Murnaghan-Nakayama rule on first-column hook lengths (beta numbers) and
-memoized in process, value by value and as whole tables per size n.
+memoized in process, value by value.
 """
 
 from __future__ import annotations
@@ -153,36 +153,7 @@ def character(nu, mu) -> int:
     return _mn(nu, mu)
 
 
-class CharacterTable:
-    """All chi_nu(mu) for partitions of one size n, built once per process."""
-
-    _registry: dict[int, "CharacterTable"] = {}
-
-    def __init__(self, n: int, values: dict[tuple[Partition, Partition], int]):
-        self.n = n
-        self.values = values
-
-    @classmethod
-    def for_size(cls, n: int) -> "CharacterTable":
-        table = cls._registry.get(n)
-        if table is None:
-            parts = partitions_of(n)
-            table = cls(n, {(nu, mu): _mn(nu, mu) for nu in parts for mu in parts})
-            cls._registry[n] = table
-        return table
-
-    def value(self, nu, mu) -> int:
-        return self.values[(tuple(nu), tuple(mu))]
-
-
 def schur_in_powersums(nu: Partition) -> dict[Partition, Fraction]:
     """Expansion s_nu = sum_mu chi_nu(mu)/z_mu p_mu as a {mu: coefficient} map."""
     nu = check_partition(nu)
-    n = sum(nu)
-    table = CharacterTable.for_size(n)
-    out = {}
-    for mu in partitions_of(n):
-        c = table.value(nu, mu)
-        if c:
-            out[mu] = Fraction(c, z_aut(mu))
-    return out
+    return {mu: Fraction(c, z_aut(mu)) for mu in partitions_of(sum(nu)) if (c := _mn(nu, mu))}

@@ -63,7 +63,7 @@ from conifold.ovinv import (
     seq_catalan,
     seq_dmm,
 )
-from conifold.partitions import CharacterTable, kappa, partitions_of, z_aut
+from conifold.partitions import character, kappa, partitions_of, z_aut
 from conifold.series import TruncatedSeries
 
 
@@ -386,11 +386,10 @@ def test_acceptance_11_property_suites():
 
     # character orthogonality, n <= 8
     for n in range(1, 9):
-        table = CharacterTable.for_size(n)
         parts = partitions_of(n)
         for xi in parts:
             for phi in parts:
-                total = sum(table.value(nu, xi) * table.value(nu, phi) for nu in parts)
+                total = sum(character(nu, xi) * character(nu, phi) for nu in parts)
                 assert total == (z_aut(xi) if xi == phi else 0)
 
     # cut-and-join eigenvalues, |mu| <= 6

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from conifold import amplitudes, ovinv, partitions, series
+from conifold import amplitudes, cli, fock, ovinv, partitions, series
 from conifold.cli import (
+    COMMANDS,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
@@ -202,20 +203,20 @@ def test_mirror_check_fails_a_kernel_that_stops_short_of_the_E_bound(capsys, mon
 
 
 def test_oracle_compare_fails_a_corrupted_character_value(capsys, monkeypatch):
-    # a wrong chi_(3,1,1)((2,2,1)) lies in a hook row, which the oracle's twist reads
-    value = partitions.CharacterTable.value
+    # chi_(3,1,1)((2,2,1)) lies in a hook row, which the oracle's twist reads;
+    # chi_(2,2,1)((5)) = 0 is what keeps a non-hook row out of the twist
+    for corrupt in (((3, 1, 1), (2, 2, 1)), ((2, 2, 1), (5,))):
+        def corrupted(nu, mu, corrupt=corrupt):
+            chi = partitions.character(nu, mu)
+            return chi + 1 if (tuple(nu), tuple(mu)) == corrupt else chi
 
-    def corrupted(self, nu, mu):
-        chi = value(self, nu, mu)
-        return chi + 1 if (tuple(nu), tuple(mu)) == ((3, 1, 1), (2, 2, 1)) else chi
-
-    monkeypatch.setattr(partitions.CharacterTable, "value", corrupted)
-    status, out, err = run_main(capsys, "oracle-compare", "--framing", "1", "--n-max", "5")
-    assert status == EXIT_VERIFICATION
-    assert out == ""
-    error = json.loads(err)["error"]
-    assert error["kind"] == "verification-failure"
-    assert "oracle disagreement" in error["message"]
+        monkeypatch.setattr(fock, "character", corrupted)
+        status, out, err = run_main(capsys, "oracle-compare", "--framing", "1", "--n-max", "5")
+        assert status == EXIT_VERIFICATION, corrupt
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "verification-failure"
+        assert "oracle disagreement" in error["message"]
 
 
 # the table jobs that a framing-2 fault in the one-point formula must fail
@@ -316,6 +317,60 @@ def test_usage_error_on_bad_bound(capsys):
     status, _, err = run_main(capsys, "onepoint", "--n-max", "0")
     assert status == EXIT_USAGE
     assert "must be positive" in err
+
+
+# the default job of each command, pinned because `meta.parameters` prints it
+DEFAULTS = {
+    "onepoint": {"fmt": "text", "numeric": False, "framing": 0, "n_max": 3},
+    "genus0": {"fmt": "text", "numeric": False, "framing": 0, "n_max": 5},
+    "disc-d": {"fmt": "text", "numeric": False, "framing": 0, "m_max": 8, "k_max": 6},
+    "disc-e": {"fmt": "text", "numeric": False, "framing": 0, "m_max": 8, "k_max": 6},
+    "ov-n": {"fmt": "text", "numeric": False, "framing": 0, "m_max": 3},
+    "sequences": {"fmt": "text", "numeric": False, "which": "catalan", "count": 10},
+    "mirror-check": {"fmt": "text", "numeric": False, "framing": 0, "order": 8},
+    "correlator": {"fmt": "text", "numeric": False, "n_max": 4},
+    "oracle-compare": {"fmt": "text", "numeric": False, "framing": 0, "n_max": 4, "q_degree": None},
+    "closed-string": {"fmt": "text", "numeric": False, "order": 5},
+}
+
+
+def test_parser_defaults_are_pinned():
+    assert list(COMMANDS) == list(DEFAULTS)
+    for command, defaults in DEFAULTS.items():
+        assert vars(build_parser().parse_args([command])) == {"command": command, **defaults}
+
+
+# every (command, parameter, lowest, highest) of the table with a limit
+LIMITS = [
+    (command, dest, spec[1], spec[2])
+    for command, entry in COMMANDS.items()
+    for dest, spec in entry.params.items()
+    if not isinstance(spec[0], str) and (spec[1], spec[2]) != (None, None)
+]
+
+
+@pytest.mark.parametrize("command, dest, lowest, highest", LIMITS, ids=str)
+def test_limits_are_checked_before_any_job_runs(capsys, monkeypatch, command, dest, lowest, highest):
+    reached = []
+
+    def no_job(args):
+        reached.append(args)
+        return EXIT_OK, ""
+
+    monkeypatch.setattr(cli, "run", no_job)
+    flag = "--" + dest.replace("_", "-")
+    cases = [] if lowest is None else [(lowest, lowest - 1)]
+    cases += [] if highest is None else [(highest, highest + 1)]
+    for limit, outside in cases:
+        status, out, err = run_main(capsys, command, flag, str(outside))
+        assert status == EXIT_USAGE
+        assert out == ""
+        assert flag in err
+        assert ("must be positive" if limit == 1 else str(limit)) in err
+    assert reached == []
+    if highest is not None:
+        assert run_main(capsys, command, flag, str(highest))[0] == EXIT_OK
+        assert getattr(reached.pop(), dest) == highest
 
 
 def test_oracle_compare_rejects_negative_q_degree(capsys):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from conifold.partitions import (
-    CharacterTable,
     character,
     conjugate,
     divisors,
@@ -172,23 +171,21 @@ def test_characters_against_frobenius_oracle():
 
 def test_orthogonality():
     for n in range(1, 9):
-        table = CharacterTable.for_size(n)
         parts = partitions_of(n)
         for xi in parts:
             for phi in parts:
-                total = sum(table.value(nu, xi) * table.value(nu, phi) for nu in parts)
+                total = sum(character(nu, xi) * character(nu, phi) for nu in parts)
                 assert total == (z_aut(xi) if xi == phi else 0)
 
 
 def test_basis_change_round_trip():
     # [chi_nu(mu)] composed with [chi_nu(mu)/z_mu]^T is the identity
     for n in range(1, 9):
-        table = CharacterTable.for_size(n)
         parts = partitions_of(n)
         for mu in parts:
             for rho in parts:
                 total = sum(
-                    Fraction(table.value(nu, mu) * table.value(nu, rho), z_aut(rho))
+                    Fraction(character(nu, mu) * character(nu, rho), z_aut(rho))
                     for nu in parts
                 )
                 assert total == (1 if mu == rho else 0)
