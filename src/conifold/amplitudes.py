@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
-from .fock import qpoly, qpoly_one, qpoly_zero
-from .laurent import LaurentU, RationalFunctionU, bracket_ratio, qbracket
-from .partitions import multiplicities, partitions_of
+from .fock import beta_neg_exp, brane_state, qpoly, qpoly_zero
+from .laurent import RationalFunctionU, bracket_ratio
+from .partitions import partitions_of
 from .series import TruncatedSeries, hbar_expand
 
 LAMBDA = "lambda"
@@ -71,27 +71,18 @@ def onepoint_partition_sum(a: int, n: int) -> OnePointAmplitude:
 
     Each partition mu with multiplicities m_j contributes
         prod_j ((-1)^{j-1} + Q^j)^{m_j} / (j^{m_j} m_j! [j]^{m_j})
-        * prod_j [(a+1) j n]^{m_j} / [(a+1) n].
+        * prod_j [(a+1) j n]^{m_j} / [(a+1) n],
+    whose first factor is the p_mu coefficient of the brane state.
     At a = -1 the bracket ratio is a first-order limit in w = a+1: each factor
     [w j n] vanishes like w, so only length-one partitions survive, with ratio
     lim [w n^2]/[w n] = n.
     """
     if n < 1:
         raise ValueError("winding must be positive")
+    state = beta_neg_exp(brane_state(n, n), n, n)
     total = qpoly_zero(n)
     for mu in partitions_of(n):
-        mult = multiplicities(mu)
-        weight = qpoly_one(n)
-        for j, m in mult.items():
-            cj = qpoly(
-                {
-                    0: RationalFunctionU(LaurentU.const((-1) ** (j - 1)), qbracket(j)),
-                    j: RationalFunctionU(LaurentU.const(1), qbracket(j)),
-                },
-                n,
-            )
-            weight = weight * cj ** m
-            weight = weight.scale(Fraction(1, j ** m * factorial(m)))
+        weight = state.coefficient(mu)
         if a == -1:
             if len(mu) > 1:
                 continue

@@ -81,6 +81,7 @@ def _rows_genus0(job: argparse.Namespace):
     expected = {e: c for e, c in expected.items() if c}
     got = amplitudes.genus0_onepoint(a, 2).terms
     _check(got == expected, "genus-zero x^2 coefficient fails its anchor polynomial")
+    _check_framing(a)
     return rows
 
 
@@ -210,13 +211,8 @@ def _rows_oracle(job: argparse.Namespace):
         closed = amplitudes.onepoint_closed(job.framing, n).value
         summed = amplitudes.onepoint_partition_sum(job.framing, n).value
         oracle = fock.oracle_onepoint(job.framing, n, D)
-        if D is not None and D < n:
-            closed = closed.truncated((D,))
-            summed = summed.truncated((D,))
-        else:
-            closed = closed.truncated((n,))
-            summed = summed.truncated((n,))
-            oracle = oracle.truncated((n,))
+        bound = n if D is None else min(D, n)
+        closed, summed, oracle = (v.truncated((bound,)) for v in (closed, summed, oracle))
         ok = closed == summed == oracle
         rows.append({"a": job.framing, "n": n, "agree": ok, "value": closed})
         _check(ok, f"oracle disagreement at (a={job.framing}, n={n})")

@@ -22,7 +22,6 @@ the overall 1/(n i) prefactor of the free-energy coefficient stripped.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .laurent import (
     LaurentU,
@@ -115,17 +114,20 @@ def vacuum(degree_bound: int, q_bound: int) -> FockVector:
 def beta_neg_exp(coeff_by_weight, degree_bound: int, q_bound: int) -> FockVector:
     """exp(sum_n (c_n / n) b_{-n}) |0>, truncated.
 
-    The coefficient of p_mu is prod_n c_n^{m_n} / (n^{m_n} m_n!).  The map
+    The coefficient of p_mu is prod_n c_n^{m_n} / (n^{m_n} m_n!), built one
+    part at a time: removing the smallest part j of mu leaves a partition of
+    lower degree, and w(mu) = w(mu minus j) c_j / (j m_j(mu)).  A coefficient
+    that is absent stays absent in every partition that contains it.  The map
     coeff_by_weight must provide a Q-polynomial for every 1 <= n <= bound.
     """
-    coeffs = {}
-    for d in range(degree_bound + 1):
+    coeffs = {(): qpoly_one(q_bound)}
+    for d in range(1, degree_bound + 1):
         for mu in partitions_of(d):
-            term = qpoly_one(q_bound)
-            for n, m in multiplicities(mu).items():
-                cn = coeff_by_weight[n]
-                term = term * cn ** m
-                term = term.scale(Fraction(1, n ** m * factorial(m)))
+            lower = coeffs.get(mu[:-1])
+            if lower is None:
+                continue
+            j = mu[-1]
+            term = (lower * coeff_by_weight[j]).scale(Fraction(1, j * mu.count(j)))
             if not term.is_zero():
                 coeffs[mu] = term
     return FockVector(degree_bound, q_bound, coeffs)
@@ -253,8 +255,8 @@ def brane_state(n: int, q_bound: int) -> dict[int, TruncatedSeries]:
     """Weights c_m = ((-1)^{m-1} + Q^m) / [m] for m = 1..n."""
     out = {}
     for m in range(1, n + 1):
-        inv = RationalFunctionU(LaurentU.const((-1) ** (m - 1)), qbracket(m))
-        qm = RationalFunctionU(LaurentU.const(1), qbracket(m))
+        inv = RationalFunctionU((-1) ** (m - 1), qbracket(m))
+        qm = RationalFunctionU(1, qbracket(m))
         out[m] = qpoly({0: inv, m: qm}, q_bound)
     return out
 

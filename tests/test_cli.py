@@ -280,6 +280,42 @@ def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch,
     assert "framing -1 fails its anchor" in _assert_verification_failure(capsys, *argv)
 
 
+@pytest.mark.parametrize("framing", ["-3", "-1", "0", "2"])
+def test_genus0_fails_a_formula_shifted_from_winding_three(capsys, monkeypatch, framing):
+    # the x^2 anchor reads winding 2 only; the framing check reads n <= 4 (n <= 3 at a = -1)
+    argv = ("genus0", "--framing", framing, "--n-max", "5")
+    status, _, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    args = amplitudes.onepoint_args
+    monkeypatch.setattr(amplitudes, "onepoint_args", lambda a, n, j: args(a + 1 if n >= 3 else a, n, j))
+    _assert_verification_failure(capsys, *argv)
+
+
+def test_onepoint_and_oracle_fail_a_corrupted_brane_weight(capsys, monkeypatch):
+    # the partition sum and the oracle both read the brane state, so they agree with
+    # each other on a wrong c_2; the closed form is the leg that sees it
+    state = fock.brane_state
+    calls = []
+
+    def doubled_c2(n, q_bound):
+        calls.append(n)
+        weights = state(n, q_bound)
+        return {**weights, 2: weights[2].scale(2)} if 2 in weights else weights
+
+    jobs = {
+        ("onepoint", "--framing", "1", "--n-max", "3"): "closed form and partition sum disagree",
+        ("oracle-compare", "--framing", "1", "--n-max", "3"): "oracle disagreement",
+    }
+    for argv in jobs:
+        assert run_main(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.setattr(fock, "brane_state", doubled_c2)
+    monkeypatch.setattr(amplitudes, "brane_state", doubled_c2)
+    for argv, message in jobs.items():
+        del calls[:]
+        assert message in _assert_verification_failure(capsys, *argv)
+        assert 2 in calls, argv
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -20,7 +21,7 @@ from conifold.fock import (
     vacuum,
 )
 from conifold.laurent import LaurentU, RFU_ZERO, RationalFunctionU, bracket_ratio, qbracket
-from conifold.partitions import kappa, partitions_of
+from conifold.partitions import kappa, multiplicities, partitions_of
 
 
 def const_weights(values, q_bound=0):
@@ -49,6 +50,44 @@ def test_beta_neg_exp_brane_weights():
         2,
     )
     assert v.coefficient((2,)) == expected
+
+
+def _reference_beta_neg_exp(coeff_by_weight, degree_bound, q_bound):
+    """The product form prod_n c_n^{m_n} / (n^{m_n} m_n!), one partition at a time."""
+    coeffs = {}
+    for d in range(degree_bound + 1):
+        for mu in partitions_of(d):
+            term = qpoly_one(q_bound)
+            for n, m in multiplicities(mu).items():
+                cn = coeff_by_weight[n]
+                term = term * cn ** m
+                term = term.scale(Fraction(1, n ** m * factorial(m)))
+            if not term.is_zero():
+                coeffs[mu] = term
+    return FockVector(degree_bound, q_bound, coeffs)
+
+
+def _assert_same_state(got, expected):
+    assert set(got.coeffs) == set(expected.coeffs)
+    for mu, c in expected.coeffs.items():
+        assert got.coeffs[mu] == c, mu
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_beta_neg_exp_matches_the_product_form(n):
+    # the one-part recurrence against the product over multiplicities, truncated
+    # at Q^0, at Q^1 and at Q^n, where no brane weight is cut
+    for q_bound in sorted({0, 1, n}):
+        weights = brane_state(n, q_bound)
+        _assert_same_state(beta_neg_exp(weights, n, q_bound), _reference_beta_neg_exp(weights, n, q_bound))
+
+
+def test_beta_neg_exp_drops_every_partition_with_a_zero_weight():
+    weights = const_weights({1: LaurentU.const(3), 2: LaurentU(), 3: LaurentU({1: 1, -1: 2}),
+                             4: LaurentU.const(-1), 5: LaurentU({2: 5})})
+    v = beta_neg_exp(weights, 5, 0)
+    _assert_same_state(v, _reference_beta_neg_exp(weights, 5, 0))
+    assert set(v.coeffs) == {mu for d in range(6) for mu in partitions_of(d) if 2 not in mu}
 
 
 def test_cutjoin_kills_p1():
