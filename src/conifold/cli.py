@@ -19,10 +19,10 @@ import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
-from . import amplitudes, fock, mirror, ovinv
+from . import amplitudes, fock, mirror, ovinv, partitions
 from .laurent import LaurentU, RationalFunctionU, qbracket
-from .series import hbar_expand
 from .serialize import FORMAT_VERSION, jsonable, text
 
 EXIT_OK = 0
@@ -112,28 +112,29 @@ def _rows_disc(job: argparse.Namespace, kind: str):
 
 
 def _rows_ovn(job: argparse.Namespace):
+    a = job.framing
     rows = []
     for m in range(1, job.m_max + 1):
         for k in range(0, m + 1):
-            rows.append({"a": job.framing, "m": m, "k": k, "value": ovinv.ov_N(job.framing, m, k).value})
+            value = ovinv.ov_N(a, m, k).value
+            # anchor: at u = 1 each row is m times the Moebius sum of its genus-zero
+            # coefficients, sum_{n | (k, m)} mu(n)/n^2 (-1)^{(ma+k)/n+1} [Q^{k/n}] at winding m/n
+            genus0 = sum(
+                Fraction(partitions.mobius(n), n * n) * (1 if ((m * a + k) // n) % 2 else -1)
+                * amplitudes.genus0_coefficient(a, m // n, k // n)
+                for n in partitions.divisors(gcd(k, m))
+            )
+            _check(
+                value.content * sum(value.poly.values()) == m * genus0,
+                f"N_{{{m},{k}}} at u = 1 is not m times its genus-zero Moebius sum",
+            )
+            rows.append({"a": a, "m": m, "k": k, "value": value})
     # anchor: N_{2,1} at zero framing is -(u + u^{-1})
     _check(
         ovinv.ov_N(0, 2, 1).value == LaurentU({1: -1, -1: -1}),
         "N_{2,1} at zero framing fails its anchor",
     )
-    a = job.framing
     _check_framing(a)
-    # anchor: the bracket right side's hbar^{-1} coefficient is -m times the
-    # genus-zero one; m <= 3 only, since the expansion grows steeply with m
-    for m in range(1, min(job.m_max, 3) + 1):
-        psi = amplitudes.genus0_onepoint(a, m)
-        for k in range(m + 1):
-            sign = -1 if (m * a + k) % 2 else 1
-            got = hbar_expand(ovinv.allgenus_rhs(a, k, m, 1), -1).scalar_coefficient((-1,))
-            _check(
-                got == sign * -m * psi.scalar_coefficient((k,)),
-                f"hbar^-1 coefficient of the all-genus right side at (m={m}, k={k}) is not the genus-zero one",
-            )
     return rows
 
 

@@ -10,10 +10,10 @@ where u = exp(hbar/2) has rational coefficients.
 The coefficient ring is whatever the stored values are: Fraction, LaurentU,
 RationalFunctionU, ... anything with exact +,-,*,== and a truthiness test for
 zero.  The ring's unit is carried on the series (attribute `one`) so
-functional operations can build constants.  Inverse, log, exp, sqrt, negative
-powers and reversion each solve one first-order recurrence in the
-total-degree Euler operator (`TruncatedSeries._euler`), at about the cost of
-one product.
+functional operations can build constants.  Log, exp, sqrt, negative powers
+(the inverse is the power -1) and reversion each solve one first-order
+recurrence in the total-degree Euler operator (`TruncatedSeries._euler`), at
+about the cost of one product.
 """
 
 from __future__ import annotations
@@ -223,8 +223,6 @@ class TruncatedSeries:
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
-            if self.has_negative_exponents():
-                raise ValueError("functional operations need nonnegative exponents")
             unit, inv = self._unit()
             out = self._with_terms(unit._euler("power", Fraction(k)))
             return out if inv is None else out.scale(inv ** -k)
@@ -256,21 +254,20 @@ class TruncatedSeries:
         return self.scale(inv), inv
 
     def _euler(self, op: str, alpha: Fraction = _FR_ONE, orders=None) -> dict:
-        """Terms of 1/f, log f, exp f or f**alpha for f = self, in the box `orders`.
+        """Terms of log f, exp f or f**alpha for f = self, in the box `orders`.
 
         f has nonnegative exponents and constant term one (zero for exp); the
         box defaults to f's own.  The total-degree Euler operator D, with
-        D x^e = |e| x^e, commutes with truncation, and f b = 1,
-        f D(log f) = D f, D(exp f) = exp f D f and f D P = alpha P D f
-        (P = f**alpha) give each coefficient from those of lower total degree.
-        With S1 = sum_{0 != k <= e} f_k b_{e-k} and S2 the same sum weighted
-        by |k|:
-            1/f:       b_e = -S1
+        D x^e = |e| x^e, commutes with truncation, and f D(log f) = D f,
+        D(exp f) = exp f D f and f D P = alpha P D f (P = f**alpha) give each
+        coefficient from those of lower total degree.  With
+        S1 = sum_{0 != k <= e} f_k b_{e-k} and S2 the same sum weighted by |k|:
             log f:     g_e = |e| f_e - S1 for g = D(log f), and L_e = g_e / |e|
             exp f:     |e| b_e = S2
             f**alpha:  |e| b_e = (alpha + 1) S2 - |e| S1
+        The inverse is alpha = -1, where S2 drops out and is not summed.
         Rational coefficients run as integers: under x -> c x, with c the
-        common denominator of f times q^2 for alpha = p/q, f, 1/f, g and
+        common denominator of f times q^2 for alpha = p/q, f, g and
         f**alpha all have integer coefficients (q^(2m) binom(p/q, m) is an
         integer), and a coefficient of exp stays an int where |e| divides it.
         Each result coefficient is divided by c^|e| on the way out, into one
@@ -300,10 +297,7 @@ class TruncatedSeries:
                     return s // m
                 return Fraction(s, m)
         g = None
-        if op == "inverse":
-            def step(e, n, s1, s2):
-                return -s1
-        elif op == "log":  # b = D(log f), whose constant term is zero
+        if op == "log":  # b = D(log f), whose constant term is zero
             b0 = None
 
             def step(e, n, s1, s2):
@@ -314,8 +308,8 @@ class TruncatedSeries:
 
             def step(e, n, s1, s2):
                 return div(s1, n)
-        else:  # power
-            g = {k: sum(k) * v for k, v in f.items()}
+        else:  # power; S2 has the factor alpha + 1
+            g = {k: sum(k) * v for k, v in f.items()} if p + q else None
 
             def step(e, n, s1, s2):
                 return div((p + q) * s2 - q * n * s1, q * n)
@@ -329,11 +323,7 @@ class TruncatedSeries:
         return {e: Fraction(v, c ** sum(e)) for e, v in b.items()}
 
     def inverse(self) -> "TruncatedSeries":
-        if self.has_negative_exponents():
-            raise ValueError("functional operations need nonnegative exponents")
-        unit, inv = self._unit()
-        acc = self._with_terms(unit._euler("inverse"))
-        return acc if inv is None else acc.scale(inv)
+        return self ** -1
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -344,24 +334,18 @@ class TruncatedSeries:
         """log of a series with constant term 1."""
         if self.constant_term() != self.one:
             raise ValueError("log needs constant term 1")
-        if self.has_negative_exponents():
-            raise ValueError("log needs nonnegative exponents")
         return self._with_terms(self._euler("log"))
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with constant term 0."""
         if self.constant_term() is not None:
             raise ValueError("exp needs constant term 0")
-        if self.has_negative_exponents():
-            raise ValueError("exp needs nonnegative exponents")
         return self._with_terms(self._euler("exp"))
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1 (the power 1/2)."""
         if self.constant_term() != self.one:
             raise ValueError("sqrt needs constant term 1")
-        if self.has_negative_exponents():
-            raise ValueError("sqrt needs nonnegative exponents")
         return self._with_terms(self._euler("power", Fraction(1, 2)))
 
     def substitute(self, name: str, replacement: "TruncatedSeries") -> "TruncatedSeries":
@@ -506,17 +490,9 @@ def _solve(f, g, orders, b0, zero, step) -> dict:
 HBAR = "hbar"
 
 
-def _laurent_hbar_series(p, order: int) -> list[Fraction]:
-    """Coefficients of p(u -> exp(hbar/2)) up to hbar^order (dense list)."""
-    out = [Fraction(0)] * (order + 1)
-    for e, c in p.terms.items():
-        # exp(e hbar / 2): hbar^k coefficient is (e / 2)^k / k!
-        base = Fraction(e, 2)
-        pw = Fraction(1)
-        for k in range(order + 1):
-            out[k] += c * pw / factorial(k)
-            pw *= base
-    return out
+def _hbar_coefficient(p, k: int) -> Fraction:
+    """[hbar^k] of a LaurentU under u = exp(hbar/2): content * sum_e p_e e^k / (2^k k!)."""
+    return p.content * Fraction(sum(c * e ** k for e, c in p.poly.items()), 2 ** k * factorial(k))
 
 
 def hbar_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
@@ -525,32 +501,20 @@ def hbar_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
     hbar = i*lambda is the string coupling times i, so every coefficient is
     rational and the lambda^k coefficient is i^k times the hbar^k one.
     Returns a TruncatedSeries in `hbar` over Fraction with exponents from
-    -(pole order) up to `order`.  The denominator's vanishing order at
-    hbar = 0 is at most its number of terms minus one, which bounds the search.
+    -(pole order) up to `order`.  The pole order v is the first k at which
+    the denominator's exponent power sum is nonzero; it is below the
+    denominator's number of terms t, since the t x t Vandermonde system of a
+    nonzero polynomial is invertible.  The numerator is divided by
+    den / hbar^v with the series inverse, and the quotient shifted down by v.
     """
     if f.num.is_zero():
         return TruncatedSeries((HBAR,), (order,))
     den = f.den
-    margin = len(den.poly)  # vanishing order is < number of terms
-    work = max(order, 0) + margin
-    den_series = _laurent_hbar_series(den, work)
-    v = next((k for k, c in enumerate(den_series) if c), None)
+    v = next((k for k in range(len(den.poly)) if _hbar_coefficient(den, k)), None)
     if v is None:
         raise ArithmeticError("denominator expansion vanished to its theoretical bound")
     work = max(order + v, 0)
-    num_series = _laurent_hbar_series(f.num, work)
-    den_series = _laurent_hbar_series(den, work + v)[v:]
-    # divide num_series by the unit part of the denominator
-    d0 = den_series[0]
-    quot: list[Fraction] = []
-    for m in range(work + 1):
-        acc = num_series[m]
-        for k in range(1, min(m, len(den_series) - 1) + 1):
-            acc = acc - den_series[k] * quot[m - k]
-        quot.append(acc / d0)
-    terms = {}
-    for m, c in enumerate(quot):
-        e = m - v
-        if e <= order and c:
-            terms[(e,)] = c
-    return TruncatedSeries((HBAR,), (order,), terms)
+    num = TruncatedSeries((HBAR,), (work,), {(k,): _hbar_coefficient(f.num, k) for k in range(work + 1)})
+    unit = TruncatedSeries((HBAR,), (work,), {(k,): _hbar_coefficient(den, v + k) for k in range(work + 1)})
+    quot = num * unit.inverse()
+    return TruncatedSeries((HBAR,), (order,), {(e - v,): c for (e,), c in quot.terms.items()})

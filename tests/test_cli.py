@@ -320,15 +320,17 @@ def test_onepoint_and_oracle_fail_a_corrupted_brane_weight(capsys, monkeypatch):
     "fault, message",
     [
         # a sign flipped at framing 2 alone keeps N integral and bar symmetric,
-        # so only the hbar^-1 comparison with the genus-zero value sees it
-        (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, scale) * (-1 if a == 2 else 1), "hbar^-1 coefficient"),
+        # so only the comparison at u = 1 with the genus-zero value sees it
+        (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, scale) * (-1 if a == 2 else 1), "at u = 1"),
+        # the same at the one cell (m, k) = (5, 2), above the windings of the other anchors
+        (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, scale) * (-1 if (m, k) == (5, 2) else 1), "N_{5,2} at u = 1"),
         # a doubled Adams scale leaves [1] times the divisor sum no Laurent polynomial
         (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, 2 * scale), "not a Laurent polynomial"),
     ],
-    ids=["sign", "scale"],
+    ids=["sign", "sign-5-2", "scale"],
 )
 def test_ov_n_fails_a_fault_in_the_bracket_right_side(capsys, monkeypatch, fault, message):
-    argv = ("ov-n", "--framing", "2", "--m-max", "3")
+    argv = ("ov-n", "--framing", "2", "--m-max", "5")
     status, _, _ = run_main(capsys, *argv)
     assert status == EXIT_OK
     monkeypatch.setattr(ovinv, "allgenus_rhs", fault(ovinv.allgenus_rhs))

@@ -157,6 +157,16 @@ def test_ov_N_integrality_and_bar_symmetry():
                 assert value.bar() == value
 
 
+@pytest.mark.parametrize("a", [-2, 0, 2])
+def test_ov_N_at_u_one_is_m_times_disc_d(a):
+    # at u = 1 only the genus-zero part survives; at even framing the sign
+    # (-1)^{(ma+k)/n+1} of the Moebius sum is the -(-1)^{k/n} of d_{k,m}
+    for m in range(1, 11):
+        for k in range(0, m + 1):
+            value = ov_N(a, m, k).value
+            assert value.content * sum(value.poly.values()) == m * disc_d_raw(a, k, m), (m, k)
+
+
 def test_ov_N_inversion_identity():
     for a in (-2, -1, 0, 1, 2):
         for m in range(1, 11):

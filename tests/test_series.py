@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conifold.amplitudes import onepoint_closed
+from conifold.amplitudes import closed_string_logZ, onepoint_closed
 from conifold.laurent import RFU_ONE, LaurentU, RationalFunctionU, qbracket
 from conifold.mirror import quantum_mirror_check, quantum_mirror_series
+from conifold.ovinv import allgenus_rhs
 from conifold.series import TruncatedSeries, hbar_expand, series_reversion
 
 X = ("x",)
@@ -407,12 +408,12 @@ def test_functional_operations_over_bracket_ring():
     assert ef.log() == f
 
 
-@pytest.mark.parametrize("op", ["inverse", "log", "exp", "sqrt"])
+@pytest.mark.parametrize("op", ["inverse", "log", "exp", "sqrt", "s ** -2"])
 def test_functional_operations_reject_negative_exponents(op):
     constant = Fraction(0) if op == "exp" else Fraction(1)
     s = TruncatedSeries(X, (3,), {(0,): constant, (-1,): Fraction(1), (1,): Fraction(1)})
     with pytest.raises(ValueError, match="nonnegative exponents"):
-        getattr(s, op)()
+        s ** -2 if op == "s ** -2" else getattr(s, op)()
 
 
 def test_reversion_identity_and_geometric():
@@ -506,3 +507,73 @@ def test_lambda_expand_sine_series_identity():
 
 def test_lambda_expand_zero_and_errors():
     assert hbar_expand(RationalFunctionU(0), 3).is_zero()
+
+
+# `hbar_expand` reads each coefficient as a power sum of the exponents and
+# divides with the series inverse.  The dense expansion and hand-written
+# quotient it replaced are kept here as the reference.
+
+
+def _laurent_hbar_series(p, order: int) -> list[Fraction]:
+    """Coefficients of p(u -> exp(hbar/2)) up to hbar^order (dense list)."""
+    out = [Fraction(0)] * (order + 1)
+    for e, c in p.terms.items():
+        # exp(e hbar / 2): hbar^k coefficient is (e / 2)^k / k!
+        base = Fraction(e, 2)
+        pw = Fraction(1)
+        for k in range(order + 1):
+            out[k] += c * pw / factorial(k)
+            pw *= base
+    return out
+
+
+def _reference_hbar_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
+    if f.num.is_zero():
+        return TruncatedSeries(("hbar",), (order,))
+    den = f.den
+    margin = len(den.poly)  # vanishing order is < number of terms
+    work = max(order, 0) + margin
+    den_series = _laurent_hbar_series(den, work)
+    v = next((k for k, c in enumerate(den_series) if c), None)
+    if v is None:
+        raise ArithmeticError("denominator expansion vanished to its theoretical bound")
+    work = max(order + v, 0)
+    num_series = _laurent_hbar_series(f.num, work)
+    den_series = _laurent_hbar_series(den, work + v)[v:]
+    # divide num_series by the unit part of the denominator
+    d0 = den_series[0]
+    quot: list[Fraction] = []
+    for m in range(work + 1):
+        acc = num_series[m]
+        for k in range(1, min(m, len(den_series) - 1) + 1):
+            acc = acc - den_series[k] * quot[m - k]
+        quot.append(acc / d0)
+    terms = {}
+    for m, c in enumerate(quot):
+        e = m - v
+        if e <= order and c:
+            terms[(e,)] = c
+    return TruncatedSeries(("hbar",), (order,), terms)
+
+
+HBAR_ORDERS = (-3, -1, 0, 1, 4, 7)
+
+
+def test_hbar_expand_matches_reference():
+    # each right side and amplitude coefficient at one of the orders in turn,
+    # the values with rational content and the small ones at all of them
+    cells = [(a, m, k) for a in range(-3, 4) for m in range(1, 8) for k in range(m + 1)]
+    cases = [(allgenus_rhs(a, k, m, scale), HBAR_ORDERS[i % len(HBAR_ORDERS)])
+             for i, (a, m, k) in enumerate(cells) for scale in (1, 2)]
+    amplitudes = [c for a in (-2, 0, 1, 3) for n in range(1, 7) for c in onepoint_closed(a, n).value.terms.values()]
+    cases += [(f, HBAR_ORDERS[i % len(HBAR_ORDERS)]) for i, f in enumerate(amplitudes)]
+    rational = [
+        RationalFunctionU(LaurentU({1: Fraction(1, 3), -2: Fraction(5, 7)}), qbracket(1) ** 2 * Fraction(2, 9)),
+        RationalFunctionU(LaurentU({3: Fraction(-1, 6)}), LaurentU({0: Fraction(3, 4), 2: Fraction(1, 5)})),
+    ]
+    small = rational + list(closed_string_logZ(6).terms.values()) + list(quantum_mirror_series(1, 3).terms.values())
+    cases += [(f, order) for f in small for order in HBAR_ORDERS]
+    for f, order in cases:
+        got, ref = hbar_expand(f, order), _reference_hbar_expand(f, order)
+        assert got.terms == ref.terms, (f, order)
+        assert got.orders == ref.orders and all(type(c) is Fraction for c in got.terms.values())
