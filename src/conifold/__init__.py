@@ -12,6 +12,7 @@ u = q^{1/2}, and truncated formal series.  The subpackages:
   amplitudes  closed forms for the one-point functions and the genus expansion
   ovinv       Ooguri-Vafa integrality invariants d, e, N and named sequences
   mirror      mirror-curve equations verified order by order
+  serialize   JSON and text forms of exact values, written in one pass
   cli         the `conifold` command-line front end
 """
 

@@ -23,7 +23,7 @@ from math import gcd
 
 from . import amplitudes, fock, mirror, ovinv, partitions
 from .laurent import LaurentU, RationalFunctionU, qbracket
-from .serialize import FORMAT_VERSION, jsonable, text
+from .serialize import FORMAT_VERSION, json_text, text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -301,11 +301,7 @@ def emit_table(rows, fmt: str, meta: dict, numeric: bool = False) -> str:
         rows = [{k: _numeric_view(v) for k, v in row.items()} for row in rows]
         meta = dict(meta, numeric_lossy=True)
     if fmt == "json":
-        doc = {
-            "meta": dict(meta, format_version=FORMAT_VERSION),
-            "rows": [{k: jsonable(v) for k, v in row.items()} for row in rows],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json_text({"meta": dict(meta, format_version=FORMAT_VERSION), "rows": rows}) + "\n"
     header = list(rows[0].keys()) if rows else []
     if fmt == "csv":
         lines = [",".join(header)]
@@ -336,7 +332,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
             "meta": {"command": args.command, "parameters": params, "format_version": FORMAT_VERSION},
             "error": {"kind": "verification-failure", "message": str(exc)},
         }
-        return EXIT_VERIFICATION, json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return EXIT_VERIFICATION, json_text(report) + "\n"
     meta = {"command": args.command, "parameters": params}
     return EXIT_OK, emit_table(rows, args.fmt, meta, args.numeric)
 

@@ -304,23 +304,22 @@ def beta_correlator_word(n: int, m, a) -> tuple[tuple[int, int], ...]:
     return ((n, 0),) + tuple((-mi, ai) for mi, ai in zip(m, a))
 
 
+def _alive(factors: tuple[tuple[int, int], ...]) -> bool:
+    """False when a vanishing rule kills the word at once.
+
+    E_{r>0}(z) kills the vacuum, and <0| E_{r<0}(z) vanishes (its adjoint).
+    """
+    return not factors or (factors[0][0] >= 0 and factors[-1][0] <= 0)
+
+
 def _reduce_terms(factors: tuple[tuple[int, int], ...], acc: tuple[int, ...], out: list) -> None:
     """Collect surviving branches as (numerator bracket args, denominator bracket args).
 
-    `acc` carries the sigma factors picked up by merges so far; branches that
-    hit a vanishing rule are dropped.
+    `acc` carries the sigma factors picked up by merges so far.  The word is
+    alive and has total weight zero; swaps and merges keep the weight, and a
+    branch that a vanishing rule kills is never entered.
     """
-    if not factors:
-        if not acc:
-            out.append(((), ()))
-        return
-    if sum(r for r, _ in factors) != 0:
-        return
-    if factors[-1][0] > 0:
-        return  # E_{r>0}(z) kills the vacuum
-    if factors[0][0] < 0:
-        return  # <0| E_{r<0}(z) vanishes (adjoint of the rule above)
-    pos = next((i for i, (r, _) in enumerate(factors) if r > 0), None)
+    pos = next((i for i in range(len(factors) - 1, -1, -1) if factors[i][0] > 0), None)
     if pos is None:
         # all weights zero: each E_0(c i lam) contributes 1/[c] on the vacuum
         dens = tuple(c for _, c in factors)
@@ -328,24 +327,29 @@ def _reduce_terms(factors: tuple[tuple[int, int], ...], acc: tuple[int, ...], ou
             raise ValueError("E_0(0) has no finite vacuum value")
         out.append((acc, dens))
         return
+    # the rightmost positive factor is never last and its neighbour is never positive
     (ra, ca), (rb, cb) = factors[pos], factors[pos + 1]
     swapped = factors[:pos] + ((rb, cb), (ra, ca)) + factors[pos + 2:]
-    _reduce_terms(swapped, acc, out)
+    if _alive(swapped):
+        _reduce_terms(swapped, acc, out)
     sigma = ra * cb - rb * ca
     if sigma:  # a vanishing bracket annihilates the merged branch
         merged = factors[:pos] + ((ra + rb, ca + cb),) + factors[pos + 2:]
-        _reduce_terms(merged, acc + (sigma,), out)
+        if _alive(merged):
+            _reduce_terms(merged, acc + (sigma,), out)
 
 
 def correlator_reduce(word: tuple[tuple[int, int], ...]) -> RationalFunctionU:
     """Vacuum expectation of a word of E factors by commutator rewriting.
 
-    The leftmost positive-weight factor is commuted rightward; each step
-    either shortens the word or moves that factor closer to the vacuum, so
-    the rewriting terminates.  Words of nonzero total weight vanish.
+    The rightmost positive-weight factor is commuted rightward; each step
+    either shortens the word or moves that factor, whose right neighbour is
+    never positive, closer to the vacuum, so the rewriting terminates.  Words
+    of nonzero total weight vanish.
     """
     terms: list = []
-    _reduce_terms(word, (), terms)
+    if sum(r for r, _ in word) == 0 and _alive(word):
+        _reduce_terms(word, (), terms)
     total = RFU_ZERO
     for num_args, den_args in terms:
         total = total + bracket_ratio(num_args, den_args)

@@ -7,6 +7,10 @@ JSON forms:
   RationalFunctionU {"num": <laurent>, "den": <laurent>} in canonical form
   TruncatedSeries   {"variables": [...], "orders": [...], "terms": [[[e...], coeff], ...]}
 
+`json_text` writes a document of these forms, dicts with string keys, lists
+and tuples in one pass; its output is byte for byte that of
+json.dumps(<the JSON form>, sort_keys=True, indent=2).
+
 Text forms are the pretty printers of the types themselves; they contain no
 commas, so CSV output needs no quoting.
 """
@@ -14,6 +18,8 @@ commas, so CSV output needs no quoting.
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .laurent import LaurentU, RationalFunctionU
 from .series import TruncatedSeries
@@ -21,30 +27,66 @@ from .series import TruncatedSeries
 FORMAT_VERSION = 1
 
 
-def jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
+def _block(open_: str, items: list[str], close: str, indent: str) -> str:
+    """The items of one container, one per line.
+
+    The brackets go into the first and last items, so that the join is the
+    only copy of the container's text.
+    """
+    if not items:
+        return open_ + close
+    inner = indent + "  "
+    items[0] = open_ + "\n" + inner + items[0]
+    items[-1] += "\n" + indent + close
+    return (",\n" + inner).join(items)
+
+
+def _laurent_text(p: LaurentU, indent: str) -> str:
+    """[[e, "p/q"], ...] from content times the integer poly, one gcd per term."""
+    inner = indent + "  "
+    deeper = inner + "  "
+    n, d = p.content.numerator, p.content.denominator
+    items = []
+    for e, v in sorted(p.poly.items()):
+        g = gcd(v, d)
+        c = f"{n * v // g}" if g == d else f"{n * v // g}/{d // g}"
+        items.append(f'[\n{deeper}{e},\n{deeper}"{c}"\n{inner}]')
+    return _block("[", items, "]", indent)
+
+
+def json_text(value, indent: str = "") -> str:
+    """json.dumps(<JSON form of value>, sort_keys=True, indent=2), without building that form.
+
+    `indent` is the indentation of the line the value starts on.  Dict keys
+    must be strings; tuples are written as lists.
+    """
+    if isinstance(value, dict):
+        inner = indent + "  "
+        items = [_quote(k) + ": " + json_text(value[k], inner) for k in sorted(value)]
+        return _block("{", items, "}", indent)
+    if isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        return _block("[", [json_text(v, inner) for v in value], "]", indent)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     if isinstance(value, int):
-        return value
+        return int.__repr__(value)
     if isinstance(value, str):
-        return value
+        return _quote(value)
     if isinstance(value, float):
-        return repr(value)
+        return _quote(repr(value))
     if isinstance(value, Fraction):
-        return str(value)
+        return '"' + str(value) + '"'
     if isinstance(value, LaurentU):
-        return [[e, str(c)] for e, c in sorted(value.terms.items())]
+        return _laurent_text(value, indent)
     if isinstance(value, RationalFunctionU):
         num, den = value.canonical()
-        return {"num": jsonable(num), "den": jsonable(den)}
+        return json_text({"num": num, "den": den}, indent)
     if isinstance(value, TruncatedSeries):
-        return {
-            "variables": list(value.variables),
-            "orders": list(value.orders),
-            "terms": [[list(e), jsonable(c)] for e, c in sorted(value.terms.items())],
-        }
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+        doc = {"variables": value.variables, "orders": value.orders, "terms": sorted(value.terms.items())}
+        return json_text(doc, indent)
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 

@@ -506,3 +506,35 @@ def test_run_direct_jobspec():
     status, doc = run(build_parser().parse_args(["genus0", "--framing", "2", "--n-max", "2", "--format", "csv"]))
     assert status == EXIT_OK
     assert doc.splitlines()[0] == "a,n,value"
+
+
+def _small_job(name):
+    """argv for a small JSON job of a command: each bounded size at its lowest."""
+    argv = [name, "--format", "json"]
+    for dest, spec in COMMANDS[name].params.items():
+        if not isinstance(spec[0], str) and spec[1] is not None and dest != "q_degree":
+            argv += ["--" + dest.replace("_", "-"), str(max(spec[1], 2))]
+    return argv
+
+
+def _assert_indented_json(out):
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_small_job(name) for name in COMMANDS]
+    + [["sequences", "--which", "dmm", "--count", "9", "--format", "json"],
+       ["disc-e", "--framing", "1", "--m-max", "4", "--k-max", "3", "--format", "json", "--numeric"]],
+    ids=" ".join,
+)
+def test_json_documents_are_json_dumps_with_sorted_keys_and_indent_2(capsys, argv):
+    status, out, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    _assert_indented_json(out)
+
+
+def test_verification_failure_report_is_json_dumps_with_sorted_keys_and_indent_2(capsys):
+    status, _, err = run_main(capsys, "disc-d", "--framing", "1", "--m-max", "2", "--k-max", "2")
+    assert status == EXIT_VERIFICATION
+    _assert_indented_json(err)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,8 @@ import pytest
 
 from conifold.fock import (
     FockVector,
+    _alive,
+    _reduce_terms,
     beta_apply,
     beta_correlator_word,
     beta_neg_exp,
@@ -282,3 +285,85 @@ def _compositions(n):
     for first in range(1, n + 1):
         for rest in _compositions(n - first):
             yield (first,) + rest
+
+
+def _reference_reduce_terms(factors, acc, out):
+    """The recursion before pruning: leftmost positive factor, weight summed at every node."""
+    if not factors:
+        if not acc:
+            out.append(((), ()))
+        return
+    if sum(r for r, _ in factors) != 0:
+        return
+    if factors[-1][0] > 0:
+        return
+    if factors[0][0] < 0:
+        return
+    pos = next((i for i, (r, _) in enumerate(factors) if r > 0), None)
+    if pos is None:
+        dens = tuple(c for _, c in factors)
+        if any(c == 0 for c in dens):
+            raise ValueError("E_0(0) has no finite vacuum value")
+        out.append((acc, dens))
+        return
+    (ra, ca), (rb, cb) = factors[pos], factors[pos + 1]
+    swapped = factors[:pos] + ((rb, cb), (ra, ca)) + factors[pos + 2:]
+    _reference_reduce_terms(swapped, acc, out)
+    sigma = ra * cb - rb * ca
+    if sigma:
+        merged = factors[:pos] + ((ra + rb, ca + cb),) + factors[pos + 2:]
+        _reference_reduce_terms(merged, acc + (sigma,), out)
+
+
+def _pruned_terms(word):
+    """The term list correlator_reduce sums."""
+    out = []
+    if sum(r for r, _ in word) == 0 and _alive(word):
+        _reduce_terms(word, (), out)
+    return out
+
+
+def _reference_terms(word):
+    out = []
+    _reference_reduce_terms(word, (), out)
+    return out
+
+
+def _random_words(seed, count, max_factors=6, weights=range(-4, 5), mults=range(-3, 4)):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple((rng.choice(weights), rng.choice(mults)) for _ in range(rng.randint(0, max_factors)))
+
+
+def test_correlator_reduce_terminates_on_adjacent_positive_factors():
+    # [E_1(z), E_{-2}(v)] = [3] E_{-1}, then <E_1 E_{-1}> = [3]/[3]
+    assert correlator_reduce(((1, 1), (1, 1), (-2, 1))) == bracket_ratio((3, 3), (3,))
+
+
+def test_correlator_reduce_terminates_on_random_words():
+    for word in _random_words(seed=11, count=20000):
+        try:
+            correlator_reduce(word)
+        except ValueError:
+            pass  # E_0(0) on the vacuum
+
+
+def test_pruned_recursion_keeps_every_term_of_the_cli_words():
+    for n in range(1, 7):
+        for comp in _compositions(n):
+            for mult in itertools.product((1, 2, 3), repeat=len(comp)):
+                word = beta_correlator_word(n, comp, mult)
+                assert _pruned_terms(word) == _reference_terms(word), word
+
+
+def test_pruned_recursion_keeps_every_term_of_words_with_one_positive_factor():
+    words = [w for w in _random_words(seed=5, count=20000) if sum(r > 0 for r, _ in w) <= 1]
+    assert len(words) > 5000
+    for word in words:
+        try:
+            expected = _reference_terms(word)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _pruned_terms(word)
+            continue
+        assert _pruned_terms(word) == expected, word

@@ -1,0 +1,130 @@
+"""The one-pass JSON writer against json.dumps of the former jsonable tree."""
+
+import json
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conifold import cli
+from conifold.laurent import RFU_ONE, LaurentU, RationalFunctionU
+from conifold.serialize import json_text
+from conifold.series import TruncatedSeries
+
+
+def _reference_jsonable(value):
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, LaurentU):
+        return [[e, str(c)] for e, c in sorted(value.terms.items())]
+    if isinstance(value, RationalFunctionU):
+        num, den = value.canonical()
+        return {"num": _reference_jsonable(num), "den": _reference_jsonable(den)}
+    if isinstance(value, TruncatedSeries):
+        return {
+            "variables": list(value.variables),
+            "orders": list(value.orders),
+            "terms": [[list(e), _reference_jsonable(c)] for e, c in sorted(value.terms.items())],
+        }
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def _reference_form(value):
+    """The JSON form as documents were built before: dicts around jsonable values."""
+    if isinstance(value, dict):
+        return {k: _reference_form(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_form(v) for v in value]
+    return _reference_jsonable(value)
+
+
+def _reference_text(value) -> str:
+    return json.dumps(_reference_form(value), sort_keys=True, indent=2)
+
+
+strings = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from('"\\/\x00\x1f\x7f\n\té€ 😀')))
+fractions = st.fractions(max_denominator=10**6).map(lambda f: f * 10**30 if f.denominator == 1 else f)
+laurents = st.dictionaries(st.integers(-8, 8), st.fractions(max_denominator=30), max_size=6).map(LaurentU)
+rational_functions = st.builds(RationalFunctionU, laurents, laurents.filter(bool))
+
+
+@st.composite
+def series(draw):
+    nvars = draw(st.integers(1, 2))
+    variables = ("Q", "x")[:nvars]
+    orders = tuple(draw(st.integers(0, 3)) for _ in variables)
+    exponents = st.tuples(*(st.integers(0, o) for o in orders))
+    if draw(st.booleans()):
+        return TruncatedSeries(variables, orders, draw(st.dictionaries(exponents, fractions, max_size=5)))
+    return TruncatedSeries(variables, orders, draw(st.dictionaries(exponents, rational_functions, max_size=3)), RFU_ONE)
+
+
+scalars = st.one_of(
+    st.integers(-10**40, 10**40),
+    st.booleans(),
+    st.none(),
+    strings,
+    fractions,
+    st.floats(),
+    laurents,
+    rational_functions,
+    series(),
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(strings, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_writer_matches_json_dumps_of_the_jsonable_tree(value):
+    assert json_text(value) == _reference_text(value)
+
+
+@pytest.mark.parametrize("value", [[], (), {}, [[], {}], {"a": []}, LaurentU(), [LaurentU()]], ids=repr)
+def test_empty_containers(value):
+    assert json_text(value) == _reference_text(value)
+
+
+def test_laurent_coefficients_come_from_content_times_poly():
+    p = LaurentU({-3: Fraction(-4, 9), 0: Fraction(2, 3), 5: Fraction(8, 1)})
+    assert json.loads(json_text(p)) == [[-3, "-4/9"], [0, "2/3"], [5, "8"]]
+
+
+def test_rejects_values_without_a_json_form():
+    with pytest.raises(TypeError):
+        json_text({1, 2})
+    with pytest.raises(TypeError):
+        json_text({1: "non-string key"})
+
+
+def test_emit_table_peak_memory_is_a_few_document_lengths():
+    args = cli.build_parser().parse_args(["correlator", "--n-max", "6", "--format", "json"])
+    rows = cli.COMMANDS["correlator"].rows(args)
+    meta = {"command": "correlator", "parameters": {"n_max": 6}}
+    tracemalloc.start()
+    try:
+        doc = cli.emit_table(rows, "json", meta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # building a jsonable copy and indenting it with json.dumps peaked at 10.2x
+    assert peak <= 5 * len(doc), peak / len(doc)
