@@ -19,21 +19,20 @@ from conifold.amplitudes import (
 print("Closed forms at zero framing")
 print("----------------------------")
 for n in (1, 2, 3):
-    amp = onepoint_closed(0, n)
-    print(f"  winding {n}:  {amp.value}")
+    print(f"  winding {n}:  {onepoint_closed(0, n)}")
 
 print()
 print("The same values out of the sum over partitions")
 print("----------------------------------------------")
 for n in (1, 2, 3):
-    same = onepoint_partition_sum(0, n).value == onepoint_closed(0, n).value
+    same = onepoint_partition_sum(0, n) == onepoint_closed(0, n)
     print(f"  winding {n}: partition sum agrees -> {same}")
 
 print()
 print("Framing -1 degenerates to ((-1)^{n-1} + Q^n)/[n]")
 print("------------------------------------------------")
 for n in (1, 2, 3, 4):
-    print(f"  winding {n}:  {onepoint_closed(-1, n).value}")
+    print(f"  winding {n}:  {onepoint_closed(-1, n)}")
 
 print()
 print("Genus-zero polynomials (coefficients of the potential)")
@@ -44,8 +43,7 @@ for n in (1, 2, 3, 4, 5):
 print()
 print("Genus expansion of the winding-2 amplitude at framing 1")
 print("-------------------------------------------------------")
-g = genus_expand(onepoint_closed(1, 2), 2)
-series = g.series
+series = genus_expand(onepoint_closed(1, 2), 2, 2)
 for (j, e) in sorted(series.terms, key=lambda t: (t[1], t[0])):
     print(f"  Q^{j} lambda^{e}:  {series.terms[(j, e)]}")
 print("  (only odd powers of lambda occur; lambda^{-1} is the genus-zero part)")

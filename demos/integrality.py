@@ -19,7 +19,7 @@ from conifold.ovinv import (
 print("Genus-zero d invariants at zero framing (rows m, columns k)")
 print("-----------------------------------------------------------")
 for m in range(1, 9):
-    row = [disc_d(0, k, m).value for k in range(1, min(m, 6) + 1)]
+    row = [disc_d(0, k, m) for k in range(1, min(m, 6) + 1)]
     print(f"  m={m:2d}: " + "  ".join(f"{v!s:>8}" for v in row))
 
 print()
@@ -31,7 +31,7 @@ print()
 print("Half-integral e invariants (boxed spots of the printed table)")
 print("-------------------------------------------------------------")
 for (k, m) in ((2, 2), (2, 4), (6, 6), (6, 10)):
-    print(f"  e_{{{k},{m}}} = {disc_e(0, k, m).value}")
+    print(f"  e_{{{k},{m}}} = {disc_e(0, k, m)}")
 
 print()
 print("|d_mm| against the printed excerpt (one skipped term)")
@@ -44,7 +44,7 @@ print()
 print("All-genus N polynomials")
 print("-----------------------")
 for (a, m, k) in ((0, 2, 1), (0, 3, 2), (1, 2, 2), (1, 3, 3)):
-    print(f"  N[a={a}, m={m}, k={k}] = {ov_N(a, m, k).value}")
+    print(f"  N[a={a}, m={m}, k={k}] = {ov_N(a, m, k)}")
 
 print()
 print("A caveat at odd framing")

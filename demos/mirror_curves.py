@@ -20,7 +20,7 @@ from conifold.mirror import (
 
 print("The zero-framing branch")
 print("-----------------------")
-y = y_from_amplitude(0, 4).series
+y = y_from_amplitude(0, 4)
 print(f"  y(x) = {y}")
 print(f"  residual of y^2 - (1-x) y - x E through x^10: "
       f"{'0' if zero_framing_curve_check(10).is_zero() else 'NONZERO'}")

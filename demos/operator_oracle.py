@@ -48,7 +48,7 @@ print("Oracle vs closed form")
 print("---------------------")
 for a in (-2, 0, 1):
     for n in (1, 2, 3):
-        agree = oracle_onepoint(a, n) == onepoint_closed(a, n).value
+        agree = oracle_onepoint(a, n) == onepoint_closed(a, n)
         print(f"  framing {a:+d}, winding {n}: {agree}")
 
 print()

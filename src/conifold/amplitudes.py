@@ -13,7 +13,6 @@ genus0_coefficient in the classical limit [d] -> d.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
@@ -23,16 +22,6 @@ from .partitions import partitions_of
 from .series import TruncatedSeries, hbar_expand
 
 LAMBDA = "lambda"
-
-
-# The records of the package are namedtuples, not dataclasses: `dataclasses`
-# imports `inspect`, which costs about 20 ms of every CLI job's start-up.
-
-# value: a polynomial in Q over RationalFunctionU, (n i) F_n
-OnePointAmplitude = namedtuple("OnePointAmplitude", "framing winding value provenance")
-
-# series: in (Q, lambda) over Fraction, odd powers only, poles allowed
-GenusSeries = namedtuple("GenusSeries", "framing winding g_max series")
 
 
 def onepoint_args(a: int, n: int, j: int) -> tuple[list[int], list[int]]:
@@ -53,7 +42,7 @@ def genus0_coefficient(a: int, n: int, j: int) -> Fraction:
     return Fraction(-prod(num), n * prod(den))
 
 
-def onepoint_closed(a: int, n: int) -> OnePointAmplitude:
+def onepoint_closed(a: int, n: int) -> TruncatedSeries:
     """F_hat_n = sum_{j=0}^{n} prod_{k=1}^{n-1}[an+j+k] / ([j]! [n-j]!) Q^j.
 
     Valid for every integer framing; at a = -1 the bracket products collapse
@@ -63,10 +52,10 @@ def onepoint_closed(a: int, n: int) -> OnePointAmplitude:
         raise ValueError("winding must be positive")
     # qpoly drops the terms whose numerator has a vanishing bracket
     terms = {j: onepoint_bracket(a, n, j) for j in range(n + 1)}
-    return OnePointAmplitude(a, n, qpoly(terms, n), "closed_form")
+    return qpoly(terms, n)
 
 
-def onepoint_partition_sum(a: int, n: int) -> OnePointAmplitude:
+def onepoint_partition_sum(a: int, n: int) -> TruncatedSeries:
     """F_hat_n as the explicit sum over partitions of n.
 
     Each partition mu with multiplicities m_j contributes
@@ -90,7 +79,7 @@ def onepoint_partition_sum(a: int, n: int) -> OnePointAmplitude:
         else:
             ratio = bracket_ratio([(a + 1) * j * n for j in mu], ((a + 1) * n,))
         total = total + weight * ratio
-    return OnePointAmplitude(a, n, total, "partition_sum")
+    return total
 
 
 def genus0_onepoint(a: int, n: int) -> TruncatedSeries:
@@ -113,9 +102,11 @@ def closed_string_logZ(q_order: int) -> TruncatedSeries:
     return qpoly(terms, q_order)
 
 
-def genus_expand(amp: OnePointAmplitude, g_max: int) -> GenusSeries:
+def genus_expand(value: TruncatedSeries, n: int, g_max: int) -> TruncatedSeries:
     """Expand F_n = F_hat_n/(n i) in the string coupling up to lambda^{2 g_max - 1}.
 
+    value is F_hat_n at winding n, as onepoint_closed returns it; the result is
+    a series in (Q, lambda) over Fraction, odd powers only, poles allowed.
     F_hat_n is expanded in hbar = i*lambda over Fraction; its hbar^k
     coefficient c_k gives the lambda^k coefficient i^k c_k/(n i) = i^{k-1} c_k/n,
     which is real only for odd k, so an even power of hbar raises
@@ -124,14 +115,12 @@ def genus_expand(amp: OnePointAmplitude, g_max: int) -> GenusSeries:
     """
     if g_max < 0:
         raise ValueError("g_max must be nonnegative")
-    n = amp.winding
     order = 2 * g_max - 1
     terms: dict[tuple[int, int], Fraction] = {}
-    for (j,), rfu in amp.value.terms.items():
+    for (j,), rfu in value.terms.items():
         for (k,), c in hbar_expand(rfu, order).terms.items():
             if k % 2 == 0:
                 raise ArithmeticError(f"hbar^{k} term at Q^{j}: its lambda coefficient is imaginary")
             # for odd k, i^{k-1} is 1 when k = 1 mod 4 and -1 when k = 3 mod 4
             terms[(j, k)] = c / n if k % 4 == 1 else -c / n
-    series = TruncatedSeries(("Q", LAMBDA), (n, order), terms)
-    return GenusSeries(amp.framing, n, g_max, series)
+    return TruncatedSeries(("Q", LAMBDA), (n, order), terms)

@@ -37,6 +37,7 @@ from .partitions import (
     kappa,
     multiplicities,
     partitions_of,
+    schur_in_powersums,
     z_aut,
 )
 from .series import TruncatedSeries
@@ -237,8 +238,6 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
 
 def schur_vector(nu, degree_bound=None, q_bound: int = 0) -> FockVector:
     """The Schur function s_nu expanded in power sums, as a FockVector."""
-    from .partitions import schur_in_powersums
-
     nu = tuple(nu)
     n = sum(nu)
     bound = n if degree_bound is None else degree_bound

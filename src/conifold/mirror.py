@@ -15,7 +15,6 @@ branch convention.)
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .amplitudes import genus0_onepoint, onepoint_closed
@@ -23,10 +22,6 @@ from .laurent import RFU_ONE
 from .series import TruncatedSeries, hbar_expand, series_reversion
 
 FRAME = ("x", "E")
-
-
-# series: y(x) in (x, E) over Fraction, y(0) = 1
-MirrorSeries = namedtuple("MirrorSeries", "framing order series")
 
 
 def _frame(order: int) -> tuple:
@@ -47,11 +42,11 @@ def xdx_potential(a: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(*_frame(order), terms)
 
 
-def y_from_amplitude(a: int, order: int) -> MirrorSeries:
-    """The curve branch y = exp(x d/dx Psi_0) with y(0) = 1."""
+def y_from_amplitude(a: int, order: int) -> TruncatedSeries:
+    """The curve branch y = exp(x d/dx Psi_0) in (x, E) over Fraction, with y(0) = 1."""
     if order < 1:
         raise ValueError("order must be positive")
-    return MirrorSeries(a, order, xdx_potential(a, order).exp())
+    return xdx_potential(a, order).exp()
 
 
 def zero_framing_curve_check(order: int) -> TruncatedSeries:
@@ -165,7 +160,7 @@ def quantum_mirror_series(a: int, order: int) -> TruncatedSeries:
     orders = (order, order, order)
     exponent = TruncatedSeries.zero(vars_, orders, one=RFU_ONE)
     for n in range(1, order + 1):
-        fhat = onepoint_closed(a, n).value
+        fhat = onepoint_closed(a, n)
         terms = {}
         for (j,), c in fhat.terms.items():
             terms[(n, j, 1)] = c
@@ -197,4 +192,4 @@ def quantum_classical_limit(series: TruncatedSeries, order: int) -> TruncatedSer
 def quantum_mirror_check(a: int, order: int) -> bool:
     """The classical limit of the quantum branch equals exp(x d/dx Psi_0)."""
     quantum = quantum_mirror_series(a, order)
-    return quantum_classical_limit(quantum, order) == y_from_amplitude(a, order).series
+    return quantum_classical_limit(quantum, order) == y_from_amplitude(a, order)

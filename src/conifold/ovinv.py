@@ -13,20 +13,12 @@ The gcd convention gcd(0, m) = m makes the k = 0 columns well defined.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .amplitudes import genus0_coefficient, onepoint_bracket
 from .laurent import LaurentU, RationalFunctionU, _lu, qbracket
 from .partitions import divisors, mobius
-
-
-# degree k: the power of e^{-t} (resp. Q); winding m: the power of x; value: a Fraction
-DiscInvariant = namedtuple("DiscInvariant", "framing degree winding value")
-
-# winding m, degree k, value: a LaurentU
-OVPolynomial = namedtuple("OVPolynomial", "framing winding degree value")
 
 
 def _gcd0(k: int, m: int) -> int:
@@ -59,7 +51,7 @@ def disc_d_recursion_holds(a: int, k: int, m: int) -> bool:
     return lhs == (-1) ** (k + 1) * genus0_coefficient(a, m, k)
 
 
-def disc_d(a: int, k: int, m: int) -> DiscInvariant:
+def disc_d(a: int, k: int, m: int) -> Fraction:
     """Genus-zero integer invariant d_{k,m} by Moebius inversion.
 
     Asserts integrality and the divisor-sum recursion; raises ArithmeticError
@@ -70,7 +62,7 @@ def disc_d(a: int, k: int, m: int) -> DiscInvariant:
         raise ArithmeticError(f"d_{{{k},{m}}}^({a}) = {value} is not an integer")
     if not disc_d_recursion_holds(a, k, m):
         raise ArithmeticError(f"d_{{{k},{m}}}^({a}) fails its defining recursion")
-    return DiscInvariant(a, k, m, value)
+    return value
 
 
 def disc_e_raw(a: int, k: int, m: int) -> Fraction:
@@ -91,7 +83,7 @@ def disc_e_recursion_holds(a: int, k: int, m: int) -> bool:
     return lhs == -genus0_coefficient(a, m, k)
 
 
-def disc_e(a: int, k: int, m: int) -> DiscInvariant:
+def disc_e(a: int, k: int, m: int) -> Fraction:
     """Half-integer invariant e_{k,m}.
 
     At coprime (k, m) the Moebius sums collapse to a single term and
@@ -106,7 +98,7 @@ def disc_e(a: int, k: int, m: int) -> DiscInvariant:
         raise ArithmeticError(f"e_{{{k},{m}}}^({a}) fails its defining recursion")
     if gcd(k, m) == 1 and value != (-1) ** k * disc_d_raw(a, k, m):
         raise ArithmeticError(f"e_{{{k},{m}}}^({a}) != (-1)^k d at coprime (k, m)")
-    return DiscInvariant(a, k, m, value)
+    return value
 
 
 def allgenus_rhs(a: int, k: int, m: int, scale: int) -> RationalFunctionU:
@@ -114,7 +106,7 @@ def allgenus_rhs(a: int, k: int, m: int, scale: int) -> RationalFunctionU:
     return onepoint_bracket(a, m, k, scale) * (-1 if (m * a + k) % 2 else 1)
 
 
-def ov_N(a: int, m: int, k: int) -> OVPolynomial:
+def ov_N(a: int, m: int, k: int) -> LaurentU:
     """All-genus invariant N_{m,k}(u) = [1] * (Moebius sum), a Laurent polynomial.
 
     Integer coefficients and invariance under u -> u^{-1} are asserted.
@@ -132,14 +124,14 @@ def ov_N(a: int, m: int, k: int) -> OVPolynomial:
         raise ArithmeticError(f"N_{{{m},{k}}}^({a}) has non-integer coefficients")
     if value.bar() != value:
         raise ArithmeticError(f"N_{{{m},{k}}}^({a}) is not bar symmetric")
-    return OVPolynomial(a, m, k, value)
+    return value
 
 
 def ov_N_consistency(a: int, m: int, k: int) -> bool:
     """Check sum_{j | (k,m)} N_{m/j,k/j}(u^j)/[j] against the amplitude coefficient."""
     lhs = RationalFunctionU(0)
     for j in divisors(_gcd0(k, m)):
-        nj = ov_N(a, m // j, k // j).value
+        nj = ov_N(a, m // j, k // j)
         # u -> u^j (j >= 1) keeps P primitive with a positive top coefficient
         rescaled = _lu(nj.content, {e * j: v for e, v in nj.poly.items()})
         lhs = lhs + RationalFunctionU(rescaled, qbracket(j))
@@ -217,7 +209,7 @@ def seq_dmm(m: int) -> Fraction:
     for l in divisors(m):
         total += (-1) ** l * mobius(m // l) * comb(2 * l, l)
     value = Fraction(total, 2 * m * m)
-    if abs(value) != abs(disc_d(0, m, m).value):
+    if abs(value) != abs(disc_d(0, m, m)):
         raise ArithmeticError(f"d_{{{m},{m}}} divisor sum disagrees with Moebius inversion")
     return value
 
@@ -227,7 +219,7 @@ def seq_catalan(k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     value = catalan_number(k)
-    if value != abs(disc_d(0, k, k + 1).value):
+    if value != abs(disc_d(0, k, k + 1)):
         raise ArithmeticError(f"|d_{{{k},{k + 1}}}| is not the Catalan number C({k})")
     return value
 

@@ -86,7 +86,7 @@ def test_acceptance_01_onepoint_closed_vs_tables():
     # winding 1, every framing: (1 + Q)/[1]
     w1 = qpoly({0: brackets((), (1,)), 1: brackets((), (1,))}, 1)
     for a in (-1, 0, 1):
-        assert onepoint_closed(a, 1).value == w1
+        assert onepoint_closed(a, 1) == w1
 
     # winding 2 and 3 at framings 0 and 1: the displayed general-framing sums
     for a in (0, 1):
@@ -96,7 +96,7 @@ def test_acceptance_01_onepoint_closed_vs_tables():
             c2.scale(Fraction(1, 4)) * bracket_ratio((4 * (a + 1),), (2 * (a + 1),))
             + (c1 * c1).scale(Fraction(1, 4)) * brackets((2 * (a + 1),))
         )
-        assert onepoint_closed(a, 2).value == f2.scale(Fraction(2)), a
+        assert onepoint_closed(a, 2) == f2.scale(Fraction(2)), a
 
         c1 = c1.truncated((3,))
         c2 = c2.truncated((3,))
@@ -109,13 +109,13 @@ def test_acceptance_01_onepoint_closed_vs_tables():
             + (c1 * c1 * c1).scale(Fraction(1, 18))
             * bracket_ratio((3 * (a + 1),) * 3, (3 * (a + 1),))
         )
-        assert onepoint_closed(a, 3).value == f3.scale(Fraction(3)), a
+        assert onepoint_closed(a, 3) == f3.scale(Fraction(3)), a
 
     # the zero-framing list
-    assert onepoint_closed(0, 2).value == qpoly(
+    assert onepoint_closed(0, 2) == qpoly(
         {0: brackets((), (2,)), 1: brackets((2,), (1, 1)), 2: brackets((3,), (1, 2))}, 2
     )
-    assert onepoint_closed(0, 3).value == qpoly(
+    assert onepoint_closed(0, 3) == qpoly(
         {
             0: brackets((), (3,)),
             1: brackets((3,), (1, 1)),
@@ -127,12 +127,12 @@ def test_acceptance_01_onepoint_closed_vs_tables():
 
     # framing -1: the degenerate value ((-1)^{n-1} + Q^n)/[n]
     for n in (1, 2, 3):
-        assert onepoint_closed(-1, n).value == qpoly(
+        assert onepoint_closed(-1, n) == qpoly(
             {0: brackets((), (n,), (-1) ** (n - 1)), n: brackets((), (n,))}, n
         )
 
     # framing 1, winding 2: [3]/([2][1]) + [4]Q/[1]^2 + [5]Q^2/([2][1])
-    assert onepoint_closed(1, 2).value == qpoly(
+    assert onepoint_closed(1, 2) == qpoly(
         {0: brackets((3,), (1, 2)), 1: brackets((4,), (1, 1)), 2: brackets((5,), (1, 2))}, 2
     )
     assert time.time() - start < 1.0
@@ -143,8 +143,8 @@ def test_acceptance_02_oracle_triple_equality():
     start = time.time()
     for a in range(-3, 4):
         for n in range(1, 7):
-            closed = onepoint_closed(a, n).value
-            summed = onepoint_partition_sum(a, n).value
+            closed = onepoint_closed(a, n)
+            summed = onepoint_partition_sum(a, n)
             oracle = oracle_onepoint(a, n)
             assert closed == summed == oracle, (a, n)
     assert time.time() - start < 120
@@ -166,7 +166,7 @@ def test_acceptance_03_genus_zero():
 
     for a in range(-3, 4):
         for n in range(1, 9):
-            series = genus_expand(onepoint_closed(a, n), 0).series
+            series = genus_expand(onepoint_closed(a, n), n, 0)
             psi = genus0_onepoint(a, n)
             for j in range(n + 1):
                 assert series.scalar_coefficient((j, -1)) == psi.scalar_coefficient((j,)), (a, n, j)
@@ -200,7 +200,7 @@ def test_acceptance_04_e_table():
     checked = 0
     for m, row in E_TABLE.items():
         for k, expected in enumerate(row, start=1):
-            got = disc_e(0, k, m).value if k <= m else Fraction(0)
+            got = disc_e(0, k, m) if k <= m else Fraction(0)
             assert got == Fraction(expected), (k, m)
             checked += 1
     assert checked == 96
@@ -249,7 +249,7 @@ def test_acceptance_05_attainable_part():
     for a in (-2, 0, 2):
         for m in range(1, 21):
             for k in range(1, m + 1):
-                assert disc_d(a, k, m).value.denominator == 1
+                assert disc_d(a, k, m).denominator == 1
     for a in range(-3, 4):
         for m in range(1, 21):
             assert disc_d_raw(a, 0, m) == disc_e_raw(a, 0, m)
@@ -261,10 +261,10 @@ def test_acceptance_06_sequences():
     start = time.time()
     for k in range(1, 19):
         assert seq_catalan(k) == catalan_number(k)
-        assert abs(disc_d(0, k, k + 1).value) == catalan_number(k)
+        assert abs(disc_d(0, k, k + 1)) == catalan_number(k)
     assert catalan_number(16) == 35357670  # last value of the printed excerpt
     for m in range(1, 16):
-        assert abs(seq_dmm(m)) == abs(disc_d(0, m, m).value)
+        assert abs(seq_dmm(m)) == abs(disc_d(0, m, m))
     report = dmm_report(15)
     mismatches = [r for r in report if r["matches_printed"] is False]
     # the printed excerpt skips the m = 7 term; report, do not assert
@@ -287,7 +287,7 @@ def test_acceptance_07_n_polynomials():
         (3, 3): -(u(4) + u(0) + u(-4)),
     }
     for (m, k), expected in zero_framing.items():
-        assert ov_N(0, m, k).value == expected, (0, m, k)
+        assert ov_N(0, m, k) == expected, (0, m, k)
 
     # framing one: printed values absorb x -> -x, so odd windings carry an
     # extra sign here; the (3, 0) entry is asserted against the divisor-sum
@@ -304,15 +304,15 @@ def test_acceptance_07_n_polynomials():
     }
     for (m, k), printed in framing_one_printed.items():
         expected = printed if m % 2 == 0 else -printed
-        assert ov_N(1, m, k).value == expected, (1, m, k)
-    assert ov_N(1, 3, 0).value == -q2
+        assert ov_N(1, m, k) == expected, (1, m, k)
+    assert ov_N(1, 3, 0) == -q2
     print("ACCEPTANCE  7 NOTE  printed N_{3,0} at framing one is a misprint; the "
           "divisor-sum identity forces -(q^2 + 1 + q^{-2}) in this normalization")
 
     for a in (-2, -1, 0, 1, 2):
         for m in range(1, 11):
             for k in range(0, m + 1):
-                value = ov_N(a, m, k).value  # integrality and bar symmetry asserted inside
+                value = ov_N(a, m, k)  # integrality and bar symmetry asserted inside
                 assert value.bar() == value
     assert time.time() - start < 30
     announce(7, "printed N polynomials and the integrality/bar-symmetry grid")
@@ -352,7 +352,7 @@ def test_acceptance_09_mirror_curves():
         one = TruncatedSeries.constant(Fraction(1), ("x", "E"), (N, N))
         e = TruncatedSeries.variable("E", ("x", "E"), (N, N))
         z0 = lagrange_z0(a, N)
-        y = y_from_amplitude(a, N).series
+        y = y_from_amplitude(a, N)
         assert y == (one + e * z0) * (one + z0).inverse(), a
         assert y * ((one + z0) * (one + e * z0).inverse()) == one, a
         assert framing_transform_check(a), a

@@ -98,7 +98,7 @@ def test_qbinomial_matches_loop():
 def test_onepoint_closed_terms_match_loop():
     for a in range(-3, 4):
         for n in range(1, 6):
-            got = onepoint_closed(a, n).value.terms
+            got = onepoint_closed(a, n).terms
             ref = loop_onepoint_closed_terms(a, n)
             assert got.keys() == ref.keys(), (a, n)
             for j in ref:

@@ -43,7 +43,7 @@ def test_sequences_catalan_count_one_runs_its_anchor(capsys, monkeypatch):
     assert status == EXIT_OK
     assert out == '# sequences {"count": 1, "which": "catalan"}\nindex=0  value=1\n'
     # a wrong |d_{1,2}| must fail the job even though only C(0) is printed
-    monkeypatch.setattr(ovinv, "disc_d", lambda a, k, m: ovinv.DiscInvariant(a, k, m, Fraction(7)))
+    monkeypatch.setattr(ovinv, "disc_d", lambda a, k, m: Fraction(7))
     status, out, err = run_main(capsys, *args)
     assert status == EXIT_VERIFICATION
     assert out == ""
@@ -411,6 +411,21 @@ def test_limits_are_checked_before_any_job_runs(capsys, monkeypatch, command, de
         assert getattr(reached.pop(), dest) == highest
 
 
+def test_readme_states_every_range_of_commands():
+    # a limit changed in COMMANDS or in the README alone fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = [line.split("|") for line in readme.splitlines() if line.startswith("| `")]
+    for name, command in COMMANDS.items():
+        row = next(cells[2] for cells in table if f"`{name}`" in cells[1])
+        for dest, spec in command.params.items():
+            if dest == "framing" or isinstance(spec[0], str):
+                continue
+            default, lowest, highest = spec
+            span = f"at least {lowest}" if highest is None else f"{lowest}–{highest}"
+            flag = "--" + dest.replace("_", "-")
+            assert f"`{flag}`: {'unset' if default is None else default}, {span}" in row, (name, flag)
+
+
 def test_oracle_compare_rejects_negative_q_degree(capsys):
     status, out, err = run_main(capsys, "oracle-compare", "--q-degree", "-2", "--n-max", "2")
     assert status == EXIT_USAGE
@@ -494,6 +509,8 @@ def test_numeric_flag_marks_lossy(capsys):
     status, out, _ = run_main(capsys, "genus0", "--n-max", "2", "--numeric", "--format", "json")
     assert status == EXIT_OK
     assert json.loads(out)["meta"]["numeric_lossy"] is True
+    # the genus-zero series itself is decimal, not only marked lossy
+    assert json.loads(out)["rows"][1]["value"]["terms"][0] == [[0], "-0.25"]
     status, out, _ = run_main(capsys, "sequences", "--count", "3", "--numeric")
     assert "lossy" in out
 

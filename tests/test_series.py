@@ -293,7 +293,7 @@ def test_exp_over_bracket_ring_matches_reference():
 def test_quantum_mirror_exp_matches_reference(a):
     # the quantum branch is exp of a bracket-ring series in (x, Q, w)
     order = 4
-    terms = {(n, j, 1): c for n in range(1, order + 1) for (j,), c in onepoint_closed(a, n).value.terms.items()}
+    terms = {(n, j, 1): c for n in range(1, order + 1) for (j,), c in onepoint_closed(a, n).terms.items()}
     exponent = TruncatedSeries(("x", "Q", "w"), (order,) * 3, terms, RFU_ONE)
     y = quantum_mirror_series(a, order)
     assert y.terms == _reference_exp(exponent).terms
@@ -565,7 +565,7 @@ def test_hbar_expand_matches_reference():
     cells = [(a, m, k) for a in range(-3, 4) for m in range(1, 8) for k in range(m + 1)]
     cases = [(allgenus_rhs(a, k, m, scale), HBAR_ORDERS[i % len(HBAR_ORDERS)])
              for i, (a, m, k) in enumerate(cells) for scale in (1, 2)]
-    amplitudes = [c for a in (-2, 0, 1, 3) for n in range(1, 7) for c in onepoint_closed(a, n).value.terms.values()]
+    amplitudes = [c for a in (-2, 0, 1, 3) for n in range(1, 7) for c in onepoint_closed(a, n).terms.values()]
     cases += [(f, HBAR_ORDERS[i % len(HBAR_ORDERS)]) for i, f in enumerate(amplitudes)]
     rational = [
         RationalFunctionU(LaurentU({1: Fraction(1, 3), -2: Fraction(5, 7)}), qbracket(1) ** 2 * Fraction(2, 9)),
