@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import amplitudes, fock, mirror, ovinv, partitions
-from .laurent import LaurentU, RationalFunctionU, qbracket
+from .laurent import LaurentU, RationalFunctionU, bracket_normal, qbracket
 from .serialize import FORMAT_VERSION, json_text, text
 from .series import TruncatedSeries
 
@@ -186,9 +186,10 @@ def _rows_correlator(job: argparse.Namespace):
         for comp in _compositions(n):
             for mults in itertools.product((1, 2, 3), repeat=len(comp)):
                 word = fock.beta_correlator_word(n, comp, mults)
-                reduced = fock.correlator_reduce(word)
-                closed = fock.correlator_closed(n, comp, mults)
-                ok = reduced == closed
+                closed = bracket_normal(*fock.correlator_closed_args(n, comp, mults))
+                # equal normal forms are equal values; on a mismatch the values decide
+                ok = ([bracket_normal(*t) for t in fock.correlator_terms(word)] == [closed]
+                      or fock.correlator_reduce(word) == fock.correlator_closed(n, comp, mults))
                 rows.append({"n": n, "m": list(comp), "mult": list(mults), "agree": ok})
                 _check(ok, f"correlator mismatch at n={n}, m={comp}, multipliers={mults}")
     return rows
@@ -297,10 +298,7 @@ def _numeric_view(value):
     return value
 
 
-def emit_table(rows, fmt: str, meta: dict, numeric: bool = False) -> str:
-    if numeric:
-        rows = [{k: _numeric_view(v) for k, v in row.items()} for row in rows]
-        meta = dict(meta, numeric_lossy=True)
+def emit_table(rows, fmt: str, meta: dict) -> str:
     if fmt == "json":
         return json_text({"meta": dict(meta, format_version=FORMAT_VERSION), "rows": rows}) + "\n"
     header = list(rows[0].keys()) if rows else []
@@ -335,7 +333,14 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         }
         return EXIT_VERIFICATION, json_text(report) + "\n"
     meta = {"command": args.command, "parameters": params}
-    return EXIT_OK, emit_table(rows, args.fmt, meta, args.numeric)
+    if args.numeric:
+        viewed = [{k: _numeric_view(v) for k, v in row.items()} for row in rows]
+        # _numeric_view returns a value it leaves exact as it is
+        if any(new[k] is not v for row, new in zip(rows, viewed) for k, v in row.items()):
+            rows, meta["numeric_lossy"] = viewed, True
+            if args.fmt == "csv":
+                print("conifold: --numeric renders lossy decimal approximations", file=sys.stderr)
+    return EXIT_OK, emit_table(rows, args.fmt, meta)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,8 +369,6 @@ def main(argv=None) -> int:
     if error:
         print(error, file=sys.stderr)
         return EXIT_USAGE
-    if args.numeric and args.fmt == "csv":
-        print("conifold: --numeric renders lossy decimal approximations", file=sys.stderr)
     status, doc = run(args)
     out = sys.stdout if status == EXIT_OK else sys.stderr
     out.write(doc)

@@ -338,29 +338,44 @@ def _reduce_terms(factors: tuple[tuple[int, int], ...], acc: tuple[int, ...], ou
             _reduce_terms(merged, acc + (sigma,), out)
 
 
-def correlator_reduce(word: tuple[tuple[int, int], ...]) -> RationalFunctionU:
-    """Vacuum expectation of a word of E factors by commutator rewriting.
+def correlator_terms(word: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The branches of the commutator rewriting of a word, as bracket arguments.
 
-    The rightmost positive-weight factor is commuted rightward; each step
-    either shortens the word or moves that factor, whose right neighbour is
-    never positive, closer to the vacuum, so the rewriting terminates.  Words
-    of nonzero total weight vanish.
+    Each (numerator args, denominator args) pair is one surviving branch,
+    worth bracket_ratio(num, den); the vacuum expectation is their sum.  The
+    rightmost positive-weight factor is commuted rightward; each step either
+    shortens the word or moves that factor, whose right neighbour is never
+    positive, closer to the vacuum, so the rewriting terminates.  Words of
+    nonzero total weight have no branch.
+
+    A word b_n E_{-m_1}(a_1 i lam) ... E_{-m_l}(a_l i lam), m a composition
+    of n, reduces along one chain: its one positive factor stands first, so
+    each swap puts a negative factor first and _alive kills that branch,
+    while each merge leaves the positive weight n - m_1 - ... - m_j first
+    until the last merge.  Its list is empty or the single pair
+    ((d_1, ..., d_l), (a_1 + ... + a_l,)), with d_j the arguments of
+    correlator_closed_args.
     """
     terms: list = []
     if sum(r for r, _ in word) == 0 and _alive(word):
         _reduce_terms(word, (), terms)
+    return terms
+
+
+def correlator_reduce(word: tuple[tuple[int, int], ...]) -> RationalFunctionU:
+    """Vacuum expectation of a word of E factors: the sum of its correlator_terms."""
     total = RFU_ZERO
-    for num_args, den_args in terms:
+    for num_args, den_args in correlator_terms(word):
         total = total + bracket_ratio(num_args, den_args)
     return total
 
 
-def correlator_closed(n: int, m, a) -> RationalFunctionU:
-    """Closed form (1/[sum a_j]) prod_j [d_j] for <b_n E_{-m_1}(a_1 i lam) ...>.
+def correlator_closed_args(n: int, m, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bracket arguments ((d_1, ..., d_l), (sum a_j,)) of the closed correlator.
 
-    Here d_1 = n a_1 and for j > 1
-        d_j = (n - m_1 - ... - m_{j-1}) a_j + m_j (a_1 + ... + a_{j-1}),
-    all integers, so the value is a ratio of bracket products.
+    For <b_n E_{-m_1}(a_1 i lam) ... E_{-m_l}(a_l i lam)> the closed form is
+    (1/[sum a_j]) prod_j [d_j], with d_1 = n a_1 and for j > 1
+        d_j = (n - m_1 - ... - m_{j-1}) a_j + m_j (a_1 + ... + a_{j-1}).
     """
     m = list(m)
     a = list(a)
@@ -375,4 +390,9 @@ def correlator_closed(n: int, m, a) -> RationalFunctionU:
         dets.append((n - consumed) * aj + mj * aseen)
         consumed += mj
         aseen += aj
-    return bracket_ratio(dets, (aseen,))
+    return tuple(dets), (aseen,)
+
+
+def correlator_closed(n: int, m, a) -> RationalFunctionU:
+    """Closed form (1/[sum a_j]) prod_j [d_j] for <b_n E_{-m_1}(a_1 i lam) ...>."""
+    return bracket_ratio(*correlator_closed_args(n, m, a))

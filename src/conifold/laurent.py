@@ -620,3 +620,36 @@ def bracket_product(args) -> LaurentU:
 def bracket_ratio(num_args, den_args) -> RationalFunctionU:
     """Product of brackets over product of brackets, from integer arguments."""
     return RationalFunctionU(bracket_product(num_args), bracket_product(den_args))
+
+
+def bracket_normal(num_args, den_args) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Normal form (sign, numerator, denominator) of prod_j [num_j] / prod_k [den_k].
+
+    The sign is (-1)^(number of negative arguments), since [-d] = -[d]; the
+    two sorted tuples hold the |arguments| left after cancelling those common
+    to numerator and denominator.  A zero numerator argument gives (0, (), ()),
+    the one form of the zero value; a zero denominator argument raises.
+
+    Equal normal forms are equal values.  The converse holds too: for d > 0,
+    u^d [d] = u^(2d) - 1 = prod_{e | 2d} Phi_e(u), so the ratio is a unit
+    +-u^s times prod_e Phi_e^(c_e), where c_e is the number of numerator
+    arguments d with e | 2d minus the number of denominator ones.  Q[u] has
+    unique factorization, so the value fixes every c_e.  As c_e sums the
+    signed multiplicities of the |arguments| d over the multiples 2d of e,
+    Moebius inversion gives those multiplicities back, that is the cancelled
+    multisets, and with them s; the value then fixes the sign.  So two ratios
+    are equal exactly when their normal forms are, and neither is expanded.
+    """
+    num_args, den_args = tuple(num_args), tuple(den_args)
+    if 0 in den_args:
+        raise ZeroDivisionError("zero bracket in a denominator")
+    if 0 in num_args:
+        return (0, (), ())
+    num, den = [abs(d) for d in num_args], []
+    for d in den_args:
+        if abs(d) in num:
+            num.remove(abs(d))
+        else:
+            den.append(abs(d))
+    negatives = sum(d < 0 for d in num_args + den_args)
+    return (-1 if negatives % 2 else 1, tuple(sorted(num)), tuple(sorted(den)))

@@ -19,6 +19,7 @@ from conifold.cli import (
     main,
     run,
 )
+from conifold.laurent import bracket_normal
 from conifold.series import TruncatedSeries
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -488,6 +489,77 @@ def test_correlator_command(capsys):
     assert len(doc["rows"]) == 3 + 12 + 48  # 3 * 4^{n-1} words for n = 1, 2, 3
 
 
+def _cli_correlator_words(monkeypatch, n_max):
+    """(n, m, a) of every word the correlator command builds up to n_max."""
+    words = []
+    build = fock.beta_correlator_word
+
+    def recorded(n, m, a):
+        words.append((n, tuple(m), tuple(a)))
+        return build(n, m, a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "beta_correlator_word", recorded)
+        COMMANDS["correlator"].rows(build_parser().parse_args(["correlator", "--n-max", str(n_max)]))
+    return words
+
+
+def test_correlator_normal_forms_and_values_agree_on_every_cli_word(monkeypatch):
+    words = _cli_correlator_words(monkeypatch, 6)
+    assert len(words) == sum(3 * 4 ** (n - 1) for n in range(1, 7))
+    for n, m, a in words:
+        word = fock.beta_correlator_word(n, m, a)
+        closed = fock.correlator_closed_args(n, m, a)
+        terms = fock.correlator_terms(word)
+        # one chain: the merges pick up the closed form's d_j, argument for argument
+        assert terms == [closed], (n, m, a)
+        assert [bracket_normal(*t) for t in terms] == [bracket_normal(*closed)]
+        assert fock.correlator_reduce(word) == fock.correlator_closed(n, m, a)
+
+
+def test_correlator_builds_no_bracket_product_when_the_sides_agree(capsys, monkeypatch):
+    def built(num_args, den_args):
+        raise AssertionError("a bracket product was built")
+
+    monkeypatch.setattr(fock, "bracket_ratio", built)
+    # the value forms do read the patched name
+    with pytest.raises(AssertionError):
+        fock.correlator_closed(1, (1,), (1,))
+    status, out, _ = run_main(capsys, "correlator", "--n-max", "4", "--format", "json")
+    assert status == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 3 + 12 + 48 + 192 and all(row["agree"] for row in rows)
+
+
+def test_correlator_fails_a_shifted_closed_form_argument(capsys, monkeypatch):
+    closed_args = fock.correlator_closed_args
+    calls = []
+
+    def shifted(n, m, a):
+        calls.append(n)
+        dets, den = closed_args(n, m, a)
+        return dets[:-1] + (dets[-1] + 1,), den
+
+    # cli and correlator_closed both read the name on the fock module
+    monkeypatch.setattr(fock, "correlator_closed_args", shifted)
+    assert "correlator mismatch" in _assert_verification_failure(capsys, "correlator", "--n-max", "3")
+    assert calls
+
+
+def test_correlator_fails_a_changed_sigma_in_the_reduction(capsys, monkeypatch):
+    terms = fock.correlator_terms
+    calls = []
+
+    def negated_first_sigma(word):
+        calls.append(word)
+        return [((-num[0],) + num[1:], den) for num, den in terms(word)]
+
+    # cli and correlator_reduce both read the name on the fock module
+    monkeypatch.setattr(fock, "correlator_terms", negated_first_sigma)
+    assert "correlator mismatch" in _assert_verification_failure(capsys, "correlator", "--n-max", "3")
+    assert calls
+
+
 def test_closed_string_command(capsys):
     status, out, _ = run_main(capsys, "closed-string", "--order", "3", "--format", "json")
     assert status == EXIT_OK
@@ -511,8 +583,27 @@ def test_numeric_flag_marks_lossy(capsys):
     assert json.loads(out)["meta"]["numeric_lossy"] is True
     # the genus-zero series itself is decimal, not only marked lossy
     assert json.loads(out)["rows"][1]["value"]["terms"][0] == [[0], "-0.25"]
-    status, out, _ = run_main(capsys, "sequences", "--count", "3", "--numeric")
+    # the dmm formula column is a Fraction, so it converts
+    status, out, _ = run_main(capsys, "sequences", "--which", "dmm", "--count", "3", "--numeric")
     assert "lossy" in out
+    status, out, err = run_main(capsys, "genus0", "--n-max", "2", "--numeric", "--format", "csv")
+    assert status == EXIT_OK
+    assert "lossy" in err
+
+
+@pytest.mark.parametrize("argv", [("ov-n", "--m-max", "2"), ("sequences", "--count", "3"),
+                                  ("mirror-check", "--order", "2"), ("onepoint", "--n-max", "2")],
+                         ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_numeric_leaves_a_document_it_converts_nothing_in_unmarked(capsys, argv, fmt):
+    # integers, booleans and bracket-ring values stay exact under --numeric
+    exact = run_main(capsys, *argv, "--format", fmt)
+    status, out, err = run_main(capsys, *argv, "--format", fmt, "--numeric")
+    assert status == EXIT_OK
+    assert (status, out, err) == exact
+    assert "lossy" not in out + err
+    if fmt == "json":
+        assert "numeric_lossy" not in json.loads(out)["meta"]
 
 
 def test_emit_table_empty_rows_csv():

@@ -7,14 +7,13 @@ import pytest
 
 from conifold.fock import (
     FockVector,
-    _alive,
-    _reduce_terms,
     beta_apply,
     beta_correlator_word,
     beta_neg_exp,
     brane_state,
     correlator_closed,
     correlator_reduce,
+    correlator_terms,
     cutjoin_apply,
     oracle_onepoint,
     qK_apply,
@@ -315,14 +314,6 @@ def _reference_reduce_terms(factors, acc, out):
         _reference_reduce_terms(merged, acc + (sigma,), out)
 
 
-def _pruned_terms(word):
-    """The term list correlator_reduce sums."""
-    out = []
-    if sum(r for r, _ in word) == 0 and _alive(word):
-        _reduce_terms(word, (), out)
-    return out
-
-
 def _reference_terms(word):
     out = []
     _reference_reduce_terms(word, (), out)
@@ -353,7 +344,7 @@ def test_pruned_recursion_keeps_every_term_of_the_cli_words():
         for comp in _compositions(n):
             for mult in itertools.product((1, 2, 3), repeat=len(comp)):
                 word = beta_correlator_word(n, comp, mult)
-                assert _pruned_terms(word) == _reference_terms(word), word
+                assert correlator_terms(word) == _reference_terms(word), word
 
 
 def test_pruned_recursion_keeps_every_term_of_words_with_one_positive_factor():
@@ -364,6 +355,6 @@ def test_pruned_recursion_keeps_every_term_of_words_with_one_positive_factor():
             expected = _reference_terms(word)
         except ValueError:
             with pytest.raises(ValueError):
-                _pruned_terms(word)
+                correlator_terms(word)
             continue
-        assert _pruned_terms(word) == expected, word
+        assert correlator_terms(word) == expected, word

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,9 @@ from conifold.laurent import (
     LAURENT_ONE,
     LaurentU,
     RationalFunctionU,
+    bracket_normal,
     bracket_product,
+    bracket_ratio,
     laurent_exact_div,
     laurent_gcd,
     qbinomial,
@@ -388,3 +391,83 @@ def test_every_result_keeps_the_content_layout(a, b, scale, k, args):
     ]
     for x in values:
         _assert_content_layout(x)
+
+
+# -- bracket normal forms ----------------------------------------------------------
+
+
+def test_as_laurent_raises_on_a_quotient_with_a_factor_left_over():
+    with pytest.raises(ArithmeticError):
+        bracket_ratio((2,), (3,)).as_laurent()
+    assert bracket_ratio((6,), (3,)).as_laurent() == LaurentU({3: 1, -3: 1})  # u^3 + u^-3
+
+
+def test_bracket_normal_cancels_and_signs():
+    assert bracket_normal((6, -3, 2), (3, 2, 2)) == (-1, (6,), (2,))
+    assert bracket_normal((-1, -2), ()) == (1, (1, 2), ())
+    assert bracket_normal(range(3, 0, -1), range(1, 3)) == (1, (3,), ())
+    assert bracket_normal((), ()) == (1, (), ())
+
+
+def test_bracket_normal_zero():
+    # a zero numerator bracket is the zero value, whatever else the ratio holds
+    assert bracket_normal((0,), ()) == bracket_normal((3, 0, -2), (5,)) == (0, (), ())
+    assert bracket_ratio((3, 0, -2), (5,)).is_zero()
+    assert bracket_normal((2,), (2,)) != bracket_normal((0,), ())
+    with pytest.raises(ZeroDivisionError):
+        bracket_normal((1,), (2, 0))
+    with pytest.raises(ZeroDivisionError):
+        bracket_ratio((1,), (2, 0))
+
+
+def test_bracket_normal_is_one_to_one_on_small_ratios():
+    # every ratio with at most two brackets over at most two, arguments in +-1..4
+    args = [d for d in range(-4, 5) if d]
+    sides = [c for k in range(3) for c in itertools.combinations_with_replacement(args, k)]
+    forms_of_value: dict = {}
+    values_of_form: dict = {}
+    for num in sides:
+        for den in sides:
+            value, form = bracket_ratio(num, den), bracket_normal(num, den)
+            forms_of_value.setdefault(value, set()).add(form)
+            values_of_form.setdefault(form, set()).add(value)
+    assert all(len(forms) == 1 for forms in forms_of_value.values())
+    assert all(len(values) == 1 for values in values_of_form.values())
+    assert len(forms_of_value) > 200  # many distinct values, not a few large classes
+
+
+@st.composite
+def bracket_ratio_pairs(draw):
+    """Two ratios of brackets, as (num, den) argument lists; often one value twice.
+
+    The second is either drawn afresh from small arguments, so that values
+    coincide by accident, or is the first rewritten: both sides multiplied by
+    the same brackets, each side shuffled, and an even number of arguments
+    negated.
+    """
+    first = (draw(small_bracket_args), draw(small_bracket_args))
+    if draw(st.booleans()):
+        return first, (draw(small_bracket_args), draw(small_bracket_args))
+    shared = draw(small_bracket_args)
+    num, den = list(first[0]) + shared, list(first[1]) + shared
+    signs = [1] * (len(num) + len(den))
+    if signs:
+        flips = draw(st.lists(st.integers(0, len(signs) - 1), max_size=4))
+        for i in flips[: len(flips) // 2 * 2]:  # an even number of sign changes
+            signs[i] = -signs[i]
+    num = [s * d for s, d in zip(signs, num)]
+    den = [s * d for s, d in zip(signs[len(num):], den)]
+    return first, (draw(st.permutations(num)), draw(st.permutations(den)))
+
+
+small_bracket_args = st.lists(st.integers(-5, 5).filter(bool), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_ratio_pairs())
+def test_bracket_normal_agrees_exactly_when_the_values_do(pair):
+    (a, b), (c, d) = pair
+    same_value = bracket_ratio(a, b) == bracket_ratio(c, d)
+    same_form = bracket_normal(a, b) == bracket_normal(c, d)
+    assert same_value or not same_form, pair  # equal forms are equal values
+    assert same_form or not same_value, pair  # and equal values have equal forms
