@@ -3,7 +3,8 @@
 Everything is exact: arbitrary-precision rationals, Laurent polynomials in
 u = q^{1/2}, and truncated formal series.  The subpackages:
 
-  laurent     quantum brackets [n], quantum binomials, rational functions in u
+  laurent     quantum brackets [n], quantum binomials, Laurent polynomials in u
+              over products of brackets
   series      truncated multivariate series, reversion, log/exp/sqrt, and
               expansion in hbar = i * (string coupling) over the rationals
   partitions  integer partitions, symmetric-group characters (memoized in

@@ -19,10 +19,10 @@ import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import amplitudes, fock, mirror, ovinv, partitions
-from .laurent import LaurentU, RationalFunctionU, bracket_normal, qbracket
+from .laurent import LaurentU, RationalFunctionU, bracket_normal
 from .serialize import FORMAT_VERSION, json_text, text
 from .series import TruncatedSeries
 
@@ -55,8 +55,7 @@ def _rows_onepoint(job: argparse.Namespace):
         rows.append({"a": job.framing, "n": n, "value": closed})
     # anchor: the winding-1 amplitude is (1 + Q)/[1] in every framing
     anchor = fock.qpoly(
-        {0: RationalFunctionU(LaurentU.const(1), qbracket(1)),
-         1: RationalFunctionU(LaurentU.const(1), qbracket(1))},
+        {0: RationalFunctionU(1, (1,)), 1: RationalFunctionU(1, (1,))},
         1,
     )
     _check(
@@ -109,9 +108,23 @@ def _rows_disc(job: argparse.Namespace, kind: str):
     return rows
 
 
+def _brackets_at_two(args) -> Fraction:
+    """prod_j [d_j] at u = 2, [d](2) = (4^d - 1)/2^d: one integer product over a power of two."""
+    sign = -1 if sum(d < 0 for d in args) % 2 else 1
+    return Fraction(sign * prod(4 ** abs(d) - 1 for d in args), 2 ** sum(abs(d) for d in args))
+
+
+def _at_power_of_two(p: LaurentU, j: int) -> Fraction:
+    """p(2^j), from one integer sum."""
+    if not p.poly:
+        return Fraction(0)
+    v = min(p.poly)
+    return p.content * Fraction(2) ** (j * v) * sum(c << j * (e - v) for e, c in p.poly.items())
+
+
 def _rows_ovn(job: argparse.Namespace):
     a = job.framing
-    rows = []
+    rows, values = [], {}
     for m in range(1, job.m_max + 1):
         for k in range(0, m + 1):
             value = ovinv.ov_N(a, m, k)
@@ -125,6 +138,17 @@ def _rows_ovn(job: argparse.Namespace):
             _check(
                 value.content * sum(value.poly.values()) == m * genus0,
                 f"N_{{{m},{k}}} at u = 1 is not m times its genus-zero Moebius sum",
+            )
+            values[m, k] = value
+            # anchor: the defining relation at u = 2, read from printed rows only,
+            # sum_{j | (k, m)} N_{m/j,k/j}(2^j)/[j](2) = (-1)^{ma+k} [Q^k] F_hat_m at u = 2
+            num, den = amplitudes.onepoint_args(a, m, k)
+            lhs = sum(_at_power_of_two(values[m // j, k // j], j) / _brackets_at_two((j,))
+                      for j in partitions.divisors(gcd(k, m)))
+            rhs = _brackets_at_two(num) / _brackets_at_two(den)
+            _check(
+                lhs == (-rhs if (m * a + k) % 2 else rhs),
+                f"N_{{{m},{k}}} at u = 2 fails the divisor-sum relation with its amplitude",
             )
             rows.append({"a": a, "m": m, "k": k, "value": value})
     # anchor: N_{2,1} at zero framing is -(u + u^{-1})
@@ -223,7 +247,7 @@ def _rows_closed_string(job: argparse.Namespace):
     series = amplitudes.closed_string_logZ(job.order)
     # anchor: every Q^n coefficient is (-1)^{n-1}/(n [n]^2)
     for n in range(1, job.order + 1):
-        expected = RationalFunctionU(LaurentU.const(Fraction((-1) ** (n - 1), n)), qbracket(n) ** 2)
+        expected = RationalFunctionU(Fraction((-1) ** (n - 1), n), (n, n))
         _check(
             series.scalar_coefficient((n,)) == expected,
             f"closed-string Q^{n} coefficient fails its anchor (-1)^{{n-1}}/(n [n]^2)",
@@ -247,7 +271,7 @@ COMMANDS = {
     "genus0": Command(_rows_genus0, "genus-zero potential coefficients", {**FRAMING, "n_max": (5, 1, 300)}),
     "disc-d": Command(lambda job: _rows_disc(job, "d"), "integrality table of d invariants", DISC),
     "disc-e": Command(lambda job: _rows_disc(job, "e"), "integrality table of e invariants", DISC),
-    "ov-n": Command(_rows_ovn, "all-genus Laurent-polynomial invariants", {**FRAMING, "m_max": (3, 1, 16)}),
+    "ov-n": Command(_rows_ovn, "all-genus Laurent-polynomial invariants", {**FRAMING, "m_max": (3, 1, 26)}),
     "sequences": Command(_rows_sequences, "named integer sequences with cross-checks",
                          {"which": ("catalan", "dmm"), "count": (10, 1, 1000)}),
     "mirror-check": Command(

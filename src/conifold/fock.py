@@ -29,7 +29,6 @@ from .laurent import (
     RFU_ZERO,
     RationalFunctionU,
     bracket_ratio,
-    qbracket,
 )
 from .partitions import (
     Partition,
@@ -254,8 +253,8 @@ def brane_state(n: int, q_bound: int) -> dict[int, TruncatedSeries]:
     """Weights c_m = ((-1)^{m-1} + Q^m) / [m] for m = 1..n."""
     out = {}
     for m in range(1, n + 1):
-        inv = RationalFunctionU((-1) ** (m - 1), qbracket(m))
-        qm = RationalFunctionU(1, qbracket(m))
+        inv = RationalFunctionU((-1) ** (m - 1), (m,))
+        qm = RationalFunctionU(1, (m,))
         out[m] = qpoly({0: inv, m: qm}, q_bound)
     return out
 

@@ -1,4 +1,4 @@
-"""The quantum-bracket ring: Laurent polynomials in u = q^{1/2} and their quotients.
+"""The quantum-bracket ring: Laurent polynomials in u = q^{1/2} over products of brackets.
 
 A nonzero LaurentU is stored as content * P(u) (FLINT's fmpq_poly layout): a
 signed nonzero Fraction content and a sparse {exponent: int} polynomial P that
@@ -6,27 +6,28 @@ is primitive (its coefficients have gcd 1) with a positive top coefficient.
 The pair is unique, so equality and hashing compare it directly; the zero
 polynomial has content 0 and an empty P.  Exponents are in units of u, so the
 bracket [n] = u^n - u^{-n} has exponents +-n and never a half-integer.
-RationalFunctionU is a quotient of two LaurentU values with a canonical reduced
-form (polynomial gcd removed, denominator of valuation zero and monic) so that
-equality is decidable.
 
 By Gauss's lemma a product of primitive polynomials is primitive and the top
 coefficients multiply, so a product multiplies the contents and convolves the
 integer P's with no gcd; a sum takes one lcm of the content denominators and
-one gcd of the integer result (Knuth, TAOCP vol. 2, 4.6.1).  Gcds and exact
-division work on P as a dense integer list: the gcd is a primitive
-pseudo-remainder sequence over Z and exact division is integer trial
-division, both giving the answer over Q.
+one gcd of the integer result (Knuth, TAOCP vol. 2, 4.6.1).
 
-Arithmetic on quotients is lazy: sums keep denominators small by cancelling
-the gcd of the two denominators, products just multiply, and the canonical
-form is computed once on demand (equality, serialization, extraction).
+RationalFunctionU is a LaurentU numerator over a multiset of positive bracket
+arguments, the only denominators the package builds (brane weights, closed
+forms, correlators, Adams-scaled Moebius sums).  Its arithmetic runs no gcd:
+as u^d [d] = u^(2d) - 1, multiplying by a bracket is two shifted copies of a
+dense integer list and dividing by one is a prefix sum along each residue
+class mod 2d.  Euclid (a primitive pseudo-remainder sequence over Z and
+integer trial division) runs only in canonical(), the reduced form that
+printing and hashing read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -210,7 +211,7 @@ class LaurentU:
 
     def __pow__(self, k: int) -> "LaurentU":
         if k < 0:
-            raise ValueError("negative power of a LaurentU; use RationalFunctionU")
+            raise ValueError("negative power of a LaurentU")
         result = LaurentU({0: 1})
         base = self
         while k:
@@ -220,14 +221,6 @@ class LaurentU:
             if k:
                 base = base * base
         return result
-
-    def __truediv__(self, other) -> "RationalFunctionU":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            if isinstance(other, RationalFunctionU):
-                return RationalFunctionU(self) / other
-            return NotImplemented
-        return RationalFunctionU(self, o)
 
     def shift(self, k: int) -> "LaurentU":
         """Multiply by u^k."""
@@ -248,25 +241,22 @@ class LaurentU:
     # -- display --------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
+        """Terms by falling exponent, as -3/2*u^2 + u - 1; each coefficient is reduced from content * P."""
+        if not self.poly:
             return "0"
-        parts = []
-        for e in sorted(terms, reverse=True):
-            c = terms[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
+        n, d = self.content.numerator, self.content.denominator
+        out = []
+        for e in sorted(self.poly, reverse=True):
+            v = n * self.poly[e]
+            g = gcd(v, d)
+            mag = str(abs(v) // g) if g == d else f"{abs(v) // g}/{d // g}"
+            if e:
                 up = "u" if e == 1 else f"u^{e}"
-                body = up if mag == 1 else f"{mag}*{up}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+                mag = up if mag == "1" else f"{mag}*{up}"
+            out.append(("- " if v < 0 else "+ ") + mag)
+        # the top coefficient has the sign of the content; it is written with no space
+        out[0] = ("-" if n < 0 else "") + out[0][2:]
+        return " ".join(out)
 
     def __repr__(self) -> str:
         return f"<LaurentU {self}>"
@@ -383,62 +373,83 @@ def _div_poly(a: list[int], b: list[int]) -> list[int] | None:
 def _laurent(coeffs: list[int], shift: int, scale: Fraction) -> LaurentU:
     """sum_e scale * coeffs[e] * u^(e + shift), for coeffs primitive with a positive top.
 
-    _gcd_poly and _div_poly of primitive inputs return such lists (Gauss's
-    lemma), so the pair is taken as it stands.
+    _gcd_poly, _div_poly and the bracket products of primitive inputs return
+    such lists (Gauss's lemma), so the pair is taken as it stands.
     """
     return _lu(scale, {e + shift: c for e, c in enumerate(coeffs) if c})
 
 
-def laurent_gcd(a: LaurentU, b: LaurentU) -> LaurentU:
-    """Monic gcd of the polynomial parts (u-valuations ignored)."""
-    if a.is_zero() or b.is_zero():
-        raise ValueError("gcd with zero")
-    g = _gcd_poly(_primitive(a)[2], _primitive(b)[2])
-    return _laurent(g, 0, Fraction(1, g[-1]))
+def _div_bracket(a: list[int], d: int) -> list[int] | None:
+    """b with a = b * (1 - u^(2d)), or None when there is none.
+
+    b_i = a_i + b_(i-2d), so b is the prefix sum of a along each residue
+    class mod 2d; the top 2d sums are the remainder and must vanish.
+    """
+    step = 2 * d
+    n = len(a) - step
+    if n <= 0:
+        return None
+    b = [0] * len(a)
+    for r in range(step):
+        b[r::step] = accumulate(a[r::step])
+    if any(b[n:]):
+        return None
+    del b[n:]
+    return b
 
 
-def laurent_exact_div(a: LaurentU, b: LaurentU) -> LaurentU:
-    """a / b when b divides a exactly (up to a u-power); raises otherwise."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero LaurentU")
-    if a.is_zero():
-        return LaurentU()
-    ca, va, pa = _primitive(a)
-    cb, vb, pb = _primitive(b)
-    q = _div_poly(pa, pb)
-    if q is None:
-        raise ArithmeticError("inexact Laurent division")
-    return _laurent(q, va - vb, ca / cb)
+def _times_brackets(p: LaurentU, args) -> LaurentU:
+    """p * prod_j [d_j] for positive d_j: two shifted copies of a dense list per bracket.
+
+    u^d [d] = u^(2d) - 1 is primitive with top 1, so by Gauss's lemma no gcd is needed.
+    """
+    if not args or not p.poly:
+        return p
+    c, v, a = _primitive(p)
+    for d in args:
+        b = [0] * (2 * d) + a
+        b[:len(a)] = map(sub, b[:len(a)], a)
+        a = b
+    return _laurent(a, v - sum(args), c)
+
+
+def _union(a: tuple[int, ...], b: tuple[int, ...]):
+    """(M, M - a, M - b) for M the max-multiplicity union of the sorted multisets a and b."""
+    lack_a, lack_b = [], list(a)
+    for d in b:
+        if d in lack_b:
+            lack_b.remove(d)
+        else:
+            lack_a.append(d)
+    return tuple(sorted(a + tuple(lack_a))), lack_a, lack_b
+
+
+def _rfu(num: LaurentU, den: tuple[int, ...]) -> "RationalFunctionU":
+    """num / prod [den] for a sorted tuple of positive den, with no check."""
+    out = object.__new__(RationalFunctionU)
+    out.num, out.den, out._canon = num, den if num.poly else (), None
+    return out
 
 
 class RationalFunctionU:
-    """Quotient of two LaurentU values with a cached canonical form.
+    """num / prod_j [den_j], den a sorted tuple of positive bracket arguments; immutable by convention.
 
-    Canonical form: gcd of numerator and denominator removed, the denominator
-    shifted to valuation zero and scaled monic (so its top coefficient is the
-    positive number 1); the u-power shift lives on the numerator.  Two values
-    are equal iff their canonical pairs are literally equal.
+    The pair is not reduced, and a zero value has den ().  A sum brings both
+    numerators to the max-multiplicity union of the two multisets, a product
+    adds them, and equality cross-multiplies over the union.  canonical() is
+    the reduced num / bracket_product(den): gcd removed, the denominator at
+    valuation zero and monic, the u-power shift on the numerator.
     """
 
     __slots__ = ("num", "den", "_canon")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den_args=()):
         if isinstance(num, (int, Fraction)):
             num = LaurentU.const(num)
-        if den is None:
-            den = LAURENT_ONE
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentU.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = LAURENT_ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_canon", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunctionU is immutable")
+        den = tuple(sorted(den_args))
+        if den and den[0] < 1:
+            raise ValueError("denominator bracket arguments must be positive; bracket_ratio folds signs")
+        self.num, self.den, self._canon = num, den if num.poly else (), None
 
     @staticmethod
     def _coerce(x):
@@ -451,27 +462,21 @@ class RationalFunctionU:
     # -- canonical form ------------------------------------------------
 
     def canonical(self) -> tuple[LaurentU, LaurentU]:
-        c = self._canon
-        if c is None:
-            c = self._canonicalize()
-            object.__setattr__(self, "_canon", c)
-        return c
+        if self._canon is None:
+            self._canon = self._canonicalize()
+        return self._canon
 
     def _canonicalize(self) -> tuple[LaurentU, LaurentU]:
-        num, den = self.num, self.den
-        if num.is_zero():
-            return (LAURENT_ZERO, LAURENT_ONE)
-        if den.is_monomial():
-            n = num.shift(-den.valuation()) * (1 / den.content)
-            return (n, LAURENT_ONE)
-        cn, vn, pn = _primitive(num)
-        cd, vd, pd = _primitive(den)
+        if not self.den:
+            return (self.num, LAURENT_ONE)
+        cn, vn, pn = _primitive(self.num)
+        _, vd, pd = _primitive(bracket_product(self.den))  # content 1
         g = _gcd_poly(pn, pd)
         if len(g) > 1:
             pn = _div_poly(pn, g)
             pd = _div_poly(pd, g)
         lead = pd[-1]
-        n = _laurent(pn, vn - vd, cn / (cd * lead))
+        n = _laurent(pn, vn - vd, cn / lead)
         if len(pd) == 1:
             return (n, LAURENT_ONE)
         return (n, _laurent(pd, 0, Fraction(1, lead)))
@@ -486,18 +491,18 @@ class RationalFunctionU:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.num == o.num and self.den == o.den:
-            return True
-        return self.canonical() == o.canonical()
+        if self.den == o.den:
+            return self.num == o.num
+        _, lack_a, lack_b = _union(self.den, o.den)
+        return _times_brackets(self.num, lack_a) == _times_brackets(o.num, lack_b)
 
     def __hash__(self):
-        n, d = self.canonical()
-        return hash((n, d))
+        return hash(self.canonical())
 
-    # -- field operations -----------------------------------------------
+    # -- ring operations ------------------------------------------------
 
     def __neg__(self):
-        return RationalFunctionU(-self.num, self.den)
+        return _rfu(-self.num, self.den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -508,14 +513,9 @@ class RationalFunctionU:
         if o.num.is_zero():
             return self
         if self.den == o.den:
-            return RationalFunctionU(self.num + o.num, self.den)
-        # lcm denominator keeps repeated sums from blowing up
-        g = laurent_gcd(self.den, o.den)
-        if g == LAURENT_ONE:
-            return RationalFunctionU(self.num * o.den + o.num * self.den, self.den * o.den)
-        bg = laurent_exact_div(o.den, g)
-        ag = laurent_exact_div(self.den, g)
-        return RationalFunctionU(self.num * bg + o.num * ag, self.den * bg)
+            return _rfu(self.num + o.num, self.den)
+        den, lack_a, lack_b = _union(self.den, o.den)
+        return _rfu(_times_brackets(self.num, lack_a) + _times_brackets(o.num, lack_b), den)
 
     __radd__ = __add__
 
@@ -530,46 +530,37 @@ class RationalFunctionU:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalFunctionU(self.num * other, self.den)
+            return _rfu(self.num * other, self.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunctionU(self.num * o.num, self.den * o.den)
+        return _rfu(self.num * o.num, tuple(sorted(self.den + o.den)))
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RationalFunctionU":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFunctionU(self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int) -> "RationalFunctionU":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return RationalFunctionU(self.num ** k, self.den ** k)
-
     def bar(self) -> "RationalFunctionU":
-        return RationalFunctionU(self.num.bar(), self.den.bar())
+        """The involution u -> u^{-1}; each bracket changes sign."""
+        num = self.num.bar()
+        return _rfu(-num if len(self.den) % 2 else num, self.den)
 
     # -- extraction -------------------------------------------------------
 
     def as_laurent(self) -> LaurentU:
-        n, d = self.canonical()
-        if d != LAURENT_ONE:
-            raise ArithmeticError(f"{self} is not a Laurent polynomial")
-        return n
+        """The value as a LaurentU, dividing by one bracket at a time.
+
+        If num = L * prod [den], every partial quotient is a polynomial, so an
+        inexact step proves that the value is not a Laurent polynomial.  Each
+        step divides by 1 - u^(2d) = -u^d [d], so the sign is set once at the end.
+        """
+        if not self.den:
+            return self.num
+        c, v, a = _primitive(self.num)
+        for d in self.den:
+            a = _div_bracket(a, d)
+            if a is None:
+                raise ArithmeticError(f"{self} is not a Laurent polynomial")
+        shift, sign = v + sum(self.den), -1 if len(self.den) % 2 else 1
+        return _lu(c, {e + shift: sign * x for e, x in enumerate(a) if x})
 
     def __str__(self) -> str:
         n, d = self.canonical()
@@ -592,34 +583,18 @@ def bracket_product(args) -> LaurentU:
     the closed-form amplitudes and the Ooguri-Vafa right sides all come here.
     A zero argument gives the zero polynomial; no arguments give 1.
     """
-    exps = {0: 1}
-    for d in args:
-        if d == 0:
-            return LAURENT_ZERO
-        new: dict[int, int] = {}
-        for e, c in exps.items():
-            up = e + d
-            s = new.get(up, 0) + c
-            if s:
-                new[up] = s
-            else:
-                del new[up]
-            dn = e - d
-            s = new.get(dn, 0) - c
-            if s:
-                new[dn] = s
-            else:
-                del new[dn]
-        exps = new
-    # primitive by Gauss's lemma; a negative argument makes the top coefficient -1
-    if exps[max(exps)] < 0:
-        return _lu(-_ONE, {e: -c for e, c in exps.items()})
-    return _lu(_ONE, exps)
+    args = tuple(args)
+    if 0 in args:
+        return LAURENT_ZERO
+    # [-d] = -[d]; the sign lives in the content
+    sign = -_ONE if sum(d < 0 for d in args) % 2 else _ONE
+    return _times_brackets(_lu(sign, {0: 1}), [abs(d) for d in args])
 
 
 def bracket_ratio(num_args, den_args) -> RationalFunctionU:
-    """Product of brackets over product of brackets, from integer arguments."""
-    return RationalFunctionU(bracket_product(num_args), bracket_product(den_args))
+    """Product of brackets over product of brackets, from integer arguments, through bracket_normal."""
+    sign, num, den = bracket_normal(num_args, den_args)
+    return _rfu(bracket_product(num) * sign, den)
 
 
 def bracket_normal(num_args, den_args) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

@@ -134,7 +134,7 @@ def ov_N_consistency(a: int, m: int, k: int) -> bool:
         nj = ov_N(a, m // j, k // j)
         # u -> u^j (j >= 1) keeps P primitive with a positive top coefficient
         rescaled = _lu(nj.content, {e * j: v for e, v in nj.poly.items()})
-        lhs = lhs + RationalFunctionU(rescaled, qbracket(j))
+        lhs = lhs + RationalFunctionU(rescaled, (j,))
     return lhs == allgenus_rhs(a, k, m, 1)
 
 

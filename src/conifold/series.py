@@ -23,7 +23,7 @@ from itertools import product
 from math import factorial
 from operator import add, gt, itemgetter, le, mul
 
-from .laurent import RationalFunctionU, _over_common_denominator
+from .laurent import RationalFunctionU, _over_common_denominator, bracket_product
 
 _FR_ONE = Fraction(1)
 
@@ -245,12 +245,9 @@ class TruncatedSeries:
             raise ValueError("constant term must be invertible")
         if c0 == self.one:
             return self, None
-        if isinstance(c0, (int, Fraction)):
-            inv = _FR_ONE / c0
-        elif hasattr(c0, "inverse"):
-            inv = c0.inverse()
-        else:
+        if not isinstance(c0, (int, Fraction)):
             raise ValueError("constant term is not invertible in this ring")
+        inv = _FR_ONE / c0
         return self.scale(inv), inv
 
     def _euler(self, op: str, alpha: Fraction = _FR_ONE, orders=None) -> dict:
@@ -501,18 +498,15 @@ def hbar_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
     hbar = i*lambda is the string coupling times i, so every coefficient is
     rational and the lambda^k coefficient is i^k times the hbar^k one.
     Returns a TruncatedSeries in `hbar` over Fraction with exponents from
-    -(pole order) up to `order`.  The pole order v is the first k at which
-    the denominator's exponent power sum is nonzero; it is below the
-    denominator's number of terms t, since the t x t Vandermonde system of a
-    nonzero polynomial is invertible.  The numerator is divided by
-    den / hbar^v with the series inverse, and the quotient shifted down by v.
+    -(pole order) up to `order`.  Each bracket [d] = 2 sinh(d hbar / 2) has a
+    simple zero at hbar = 0, so the denominator prod [den] is hbar^v times a
+    unit with constant term prod den, v = len(den).  The numerator is divided
+    by that unit with the series inverse, and the quotient shifted down by v.
     """
     if f.num.is_zero():
         return TruncatedSeries((HBAR,), (order,))
-    den = f.den
-    v = next((k for k in range(len(den.poly)) if _hbar_coefficient(den, k)), None)
-    if v is None:
-        raise ArithmeticError("denominator expansion vanished to its theoretical bound")
+    v = len(f.den)
+    den = bracket_product(f.den)
     work = max(order + v, 0)
     num = TruncatedSeries((HBAR,), (work,), {(k,): _hbar_coefficient(f.num, k) for k in range(work + 1)})
     unit = TruncatedSeries((HBAR,), (work,), {(k,): _hbar_coefficient(den, v + k) for k in range(work + 1)})

@@ -20,10 +20,10 @@ def brackets(num_args, den_args, scalar=1):
     num = LaurentU.const(scalar)
     for d in num_args:
         num = num * qbracket(d)
-    den = LaurentU.const(1)
+    # [-d] = -[d]: the sign of a negative denominator argument moves to the numerator
     for d in den_args:
-        den = den * qbracket(d)
-    return RationalFunctionU(num, den)
+        num = -num if d < 0 else num
+    return RationalFunctionU(num, [abs(d) for d in den_args])
 
 
 def test_winding_one_table():

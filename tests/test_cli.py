@@ -19,7 +19,7 @@ from conifold.cli import (
     main,
     run,
 )
-from conifold.laurent import bracket_normal
+from conifold.laurent import LaurentU, bracket_normal
 from conifold.series import TruncatedSeries
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -336,6 +336,22 @@ def test_ov_n_fails_a_fault_in_the_bracket_right_side(capsys, monkeypatch, fault
     assert status == EXIT_OK
     monkeypatch.setattr(ovinv, "allgenus_rhs", fault(ovinv.allgenus_rhs))
     assert message in _assert_verification_failure(capsys, *argv)
+
+
+def test_ov_n_fails_a_term_that_vanishes_at_u_equal_one(capsys, monkeypatch):
+    # (u - 1/u)^2 vanishes at u = 1, is bar symmetric and has integer coefficients,
+    # so of the anchors only the divisor-sum relation at u = 2 sees it on N_{5,2}
+    argv = ("ov-n", "--framing", "2", "--m-max", "6")
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    ov_n, planted, calls = ovinv.ov_N, LaurentU({2: 1, 0: -2, -2: 1}), []
+
+    def faulty(a, m, k):
+        calls.append((m, k))
+        return ov_n(a, m, k) + planted if (m, k) == (5, 2) else ov_n(a, m, k)
+
+    monkeypatch.setattr(ovinv, "ov_N", faulty)
+    assert "N_{5,2} at u = 2" in _assert_verification_failure(capsys, *argv)
+    assert (5, 2) in calls
 
 
 def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):

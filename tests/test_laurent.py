@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from conifold.laurent import (
     LAURENT_ONE,
+    _div_poly,
+    _gcd_poly,
+    _laurent,
+    _primitive,
     LaurentU,
     RationalFunctionU,
     bracket_normal,
     bracket_product,
     bracket_ratio,
-    laurent_exact_div,
-    laurent_gcd,
     qbinomial,
     qbracket,
     qfactorial,
@@ -108,34 +110,45 @@ def test_bar_involution():
 
 def test_rational_function_canonical_equality():
     # same value along different construction routes
-    x = RationalFunctionU(qbracket(4), qbracket(2))
-    y = RationalFunctionU(qbracket(4) * qbracket(3), qbracket(2) * qbracket(3))
-    assert x == y
+    x = RationalFunctionU(qbracket(4), (2,))
+    y = RationalFunctionU(qbracket(4) * qbracket(3), (3, 2))
+    assert x == y and hash(x) == hash(y)
+    assert y.den == (2, 3)
     assert x.as_laurent() == LaurentU({2: 1, -2: 1})  # [4]/[2] = u^2 + u^-2
-    assert RationalFunctionU(qbracket(2), qbracket(1)) != RationalFunctionU(qbracket(3), qbracket(1))
+    assert RationalFunctionU(qbracket(2), (1,)) != RationalFunctionU(qbracket(3), (1,))
 
 
 def test_rational_function_field_ops():
-    a = RationalFunctionU(qbracket(1), qbracket(2))
-    b = RationalFunctionU(qbracket(3), qbracket(4))
+    a = RationalFunctionU(qbracket(1), (2,))
+    b = RationalFunctionU(qbracket(3), (4,))
     assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert a * a.inverse() == RationalFunctionU(1)
     assert (a + b) * (a - b) == a * a - b * b
-    with pytest.raises(ZeroDivisionError):
+    # a ring over bracket denominators: no general quotient and no inverse
+    with pytest.raises(TypeError):
+        (a * b) / b
+    assert not hasattr(a, "inverse")
+    with pytest.raises(TypeError):
         RationalFunctionU(qbracket(1), LaurentU())
+    with pytest.raises(TypeError):
+        RationalFunctionU(qbracket(1), qbracket(2))
+    with pytest.raises(TypeError):
+        LaurentU.const(1) / qbracket(2)
+    # a zero bracket divides by zero; a negative one is bracket_ratio's to fold
+    for den in ((2, 0), (-2,)):
+        with pytest.raises(ValueError):
+            RationalFunctionU(qbracket(1), den)
 
 
 def test_gcd_and_exact_division():
     a = qbracket(2) * qbracket(6)
     b = qbracket(2) * qbracket(3)
-    g = laurent_gcd(a, b)
-    assert laurent_exact_div(a, g) * g == a
-    assert laurent_exact_div(b, g) * g == b
-    # [2] | [6] exactly: [6]/[2] = u^4 + 1 + u^-4
-    assert laurent_exact_div(qbracket(6), qbracket(2)) == LaurentU({4: 1, 0: 1, -4: 1})
+    g = poly_gcd(a, b)
+    assert poly_exact_div(a, g) * g == a
+    assert poly_exact_div(b, g) * g == b
+    # [2] | [6] exactly: [6]/[2] = u^4 + 1 + u^-4, and [2] does not divide [3]
+    assert RationalFunctionU(qbracket(6), (2,)).as_laurent() == LaurentU({4: 1, 0: 1, -4: 1})
     with pytest.raises(ArithmeticError):
-        laurent_exact_div(qbracket(3), qbracket(2))
+        RationalFunctionU(qbracket(3), (2,)).as_laurent()
 
 
 def test_bracket_product_matches_naive():
@@ -274,18 +287,27 @@ def ref_canonical(num, den):
     return (_ref_from_dense(dn).shift(shift), _ref_from_dense(dd))
 
 
+# -- the integer Euclid core that canonical() runs, on general polynomials ------
+
+
+def poly_gcd(a, b):
+    """Monic gcd of the polynomial parts of a and b (u-valuations ignored), by _gcd_poly."""
+    g = _gcd_poly(_primitive(a)[2], _primitive(b)[2])
+    return _laurent(g, 0, Fraction(1, g[-1]))
+
+
+def poly_exact_div(a, b):
+    """a / b up to a u-power by _div_poly, or None when b does not divide a."""
+    ca, va, pa = _primitive(a)
+    cb, vb, pb = _primitive(b)
+    q = _div_poly(pa, pb)
+    return None if q is None else _laurent(q, va - vb, ca / cb)
+
+
 def _assert_matches_reference(a, b):
-    """gcd, exact division and canonical form of a/b and b/a agree with Euclid."""
-    assert laurent_gcd(a, b) == ref_gcd(a, b)
-    expected = ref_exact_div(a, b)
-    if expected is None:
-        with pytest.raises(ArithmeticError):
-            laurent_exact_div(a, b)
-    else:
-        assert laurent_exact_div(a, b) == expected
-    r = RationalFunctionU(a, b)
-    assert r.canonical() == ref_canonical(a, b)
-    assert r.inverse().canonical() == ref_canonical(b, a)
+    """gcd and exact division of a by b agree with Euclid over Fraction."""
+    assert poly_gcd(a, b) == ref_gcd(a, b)
+    assert poly_exact_div(a, b) == ref_exact_div(a, b)
 
 
 nonzero_fracs = st.fractions(
@@ -310,6 +332,9 @@ def test_bracket_quotients_match_euclid(num_args, den_args, shift, scale):
     den = bracket_product(den_args)
     _assert_matches_reference(num, den)
     _assert_matches_reference(den, num)
+    # canonical() reduces num over bracket_product(den) by the same core
+    assert RationalFunctionU(num, den_args).canonical() == ref_canonical(num, den)
+    assert RationalFunctionU(den.shift(-shift) * (1 / scale), num_args).canonical() == ref_canonical(den, num)
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,33 +358,39 @@ def test_coprime_pairs_match_euclid(roots, split, ca, cb):
     b = LaurentU.const(cb)
     for r in roots[split:]:
         b = b * LaurentU({1: 1, 0: -r})
-    assert laurent_gcd(a, b) == LAURENT_ONE
+    assert poly_gcd(a, b) == LAURENT_ONE
     _assert_matches_reference(a, b)
 
 
 def test_inverse_of_general_numerator_matches_euclid():
+    # a general numerator reduces over brackets as Euclid does; its inverse would
+    # need a general denominator, which the ring refuses
     num = LaurentU({3: Fraction(2, 3), 1: -5, -2: Fraction(7, 4)})
-    den = qbracket(2) * qbracket(3) * LaurentU({1: 3, 0: Fraction(-1, 2)})
-    inv = RationalFunctionU(num, den).inverse()
-    assert inv.canonical() == ref_canonical(den, num)
-    assert inv * RationalFunctionU(num, den) == RationalFunctionU(1)
+    value = RationalFunctionU(num * qbracket(2), (2, 3))
+    assert value.canonical() == ref_canonical(num * qbracket(2), qbracket(2) * qbracket(3))
+    assert not hasattr(value, "inverse")
+    with pytest.raises(TypeError):
+        RationalFunctionU(qbracket(2) * qbracket(3), num)
 
 
 def test_inexact_division_raises():
     # the divisor's top coefficient does not divide the lead; a floor quotient
     # of 1 would leave no remainder here
-    with pytest.raises(ArithmeticError):
-        laurent_exact_div(LaurentU({1: 3, 0: 1}), LaurentU({1: 2, 0: 1}))
+    assert _div_poly([1, 3], [1, 2]) is None
+    assert poly_exact_div(LaurentU({1: 3, 0: 1}), LaurentU({1: 2, 0: 1})) is None
     # every lead divides, the remainder does not vanish
+    assert poly_exact_div(qbracket(2) * qbracket(3) + 1, qbracket(2)) is None
     with pytest.raises(ArithmeticError):
-        laurent_exact_div(qbracket(2) * qbracket(3) + 1, qbracket(2))
+        RationalFunctionU(qbracket(2) * qbracket(3) + 1, (2,)).as_laurent()
     # a lower-degree dividend
+    assert poly_exact_div(qbracket(1), qbracket(2)) is None
     with pytest.raises(ArithmeticError):
-        laurent_exact_div(qbracket(1), qbracket(2))
+        RationalFunctionU(qbracket(1), (2,)).as_laurent()
     # rational content and u-shifts do not make an exact quotient inexact
     a = (qbracket(2) * LaurentU({1: 3, 0: Fraction(-1, 2)})).shift(5) * Fraction(4, 9)
     b = LaurentU({1: 3, 0: Fraction(-1, 2)}).shift(-2) * Fraction(-2, 7)
-    assert laurent_exact_div(a, b) == qbracket(2).shift(7) * Fraction(4 * -7, 9 * 2)
+    assert poly_exact_div(a, b) == qbracket(2).shift(7) * Fraction(4 * -7, 9 * 2)
+    assert RationalFunctionU(a, (2,)).as_laurent() == LaurentU({1: 3, 0: Fraction(-1, 2)}).shift(5) * Fraction(4, 9)
 
 
 def _assert_content_layout(x):
@@ -382,15 +413,67 @@ signed_bracket_args = st.lists(st.integers(-7, 7).filter(bool), max_size=4)
 @given(laurents(), laurents(), nonzero_fracs, st.integers(-6, 6), signed_bracket_args)
 def test_every_result_keeps_the_content_layout(a, b, scale, k, args):
     brackets = bracket_product(args)
+    positive = [abs(d) for d in args]
+    x, y = RationalFunctionU(a * brackets, positive), RationalFunctionU(b, positive[:1])
     values = [
         a + b, a - b, a - a, a * b, a * scale, -a, a.shift(k), a.bar(),
         brackets, brackets.bar(), brackets * a, (a * b).bar(),
-        laurent_exact_div(a * b, b), laurent_gcd(a, b),
-        *RationalFunctionU(a * brackets, b * brackets).canonical(),
-        *RationalFunctionU(a, LaurentU.monomial(k, scale)).canonical(),
+        poly_exact_div(a * b, b), poly_gcd(a, b),
+        *x.canonical(), *y.canonical(), *RationalFunctionU(a * scale).canonical(),
+        x.as_laurent(), (x + y).num, (x - y).num, (x * y).num, (x * scale).num, x.bar().num,
     ]
     for x in values:
         _assert_content_layout(x)
+
+
+# -- the bracket ring against expanded, cross-multiplied references ----------------
+
+positive_bracket_args = st.lists(st.integers(1, 6), max_size=3)
+
+
+@st.composite
+def ring_values(draw):
+    """(numerator, bracket arguments): a LaurentU, zero now and then, over a multiset of brackets."""
+    num = draw(st.one_of(laurents(), st.just(LaurentU())))
+    return num, draw(positive_bracket_args)
+
+
+def _same_value(got, ref_num, ref_den):
+    """got equals ref_num / ref_den, by cross-multiplying with the expanded denominators."""
+    return got.num * ref_den == ref_num * bracket_product(got.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_values(), ring_values(), positive_bracket_args, nonzero_fracs)
+def test_bracket_ring_matches_the_cross_multiplied_reference(x, y, extra, scale):
+    (na, da), (nb, db) = x, y
+    a, b = RationalFunctionU(na, da), RationalFunctionU(nb, db)
+    pa, pb = bracket_product(da), bracket_product(db)
+    assert list(a.den) == (sorted(da) if na else [])
+    assert _same_value(a + b, na * pb + nb * pa, pa * pb)
+    assert _same_value(a - b, na * pb - nb * pa, pa * pb)
+    assert _same_value(a * b, na * nb, pa * pb)
+    assert _same_value(a * scale, na * scale, pa)
+    assert _same_value(-a, -na, pa)
+    assert _same_value(a.bar(), na.bar(), pa.bar())
+    assert (a == b) == (na * pb == nb * pa)
+    assert (a == 0) == (not na) and bool(a) == bool(na)
+    # the same value over more brackets: equal, with the same hash and canonical form
+    wider = RationalFunctionU(na * bracket_product(extra), da + extra)
+    assert a == wider and hash(a) == hash(wider)
+    assert a.canonical() == wider.canonical() == ref_canonical(na, pa)
+    # division by one bracket at a time
+    assert RationalFunctionU(na * pa, da).as_laurent() == na
+    if extra:
+        with pytest.raises(ArithmeticError):
+            RationalFunctionU(pa, da + extra).as_laurent()
+        left = RationalFunctionU(na * pa, da + extra)
+        expected = ref_exact_div(na, bracket_product(extra)) if na else na
+        if expected is None:
+            with pytest.raises(ArithmeticError):
+                left.as_laurent()
+        else:
+            assert left.as_laurent() == expected
 
 
 # -- bracket normal forms ----------------------------------------------------------
