@@ -215,7 +215,8 @@ def _rows_correlator(job: argparse.Namespace):
                 ok = ([bracket_normal(*t) for t in fock.correlator_terms(word)] == [closed]
                       or fock.correlator_reduce(word) == fock.correlator_closed(n, comp, mults))
                 rows.append({"n": n, "m": list(comp), "mult": list(mults), "agree": ok})
-                _check(ok, f"correlator mismatch at n={n}, m={comp}, multipliers={mults}")
+                if not ok:
+                    raise VerificationFailure(f"correlator mismatch at n={n}, m={comp}, multipliers={mults}")
     return rows
 
 
@@ -322,14 +323,21 @@ def _numeric_view(value):
     return value
 
 
+def _csv_cell(cell: str) -> str:
+    """A CSV field, quoted with inner quotes doubled when it holds a comma or a quote (RFC 4180)."""
+    if "," in cell or '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def emit_table(rows, fmt: str, meta: dict) -> str:
     if fmt == "json":
         return json_text({"meta": dict(meta, format_version=FORMAT_VERSION), "rows": rows}) + "\n"
     header = list(rows[0].keys()) if rows else []
     if fmt == "csv":
-        lines = [",".join(header)]
+        lines = [",".join(map(_csv_cell, header))]
         for row in rows:
-            lines.append(",".join(text(row[h]) for h in header))
+            lines.append(",".join(_csv_cell(text(row[h])) for h in header))
         return "\n".join(lines) + "\n"
     if fmt == "text":
         lines = [f"# {meta.get('command', '')} {json.dumps(meta.get('parameters', {}), sort_keys=True)}"]

@@ -4,8 +4,9 @@ States are truncated vectors sum_mu c_mu p_mu indexed by partitions, with
 coefficients that are Q-polynomials over the bracket ring.  The engine knows
 three things:
 
-  * creation/annihilation operators b_{-n} (multiply by p_n) and b_n
-    (n d/dp_n), with [b_m, b_n] = m delta_{m,-n};
+  * creation operators b_{-n} (multiply by p_n), exponentiated into the
+    brane state; an annihilator b_n (n d/dp_n, [b_m, b_n] = m delta_{m,-n})
+    enters a correlator as E_n(0);
   * the cut-and-join operator and its Schur eigenbasis, used to apply the
     framing twist q^{f K} exactly as the scaling s_nu -> u^{f kappa_nu} s_nu;
   * the one-parameter operator family E_r(z) with commutator
@@ -131,27 +132,6 @@ def beta_neg_exp(coeff_by_weight, degree_bound: int, q_bound: int) -> FockVector
             if not term.is_zero():
                 coeffs[mu] = term
     return FockVector(degree_bound, q_bound, coeffs)
-
-
-def beta_apply(v: FockVector, k: int) -> FockVector:
-    """Apply b_k: multiplication by p_{-k} for k < 0, k d/dp_k for k > 0."""
-    if k == 0:
-        raise ValueError("b_0 is not defined")
-    out = FockVector(v.degree_bound, v.q_bound, {})
-    if k < 0:
-        part = -k
-        for mu, c in v.coeffs.items():
-            new = tuple(sorted(mu + (part,), reverse=True))
-            out.add_term(new, c)
-    else:
-        for mu, c in v.coeffs.items():
-            m = multiplicities(mu).get(k, 0)
-            if not m:
-                continue
-            lst = list(mu)
-            lst.remove(k)
-            out.add_term(tuple(lst), c.scale(Fraction(k * m)))
-    return out
 
 
 def cutjoin_apply(v: FockVector) -> FockVector:
@@ -302,41 +282,6 @@ def beta_correlator_word(n: int, m, a) -> tuple[tuple[int, int], ...]:
     return ((n, 0),) + tuple((-mi, ai) for mi, ai in zip(m, a))
 
 
-def _alive(factors: tuple[tuple[int, int], ...]) -> bool:
-    """False when a vanishing rule kills the word at once.
-
-    E_{r>0}(z) kills the vacuum, and <0| E_{r<0}(z) vanishes (its adjoint).
-    """
-    return not factors or (factors[0][0] >= 0 and factors[-1][0] <= 0)
-
-
-def _reduce_terms(factors: tuple[tuple[int, int], ...], acc: tuple[int, ...], out: list) -> None:
-    """Collect surviving branches as (numerator bracket args, denominator bracket args).
-
-    `acc` carries the sigma factors picked up by merges so far.  The word is
-    alive and has total weight zero; swaps and merges keep the weight, and a
-    branch that a vanishing rule kills is never entered.
-    """
-    pos = next((i for i in range(len(factors) - 1, -1, -1) if factors[i][0] > 0), None)
-    if pos is None:
-        # all weights zero: each E_0(c i lam) contributes 1/[c] on the vacuum
-        dens = tuple(c for _, c in factors)
-        if any(c == 0 for c in dens):
-            raise ValueError("E_0(0) has no finite vacuum value")
-        out.append((acc, dens))
-        return
-    # the rightmost positive factor is never last and its neighbour is never positive
-    (ra, ca), (rb, cb) = factors[pos], factors[pos + 1]
-    swapped = factors[:pos] + ((rb, cb), (ra, ca)) + factors[pos + 2:]
-    if _alive(swapped):
-        _reduce_terms(swapped, acc, out)
-    sigma = ra * cb - rb * ca
-    if sigma:  # a vanishing bracket annihilates the merged branch
-        merged = factors[:pos] + ((ra + rb, ca + cb),) + factors[pos + 2:]
-        if _alive(merged):
-            _reduce_terms(merged, acc + (sigma,), out)
-
-
 def correlator_terms(word: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The branches of the commutator rewriting of a word, as bracket arguments.
 
@@ -344,21 +289,52 @@ def correlator_terms(word: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int,
     worth bracket_ratio(num, den); the vacuum expectation is their sum.  The
     rightmost positive-weight factor is commuted rightward; each step either
     shortens the word or moves that factor, whose right neighbour is never
-    positive, closer to the vacuum, so the rewriting terminates.  Words of
-    nonzero total weight have no branch.
+    positive, closer to the vacuum, so the rewriting terminates.
+
+    The rewriting runs on a worklist of (factors, acc) pairs, `acc` holding
+    the sigma factors that merges picked up.  Two vanishing rules prune it:
+    E_{r>0}(z) kills the vacuum, and <0| E_{r<0}(z) vanishes (its adjoint).
+    A word of nonzero total weight, or one these rules kill, has no branch;
+    swaps and merges keep the weight, and a branch the rules kill is never
+    pushed.  The merged branch is pushed before the swapped one, so branches
+    come out depth-first, swapped branch first.
 
     A word b_n E_{-m_1}(a_1 i lam) ... E_{-m_l}(a_l i lam), m a composition
     of n, reduces along one chain: its one positive factor stands first, so
-    each swap puts a negative factor first and _alive kills that branch,
+    each swap puts a negative factor first and the vacuum kills that branch,
     while each merge leaves the positive weight n - m_1 - ... - m_j first
     until the last merge.  Its list is empty or the single pair
     ((d_1, ..., d_l), (a_1 + ... + a_l,)), with d_j the arguments of
     correlator_closed_args.
     """
-    terms: list = []
-    if sum(r for r, _ in word) == 0 and _alive(word):
-        _reduce_terms(word, (), terms)
-    return terms
+    if word and (sum(r for r, _ in word) or word[0][0] < 0 or word[-1][0] > 0):
+        return []
+    out = []
+    work = [(word, ())]
+    while work:
+        factors, acc = work.pop()
+        pos = len(factors) - 1
+        while pos >= 0 and factors[pos][0] <= 0:
+            pos -= 1
+        if pos < 0:
+            # all weights zero: each E_0(c i lam) contributes 1/[c] on the vacuum
+            dens = tuple(c for _, c in factors)
+            if 0 in dens:
+                raise ValueError("E_0(0) has no finite vacuum value")
+            out.append((acc, dens))
+            continue
+        # the rightmost positive factor is never last and its neighbour is never positive
+        (ra, ca), (rb, cb) = factors[pos], factors[pos + 1]
+        head, tail = factors[:pos], factors[pos + 2:]
+        sigma = ra * cb - rb * ca
+        if sigma:  # a vanishing bracket annihilates the merged branch
+            merged = head + ((ra + rb, ca + cb),) + tail
+            if merged[0][0] >= 0 and merged[-1][0] <= 0:
+                work.append((merged, acc + (sigma,)))
+        swapped = head + ((rb, cb), (ra, ca)) + tail
+        if swapped[0][0] >= 0 and swapped[-1][0] <= 0:
+            work.append((swapped, acc))
+    return out
 
 
 def correlator_reduce(word: tuple[tuple[int, int], ...]) -> RationalFunctionU:

@@ -615,16 +615,25 @@ def bracket_normal(num_args, den_args) -> tuple[int, tuple[int, ...], tuple[int,
     multisets, and with them s; the value then fixes the sign.  So two ratios
     are equal exactly when their normal forms are, and neither is expanded.
     """
-    num_args, den_args = tuple(num_args), tuple(den_args)
-    if 0 in den_args:
-        raise ZeroDivisionError("zero bracket in a denominator")
-    if 0 in num_args:
-        return (0, (), ())
-    num, den = [abs(d) for d in num_args], []
+    # one pass per tuple: count signs, take absolute values, cancel
+    sign, zero, num, den = 1, False, [], []
+    for d in num_args:
+        if d < 0:
+            sign, d = -sign, -d
+        elif not d:
+            zero = True
+        num.append(d)
     for d in den_args:
-        if abs(d) in num:
-            num.remove(abs(d))
+        if d < 0:
+            sign, d = -sign, -d
+        elif not d:
+            raise ZeroDivisionError("zero bracket in a denominator")
+        if d in num:
+            num.remove(d)
         else:
-            den.append(abs(d))
-    negatives = sum(d < 0 for d in num_args + den_args)
-    return (-1 if negatives % 2 else 1, tuple(sorted(num)), tuple(sorted(den)))
+            den.append(d)
+    if zero:
+        return (0, (), ())
+    num.sort()
+    den.sort()
+    return (sign, tuple(num), tuple(den))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .amplitudes import genus0_coefficient, onepoint_bracket
-from .laurent import LaurentU, RationalFunctionU, _lu, qbracket
+from .laurent import LaurentU, RationalFunctionU, qbracket
 from .partitions import divisors, mobius
 
 
@@ -125,74 +125,6 @@ def ov_N(a: int, m: int, k: int) -> LaurentU:
     if value.bar() != value:
         raise ArithmeticError(f"N_{{{m},{k}}}^({a}) is not bar symmetric")
     return value
-
-
-def ov_N_consistency(a: int, m: int, k: int) -> bool:
-    """Check sum_{j | (k,m)} N_{m/j,k/j}(u^j)/[j] against the amplitude coefficient."""
-    lhs = RationalFunctionU(0)
-    for j in divisors(_gcd0(k, m)):
-        nj = ov_N(a, m // j, k // j)
-        # u -> u^j (j >= 1) keeps P primitive with a positive top coefficient
-        rescaled = _lu(nj.content, {e * j: v for e, v in nj.poly.items()})
-        lhs = lhs + RationalFunctionU(rescaled, (j,))
-    return lhs == allgenus_rhs(a, k, m, 1)
-
-
-# -- special-case cross-checks --------------------------------------------------
-#
-# When gcd(k, m) is a prime p (or k = p^2 with m = pn, p coprime to n), the
-# Moebius sum has exactly two terms and can be written out by hand.  These
-# expanded forms are kept as cross-checks of the general divisor-sum path,
-# never as the computation route.
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def disc_d_prime(a: int, p: int, n: int) -> Fraction:
-    """d_{p, pn} for prime p: the recursion peeled once,
-    (-1)^p (rhs at (p, pn)) + prod_{j=2}^{n}(na+j) / (p^2 n!)."""
-    if not _is_prime(p):
-        raise ValueError("p must be prime")
-    tail = 1
-    for j in range(2, n + 1):
-        tail *= n * a + j
-    return (-1) ** (p + 1) * genus0_coefficient(a, p * n, p) + Fraction(tail, p * p * factorial(n))
-
-
-def disc_d_prime_square(a: int, p: int, n: int) -> Fraction:
-    """d_{p^2, pn} for prime p with gcd(p, n) = 1 and n >= p."""
-    if not _is_prime(p) or gcd(p, n) != 1 or n < p:
-        raise ValueError("need prime p, gcd(p, n) = 1, and n >= p")
-    head = (-1) ** (p + 1) * genus0_coefficient(a, p * n, p * p)
-    tail = 1
-    for i in range(1, n):
-        tail *= n * a + i + p
-    return head + (-1) ** (p - 1) * Fraction(tail, p * p * n * factorial(p) * factorial(n - p))
-
-
-def ov_N_prime(a: int, p: int, n: int) -> LaurentU:
-    """N_{pn, p} for prime p: the two-term divisor sum written out."""
-    if not _is_prime(p):
-        raise ValueError("p must be prime")
-    total = allgenus_rhs(a, p, p * n, 1) - allgenus_rhs(a, 1, n, p)
-    return (RationalFunctionU(qbracket(1)) * total).as_laurent()
-
-
-def ov_N_prime_square(a: int, p: int, n: int) -> LaurentU:
-    """N_{pn, p^2} for prime p with gcd(p, n) = 1 and n >= p."""
-    if not _is_prime(p) or gcd(p, n) != 1 or n < p:
-        raise ValueError("need prime p, gcd(p, n) = 1, and n >= p")
-    total = allgenus_rhs(a, p * p, p * n, 1) - allgenus_rhs(a, p, n, p)
-    return (RationalFunctionU(qbracket(1)) * total).as_laurent()
 
 
 # -- named sequences ----------------------------------------------------------

@@ -11,8 +11,9 @@ JSON forms:
 and tuples in one pass; its output is byte for byte that of
 json.dumps(<the JSON form>, sort_keys=True, indent=2).
 
-Text forms are the pretty printers of the types themselves; they contain no
-commas, so CSV output needs no quoting.
+Text forms are the pretty printers of the types themselves.  Lists print
+with commas, so `cli.emit_table` quotes a CSV cell that holds a comma or a
+double quote, doubling inner quotes (RFC 4180).
 """
 
 from __future__ import annotations
@@ -58,17 +59,27 @@ def json_text(value, indent: str = "") -> str:
     """json.dumps(<JSON form of value>, sort_keys=True, indent=2), without building that form.
 
     `indent` is the indentation of the line the value starts on.  Dict keys
-    must be strings; tuples are written as lists.
+    must be strings; tuples are written as lists.  Plain ints, bools and
+    strings are told by their exact type, and a list of plain ints is written
+    with one join; everything else, subclasses included, goes down the
+    isinstance chain.
     """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is str:
+        return _quote(value)
     if isinstance(value, dict):
         inner = indent + "  "
         items = [_quote(k) + ": " + json_text(value[k], inner) for k in sorted(value)]
         return _block("{", items, "}", indent)
     if isinstance(value, (list, tuple)):
         inner = indent + "  "
+        if value and all(type(v) is int for v in value):
+            return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)) + "\n" + indent + "]"
         return _block("[", [json_text(v, inner) for v in value], "]", indent)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if value is None:
         return "null"
     if isinstance(value, int):

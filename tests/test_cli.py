@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import subprocess
@@ -624,6 +625,28 @@ def test_numeric_leaves_a_document_it_converts_nothing_in_unmarked(capsys, argv,
 
 def test_emit_table_empty_rows_csv():
     assert emit_table([], "csv", {"command": "x", "parameters": {}}) == "\n"
+
+
+def test_correlator_csv_quotes_its_list_cells(capsys):
+    status, out, _ = run_main(capsys, "correlator", "--n-max", "3", "--format", "csv")
+    assert status == EXIT_OK
+    header, *records = list(csv.reader(out.splitlines()))
+    assert header == ["n", "m", "mult", "agree"]
+    assert records[3] == ["2", "[1, 1]", "[1, 1]", "true"]
+    _, doc, _ = run_main(capsys, "correlator", "--n-max", "3", "--format", "json")
+    rows = json.loads(doc)["rows"]
+    assert len(records) == len(rows) == 3 + 12 + 48
+    for record, row in zip(records, rows):
+        assert len(record) == 4, record
+        assert json.loads(record[1]) == row["m"] and json.loads(record[2]) == row["mult"], record
+        assert sum(row["m"]) == int(record[0]) and len(row["mult"]) == len(row["m"])
+
+
+def test_emit_table_csv_doubles_inner_quotes():
+    rows = [{"a": 'say "hi", then stop', "b": 1, "c": 'x"y'}]
+    out = emit_table(rows, "csv", {"command": "x", "parameters": {}})
+    assert out == 'a,b,c\n"say ""hi"", then stop",1,"x""y"\n'
+    assert list(csv.reader(out.splitlines()))[1] == ['say "hi", then stop', "1", 'x"y']
 
 
 def test_run_direct_jobspec():

@@ -7,7 +7,6 @@ import pytest
 
 from conifold.fock import (
     FockVector,
-    beta_apply,
     beta_correlator_word,
     beta_neg_exp,
     brane_state,
@@ -24,6 +23,27 @@ from conifold.fock import (
 )
 from conifold.laurent import LaurentU, RFU_ZERO, RationalFunctionU, bracket_ratio, qbracket
 from conifold.partitions import kappa, multiplicities, partitions_of
+
+
+def _reference_beta_apply(v: FockVector, k: int) -> FockVector:
+    """Apply b_k: multiplication by p_{-k} for k < 0, k d/dp_k for k > 0."""
+    if k == 0:
+        raise ValueError("b_0 is not defined")
+    out = FockVector(v.degree_bound, v.q_bound, {})
+    if k < 0:
+        part = -k
+        for mu, c in v.coeffs.items():
+            new = tuple(sorted(mu + (part,), reverse=True))
+            out.add_term(new, c)
+    else:
+        for mu, c in v.coeffs.items():
+            m = multiplicities(mu).get(k, 0)
+            if not m:
+                continue
+            lst = list(mu)
+            lst.remove(k)
+            out.add_term(tuple(lst), c.scale(Fraction(k * m)))
+    return out
 
 
 def const_weights(values, q_bound=0):
@@ -161,7 +181,8 @@ def test_heisenberg_relations():
                 continue
             for mu in basis:
                 v = FockVector(N, 0, {mu: qpoly_one(0)})
-                lhs = beta_apply(beta_apply(v, n), m) - beta_apply(beta_apply(v, m), n)
+                lhs = (_reference_beta_apply(_reference_beta_apply(v, n), m)
+                       - _reference_beta_apply(_reference_beta_apply(v, m), n))
                 rhs = v.scale(Fraction(m)) if m == -n else FockVector(N, 0, {})
                 assert lhs == rhs, (m, n, mu)
 
@@ -358,3 +379,65 @@ def test_pruned_recursion_keeps_every_term_of_words_with_one_positive_factor():
                 correlator_terms(word)
             continue
         assert correlator_terms(word) == expected, word
+
+
+def _recursive_alive(factors):
+    return not factors or (factors[0][0] >= 0 and factors[-1][0] <= 0)
+
+
+def _recursive_reduce_terms(factors, acc, out):
+    """The recursive engine the worklist replaced: swapped branch, then merged, depth-first."""
+    pos = next((i for i in range(len(factors) - 1, -1, -1) if factors[i][0] > 0), None)
+    if pos is None:
+        dens = tuple(c for _, c in factors)
+        if any(c == 0 for c in dens):
+            raise ValueError("E_0(0) has no finite vacuum value")
+        out.append((acc, dens))
+        return
+    (ra, ca), (rb, cb) = factors[pos], factors[pos + 1]
+    swapped = factors[:pos] + ((rb, cb), (ra, ca)) + factors[pos + 2:]
+    if _recursive_alive(swapped):
+        _recursive_reduce_terms(swapped, acc, out)
+    sigma = ra * cb - rb * ca
+    if sigma:
+        merged = factors[:pos] + ((ra + rb, ca + cb),) + factors[pos + 2:]
+        if _recursive_alive(merged):
+            _recursive_reduce_terms(merged, acc + (sigma,), out)
+
+
+def _recursive_terms(word):
+    out = []
+    if sum(r for r, _ in word) == 0 and _recursive_alive(word):
+        _recursive_reduce_terms(word, (), out)
+    return out
+
+
+def _words_with_several_positive_factors(seed, count, max_factors=7):
+    """Words of total weight zero, first weight >= 0 and last <= 0, with two or more positive factors."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        weights = [rng.randint(0, 4)] + [rng.randint(-4, 4) for _ in range(rng.randint(1, max_factors - 2))]
+        weights.append(-sum(weights))
+        if weights[-1] <= 0 and sum(r > 0 for r in weights) >= 2:
+            words.append(tuple((r, rng.randint(-3, 3)) for r in weights))
+    return words
+
+
+def test_worklist_matches_the_recursive_engine_on_words_with_several_positive_factors():
+    words = _words_with_several_positive_factors(seed=7, count=20000)
+    raised = several = 0
+    for word in words:
+        try:
+            expected = _recursive_terms(word)
+        except ValueError:  # E_0(0) on the vacuum
+            raised += 1
+            with pytest.raises(ValueError):
+                correlator_terms(word)
+            continue
+        several += len(expected) > 1
+        assert correlator_terms(word) == expected, word
+    # both paths are exercised, and many words keep several branches in a fixed order
+    assert raised > 500 and several > 5000, (raised, several)
+    assert correlator_terms(()) == _recursive_terms(()) == [((), ())]
+

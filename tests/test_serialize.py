@@ -73,8 +73,16 @@ def series(draw):
     return TruncatedSeries(variables, orders, draw(st.dictionaries(exponents, rational_functions, max_size=3)), RFU_ONE)
 
 
+ints = st.integers(-10**40, 10**40)
+# a list or tuple of plain ints is written with one join; a bool among ints is not a plain int
+int_sequences = st.one_of(
+    st.lists(ints, max_size=5),
+    st.lists(ints, max_size=5).map(tuple),
+    st.lists(st.one_of(ints, st.booleans()), min_size=1, max_size=5),
+    st.lists(st.one_of(ints, st.booleans()), min_size=1, max_size=5).map(tuple),
+)
 scalars = st.one_of(
-    st.integers(-10**40, 10**40),
+    ints,
     st.booleans(),
     st.none(),
     strings,
@@ -85,7 +93,7 @@ scalars = st.one_of(
     series(),
 )
 documents = st.recursive(
-    scalars,
+    st.one_of(scalars, int_sequences),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -103,6 +111,11 @@ def test_writer_matches_json_dumps_of_the_jsonable_tree(value):
 
 @pytest.mark.parametrize("value", [[], (), {}, [[], {}], {"a": []}, LaurentU(), [LaurentU()]], ids=repr)
 def test_empty_containers(value):
+    assert json_text(value) == _reference_text(value)
+
+
+@pytest.mark.parametrize("value", [[[1, 2]], {"a": {"b": (3, -4)}}, [True, 1], (0, False), [[()], [[]]]], ids=repr)
+def test_nested_int_sequences_and_bools_among_ints(value):
     assert json_text(value) == _reference_text(value)
 
 
