@@ -14,6 +14,8 @@ deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import sys
@@ -323,22 +325,16 @@ def _numeric_view(value):
     return value
 
 
-def _csv_cell(cell: str) -> str:
-    """A CSV field, quoted with inner quotes doubled when it holds a comma or a quote (RFC 4180)."""
-    if "," in cell or '"' in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def emit_table(rows, fmt: str, meta: dict) -> str:
     if fmt == "json":
         return json_text({"meta": dict(meta, format_version=FORMAT_VERSION), "rows": rows}) + "\n"
     header = list(rows[0].keys()) if rows else []
     if fmt == "csv":
-        lines = [",".join(map(_csv_cell, header))]
-        for row in rows:
-            lines.append(",".join(_csv_cell(text(row[h])) for h in header))
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([text(row[h]) for h in header] for row in rows)
+        return buf.getvalue()
     if fmt == "text":
         lines = [f"# {meta.get('command', '')} {json.dumps(meta.get('parameters', {}), sort_keys=True)}"]
         if meta.get("numeric_lossy"):

@@ -12,8 +12,8 @@ and tuples in one pass; its output is byte for byte that of
 json.dumps(<the JSON form>, sort_keys=True, indent=2).
 
 Text forms are the pretty printers of the types themselves.  Lists print
-with commas, so `cli.emit_table` quotes a CSV cell that holds a comma or a
-double quote, doubling inner quotes (RFC 4180).
+with commas, so `cli.emit_table` writes CSV with the `csv` module, which
+quotes such cells.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ def json_text(value, indent: str = "") -> str:
 
     `indent` is the indentation of the line the value starts on.  Dict keys
     must be strings; tuples are written as lists.  Plain ints, bools and
-    strings are told by their exact type, and a list of plain ints is written
-    with one join; everything else, subclasses included, goes down the
-    isinstance chain.
+    strings are told by their exact type, and a list of plain ints skips the
+    per-item call; everything else goes down the isinstance chain.
     """
     kind = type(value)
     if kind is int:
@@ -76,16 +75,12 @@ def json_text(value, indent: str = "") -> str:
         items = [_quote(k) + ": " + json_text(value[k], inner) for k in sorted(value)]
         return _block("{", items, "}", indent)
     if isinstance(value, (list, tuple)):
+        if all(type(v) is int for v in value):
+            return _block("[", list(map(int.__repr__, value)), "]", indent)
         inner = indent + "  "
-        if value and all(type(v) is int for v in value):
-            return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)) + "\n" + indent + "]"
         return _block("[", [json_text(v, inner) for v in value], "]", indent)
     if value is None:
         return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return _quote(value)
     if isinstance(value, float):
         return _quote(repr(value))
     if isinstance(value, Fraction):

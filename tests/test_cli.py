@@ -1,5 +1,6 @@
 import csv
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -643,10 +644,10 @@ def test_correlator_csv_quotes_its_list_cells(capsys):
 
 
 def test_emit_table_csv_doubles_inner_quotes():
-    rows = [{"a": 'say "hi", then stop', "b": 1, "c": 'x"y'}]
+    rows = [{"a": 'say "hi", then stop', "b": 1, "c": 'x"y'}, {"a": "two\nlines", "b": 2, "c": ""}]
     out = emit_table(rows, "csv", {"command": "x", "parameters": {}})
-    assert out == 'a,b,c\n"say ""hi"", then stop",1,"x""y"\n'
-    assert list(csv.reader(out.splitlines()))[1] == ['say "hi", then stop', "1", 'x"y']
+    assert out == 'a,b,c\n"say ""hi"", then stop",1,"x""y"\n"two\nlines",2,\n'
+    assert list(csv.reader(io.StringIO(out)))[1:] == [['say "hi", then stop', "1", 'x"y'], ["two\nlines", "2", ""]]
 
 
 def test_run_direct_jobspec():
