@@ -14,12 +14,15 @@ one gcd of the integer result (Knuth, TAOCP vol. 2, 4.6.1).
 
 RationalFunctionU is a LaurentU numerator over a multiset of positive bracket
 arguments, the only denominators the package builds (brane weights, closed
-forms, correlators, Adams-scaled Moebius sums).  Its arithmetic runs no gcd:
-as u^d [d] = u^(2d) - 1, multiplying by a bracket is two shifted copies of a
-dense integer list and dividing by one is a prefix sum along each residue
-class mod 2d.  Euclid (a primitive pseudo-remainder sequence over Z and
-integer trial division) runs only in canonical(), the reduced form that
-printing and hashing read.
+forms, correlators, Adams-scaled Moebius sums).  As u^d [d] = u^(2d) - 1, two
+integer kernels carry all of its arithmetic: multiplying a dense list by
+u^s - 1 is two shifted copies, and dividing by it exactly is a prefix sum
+along each residue class mod s.  Sums and equality multiply, as_laurent
+divides, and canonical(), the reduced form that printing and hashing read,
+does both: since u^s - 1 = prod_{e | s} Phi_e(u), the gcd of a numerator with
+a bracket product is a product of cyclotomic polynomials, and dividing by
+Phi_e is multiplying by the u^d - 1 with mu(e/d) = -1 and dividing by those
+with mu(e/d) = +1.  No Euclid runs anywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import sub
+
+from .partitions import divisors, mobius
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -302,114 +307,72 @@ def _primitive(p: LaurentU) -> tuple[Fraction, int, list[int]]:
     return p.content, v, dense
 
 
-def _primitive_part(a: list[int]) -> list[int]:
-    """a divided by its content, signed so that the top coefficient is positive."""
-    g = gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else [c // g for c in a]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """A remainder of a by b (degree below deg b), up to a nonzero integer factor."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    low = b[:-1]
-    while len(a) > db:
-        la = a[-1]
-        q, r = divmod(la, lb)
-        if r:
-            g = gcd(la, lb)
-            scale, q = lb // g, la // g
-            a = [scale * c for c in a]
-        off = len(a) - 1 - db
-        a[off:-1] = [x - q * y for x, y in zip(a[off:-1], low)]
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd (top coefficient positive) of two primitive polynomials."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _pseudo_rem(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive_part(r)
-    return [1]
-
-
-def _div_poly(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b in Z[u] for primitive b, or None when b does not divide a.
-
-    By Gauss's lemma b divides a over Q exactly when this integer trial
-    division leaves no fractional lead and no remainder.
-    """
-    db = len(b) - 1
-    n = len(a) - db
-    if n <= 0:
-        return None
-    lb = b[-1]
-    low = b[:-1]
-    a = list(a)
-    q = [0] * n
-    for i in range(n - 1, -1, -1):
-        la = a[i + db]
-        if la:
-            f, r = divmod(la, lb)
-            if r:
-                return None
-            q[i] = f
-            a[i:i + db] = [x - f * y for x, y in zip(a[i:i + db], low)]
-    if any(a[:db]):
-        return None
-    return q
-
-
 def _laurent(coeffs: list[int], shift: int, scale: Fraction) -> LaurentU:
     """sum_e scale * coeffs[e] * u^(e + shift), for coeffs primitive with a positive top.
 
-    _gcd_poly, _div_poly and the bracket products of primitive inputs return
-    such lists (Gauss's lemma), so the pair is taken as it stands.
+    Multiplying or exactly dividing a primitive list by the monic u^s - 1
+    leaves it primitive with the same top (Gauss's lemma), so every list the
+    kernels below return from a _primitive one is taken as it stands.
     """
     return _lu(scale, {e + shift: c for e, c in enumerate(coeffs) if c})
 
 
-def _div_bracket(a: list[int], d: int) -> list[int] | None:
-    """b with a = b * (1 - u^(2d)), or None when there is none.
-
-    b_i = a_i + b_(i-2d), so b is the prefix sum of a along each residue
-    class mod 2d; the top 2d sums are the remainder and must vanish.
-    """
-    step = 2 * d
-    n = len(a) - step
-    if n <= 0:
-        return None
-    b = [0] * len(a)
-    for r in range(step):
-        b[r::step] = accumulate(a[r::step])
-    if any(b[n:]):
-        return None
-    del b[n:]
+def _times_binomial(a: list[int], s: int) -> list[int]:
+    """a * (u^s - 1): two shifted copies of a dense list."""
+    b = [0] * s + a
+    b[:len(a)] = map(sub, b[:len(a)], a)
     return b
 
 
-def _times_brackets(p: LaurentU, args) -> LaurentU:
-    """p * prod_j [d_j] for positive d_j: two shifted copies of a dense list per bracket.
+def _div_binomial(a: list[int], s: int) -> list[int] | None:
+    """b with a = b * (u^s - 1), or None when there is none.
 
-    u^d [d] = u^(2d) - 1 is primitive with top 1, so by Gauss's lemma no gcd is needed.
+    b_i = a_(i+s) + b_(i+s), so read from the top, b is the prefix sum of a
+    along each residue class mod s; the s full sums are the remainder and
+    must vanish.
     """
+    n = len(a) - s
+    if n <= 0:
+        return None
+    a = a[::-1]
+    b = [0] * len(a)
+    for r in range(s):
+        b[r::s] = accumulate(a[r::s])
+    if any(b[n:]):
+        return None
+    return b[n - 1::-1]
+
+
+def _div_cyclotomic(a: list[int], e: int) -> list[int] | None:
+    """a / Phi_e(u), or None when Phi_e does not divide a.
+
+    Phi_e = prod_{d | e} (u^d - 1)^mu(e/d) has degree phi(e) = sum_{d | e}
+    mu(e/d) d, so an a of lower degree is refused at once.  Otherwise a is
+    multiplied by the factors with mu = -1, then divided by those with
+    mu = +1.  If Phi_e divides a, every partial quotient is a polynomial, so
+    an inexact step proves that it does not.
+    """
+    mu = {d: mobius(e // d) for d in divisors(e)}
+    if len(a) <= sum(m * d for d, m in mu.items()):
+        return None
+    for d, m in mu.items():
+        if m < 0:
+            a = _times_binomial(a, d)
+    for d, m in mu.items():
+        if m > 0:
+            a = _div_binomial(a, d)
+            if a is None:
+                return None
+    return a
+
+
+def _times_brackets(p: LaurentU, args) -> LaurentU:
+    """p * prod_j [d_j] for positive d_j, as u^d [d] = u^(2d) - 1."""
     if not args or not p.poly:
         return p
     c, v, a = _primitive(p)
     for d in args:
-        b = [0] * (2 * d) + a
-        b[:len(a)] = map(sub, b[:len(a)], a)
-        a = b
+        a = _times_binomial(a, 2 * d)
     return _laurent(a, v - sum(args), c)
 
 
@@ -427,7 +390,7 @@ def _union(a: tuple[int, ...], b: tuple[int, ...]):
 def _rfu(num: LaurentU, den: tuple[int, ...]) -> "RationalFunctionU":
     """num / prod [den] for a sorted tuple of positive den, with no check."""
     out = object.__new__(RationalFunctionU)
-    out.num, out.den, out._canon = num, den if num.poly else (), None
+    out.num, out.den = num, den if num.poly else ()
     return out
 
 
@@ -437,11 +400,12 @@ class RationalFunctionU:
     The pair is not reduced, and a zero value has den ().  A sum brings both
     numerators to the max-multiplicity union of the two multisets, a product
     adds them, and equality cross-multiplies over the union.  canonical() is
-    the reduced num / bracket_product(den): gcd removed, the denominator at
-    valuation zero and monic, the u-power shift on the numerator.
+    the reduced num / bracket_product(den): the denominator a monic product of
+    cyclotomic polynomials coprime to the numerator, the u-power shift on the
+    numerator.  It is computed afresh on each call.
     """
 
-    __slots__ = ("num", "den", "_canon")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den_args=()):
         if isinstance(num, (int, Fraction)):
@@ -449,7 +413,7 @@ class RationalFunctionU:
         den = tuple(sorted(den_args))
         if den and den[0] < 1:
             raise ValueError("denominator bracket arguments must be positive; bracket_ratio folds signs")
-        self.num, self.den, self._canon = num, den if num.poly else (), None
+        self.num, self.den = num, den if num.poly else ()
 
     @staticmethod
     def _coerce(x):
@@ -462,24 +426,38 @@ class RationalFunctionU:
     # -- canonical form ------------------------------------------------
 
     def canonical(self) -> tuple[LaurentU, LaurentU]:
-        if self._canon is None:
-            self._canon = self._canonicalize()
-        return self._canon
+        """(numerator, denominator) in lowest terms, the denominator monic at valuation zero.
 
-    def _canonicalize(self) -> tuple[LaurentU, LaurentU]:
+        First each whole u^(2d) - 1 of the denominator that divides the
+        numerator is cancelled; then, for the arguments d left, each
+        Phi_e (e | 2d) as often as both sides hold it.  The denominator is a
+        product of cyclotomic polynomials, so what is left is coprime.
+        """
         if not self.den:
             return (self.num, LAURENT_ONE)
-        cn, vn, pn = _primitive(self.num)
-        _, vd, pd = _primitive(bracket_product(self.den))  # content 1
-        g = _gcd_poly(pn, pd)
-        if len(g) > 1:
-            pn = _div_poly(pn, g)
-            pd = _div_poly(pd, g)
-        lead = pd[-1]
-        n = _laurent(pn, vn - vd, cn / lead)
-        if len(pd) == 1:
+        c, v, a = _primitive(self.num)
+        left = []
+        for d in self.den:
+            q = _div_binomial(a, 2 * d)
+            if q is None:
+                left.append(d)
+            else:
+                a = q
+        den, held = [1], {}
+        for d in left:
+            den = _times_binomial(den, 2 * d)
+            for e in divisors(2 * d):
+                held[e] = held.get(e, 0) + 1
+        for e, k in held.items():
+            for _ in range(k):
+                q = _div_cyclotomic(a, e)
+                if q is None:
+                    break
+                a, den = q, _div_cyclotomic(den, e)
+        n = _laurent(a, v + sum(self.den), c)
+        if len(den) == 1:
             return (n, LAURENT_ONE)
-        return (n, _laurent(pd, 0, Fraction(1, lead)))
+        return (n, _laurent(den, 0, _ONE))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -549,18 +527,16 @@ class RationalFunctionU:
         """The value as a LaurentU, dividing by one bracket at a time.
 
         If num = L * prod [den], every partial quotient is a polynomial, so an
-        inexact step proves that the value is not a Laurent polynomial.  Each
-        step divides by 1 - u^(2d) = -u^d [d], so the sign is set once at the end.
+        inexact step proves that the value is not a Laurent polynomial.
         """
         if not self.den:
             return self.num
         c, v, a = _primitive(self.num)
         for d in self.den:
-            a = _div_bracket(a, d)
+            a = _div_binomial(a, 2 * d)
             if a is None:
                 raise ArithmeticError(f"{self} is not a Laurent polynomial")
-        shift, sign = v + sum(self.den), -1 if len(self.den) % 2 else 1
-        return _lu(c, {e + shift: sign * x for e, x in enumerate(a) if x})
+        return _laurent(a, v + sum(self.den), c)
 
     def __str__(self) -> str:
         n, d = self.canonical()

@@ -1,17 +1,20 @@
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conifold.amplitudes import onepoint_closed
 from conifold.laurent import (
     LAURENT_ONE,
-    _div_poly,
-    _gcd_poly,
+    _div_binomial,
+    _div_cyclotomic,
     _laurent,
     _primitive,
+    _times_binomial,
     LaurentU,
     RationalFunctionU,
     bracket_normal,
@@ -142,9 +145,12 @@ def test_rational_function_field_ops():
 def test_gcd_and_exact_division():
     a = qbracket(2) * qbracket(6)
     b = qbracket(2) * qbracket(3)
-    g = poly_gcd(a, b)
-    assert poly_exact_div(a, g) * g == a
-    assert poly_exact_div(b, g) * g == b
+    # bracket products factor into Phi_e, so the Phi_e both hold make the gcd:
+    # here (u^4 - 1)(u^6 - 1), as [3] divides [6]
+    g = cyclotomic_gcd(a, b, 12)
+    assert g == ref_gcd(a, b) == binomial(4) * binomial(6)
+    assert binomial_div(binomial_div(a, 4), 6) * g == a
+    assert binomial_div(binomial_div(b, 4), 6) * g == b
     # [2] | [6] exactly: [6]/[2] = u^4 + 1 + u^-4, and [2] does not divide [3]
     assert RationalFunctionU(qbracket(6), (2,)).as_laurent() == LaurentU({4: 1, 0: 1, -4: 1})
     with pytest.raises(ArithmeticError):
@@ -287,27 +293,72 @@ def ref_canonical(num, den):
     return (_ref_from_dense(dn).shift(shift), _ref_from_dense(dd))
 
 
-# -- the integer Euclid core that canonical() runs, on general polynomials ------
+# -- the integer kernels that canonical() and as_laurent run, on general polynomials --
 
 
-def poly_gcd(a, b):
-    """Monic gcd of the polynomial parts of a and b (u-valuations ignored), by _gcd_poly."""
-    g = _gcd_poly(_primitive(a)[2], _primitive(b)[2])
-    return _laurent(g, 0, Fraction(1, g[-1]))
+def binomial(s):
+    """u^s - 1."""
+    return LaurentU({s: 1, 0: -1})
 
 
-def poly_exact_div(a, b):
-    """a / b up to a u-power by _div_poly, or None when b does not divide a."""
-    ca, va, pa = _primitive(a)
-    cb, vb, pb = _primitive(b)
-    q = _div_poly(pa, pb)
-    return None if q is None else _laurent(q, va - vb, ca / cb)
+@cache
+def ref_cyclotomic(e):
+    """Phi_e by long division over Fraction: u^e - 1 over Phi_d for each proper divisor d of e."""
+    phi = binomial(e)
+    for d in range(1, e):
+        if e % d == 0:
+            phi = ref_exact_div(phi, ref_cyclotomic(d))
+    return phi
 
 
-def _assert_matches_reference(a, b):
-    """gcd and exact division of a by b agree with Euclid over Fraction."""
-    assert poly_gcd(a, b) == ref_gcd(a, b)
-    assert poly_exact_div(a, b) == ref_exact_div(a, b)
+def binomial_div(a, s):
+    """a / (u^s - 1) by _div_binomial, or None when u^s - 1 does not divide a."""
+    c, v, dense = _primitive(a)
+    q = _div_binomial(dense, s)
+    return None if q is None else _laurent(q, v, c)
+
+
+def cyclotomic_div(a, e):
+    """a / Phi_e by _div_cyclotomic, or None when Phi_e does not divide a."""
+    c, v, dense = _primitive(a)
+    q = _div_cyclotomic(dense, e)
+    return None if q is None else _laurent(q, v, c)
+
+
+def cyclotomic_gcd(a, b, e_max):
+    """prod_{e <= e_max} Phi_e^min(k_a, k_b), each k the number of times cyclotomic_div divides."""
+
+    def multiplicity(x, e):
+        k = 0
+        while (x := cyclotomic_div(x, e)) is not None:
+            k += 1
+        return k
+
+    g = LAURENT_ONE
+    for e in range(1, e_max + 1):
+        g = g * ref_cyclotomic(e) ** min(multiplicity(a, e), multiplicity(b, e))
+    return g
+
+
+def _assert_kernels_match_reference(a, s):
+    """Division of a by u^s - 1 and by Phi_s agrees with long division over Fraction."""
+    assert binomial_div(a, s) == ref_exact_div(a, binomial(s))
+    assert cyclotomic_div(a, s) == ref_exact_div(a, ref_cyclotomic(s))
+
+
+def _assert_bracket_kernels_match_reference(num, den_args):
+    """Over prod [den_args], 2d <= 18: the shared Phi_e are Euclid's gcd, and as_laurent is long division.
+
+    The gcd divides the bracket product, so it is a product of Phi_e whatever num is.
+    """
+    den = bracket_product(den_args)
+    assert cyclotomic_gcd(num, den, 18) == ref_gcd(num, den)
+    expected = ref_exact_div(num, den)
+    if expected is None:
+        with pytest.raises(ArithmeticError):
+            RationalFunctionU(num, den_args).as_laurent()
+    else:
+        assert RationalFunctionU(num, den_args).as_laurent() == expected
 
 
 nonzero_fracs = st.fractions(
@@ -330,27 +381,69 @@ bracket_args = st.lists(st.integers(1, 9), max_size=5)
 def test_bracket_quotients_match_euclid(num_args, den_args, shift, scale):
     num = bracket_product(num_args).shift(shift) * scale
     den = bracket_product(den_args)
-    _assert_matches_reference(num, den)
-    _assert_matches_reference(den, num)
+    _assert_bracket_kernels_match_reference(num, den_args)
+    _assert_bracket_kernels_match_reference(den.shift(-shift) * (1 / scale), num_args)
     # canonical() reduces num over bracket_product(den) by the same core
     assert RationalFunctionU(num, den_args).canonical() == ref_canonical(num, den)
     assert RationalFunctionU(den.shift(-shift) * (1 / scale), num_args).canonical() == ref_canonical(den, num)
 
 
+@st.composite
+def repeated_factors(draw):
+    """(den_args, numerator): the numerator holds extra copies of the denominator's brackets and Phi_e powers.
+
+    Each e divides some 2d of the denominator, so each Phi_e can cancel.
+    """
+    den_args = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    copies = [d for d in den_args for _ in range(draw(st.integers(0, 3)))]
+    shared = sorted({e for d in den_args for e in range(1, 2 * d + 1) if 2 * d % e == 0})
+    powers = draw(st.dictionaries(st.sampled_from(shared), st.integers(1, 3), max_size=3))
+    num = draw(laurents(max_terms=3)) * bracket_product(copies)
+    for e, k in powers.items():
+        num = num * ref_cyclotomic(e) ** k
+    return den_args, num
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_factors())
+def test_repeated_brackets_and_cyclotomic_powers_cancel(case):
+    den_args, num = case
+    assert RationalFunctionU(num, den_args).canonical() == ref_canonical(num, bracket_product(den_args))
+
+
+def test_canonical_above_the_golden_sizes():
+    # the golden jobs stop at n = 7; at n = 9 the numerators hold more and higher Phi_e
+    for a in (3, -3):
+        for value in onepoint_closed(a, 9).terms.values():
+            assert value.canonical() == ref_canonical(value.num, bracket_product(value.den))
+
+
 @settings(max_examples=80, deadline=None)
-@given(laurents(), laurents(), laurents(max_terms=3))
-def test_general_laurents_match_euclid(a, b, common):
-    # unrelated pairs are almost always coprime; the common factor makes the gcd nontrivial
-    _assert_matches_reference(a, b)
-    _assert_matches_reference(a * common, b * common)
-    _assert_matches_reference(a * b, b)
+@given(laurents(), laurents(max_terms=3), st.integers(1, 12))
+def test_general_laurents_match_euclid(a, common, s):
+    # general polynomials are almost never multiples; the factors make the division exact
+    _assert_kernels_match_reference(a, s)
+    _assert_kernels_match_reference(a * common, s)
+    _assert_kernels_match_reference(a * binomial(s), s)
+    _assert_kernels_match_reference(a * ref_cyclotomic(s) * common, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any), st.integers(1, 8), st.integers(0, 15))
+def test_binomial_kernels_round_trip(p, s, k):
+    m = _times_binomial(p, s)
+    assert LaurentU(dict(enumerate(m))) == LaurentU(dict(enumerate(p))) * binomial(s)
+    assert _div_binomial(m, s) == p
+    # u^k is no multiple of u^s - 1, so neither is m + u^k
+    m[k % len(m)] += 1
+    assert _div_binomial(m, s) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3), min_size=2, max_size=7, unique=True),
        st.integers(1, 6), nonzero_fracs, nonzero_fracs)
 def test_coprime_pairs_match_euclid(roots, split, ca, cb):
-    # products of (u - r) over disjoint root sets share no factor
+    # products of (u - r) over disjoint root sets share no factor; u - 1 is Phi_1 and u + 1 is Phi_2
     split = min(split, len(roots) - 1)
     a = LaurentU.const(ca)
     for r in roots[:split]:
@@ -358,8 +451,11 @@ def test_coprime_pairs_match_euclid(roots, split, ca, cb):
     b = LaurentU.const(cb)
     for r in roots[split:]:
         b = b * LaurentU({1: 1, 0: -r})
-    assert poly_gcd(a, b) == LAURENT_ONE
-    _assert_matches_reference(a, b)
+    assert cyclotomic_gcd(a, b, 6) == ref_gcd(a, b) == LAURENT_ONE
+    assert (cyclotomic_div(a, 1) is None) == (1 not in roots[:split])
+    for e in range(1, 7):
+        _assert_kernels_match_reference(a, e)
+        _assert_kernels_match_reference(b, e)
 
 
 def test_inverse_of_general_numerator_matches_euclid():
@@ -374,22 +470,23 @@ def test_inverse_of_general_numerator_matches_euclid():
 
 
 def test_inexact_division_raises():
-    # the divisor's top coefficient does not divide the lead; a floor quotient
-    # of 1 would leave no remainder here
-    assert _div_poly([1, 3], [1, 2]) is None
-    assert poly_exact_div(LaurentU({1: 3, 0: 1}), LaurentU({1: 2, 0: 1})) is None
-    # every lead divides, the remainder does not vanish
-    assert poly_exact_div(qbracket(2) * qbracket(3) + 1, qbracket(2)) is None
+    # u - 1 does not divide 1 + 3u: the prefix sum 4 is left over; nor does u + 1
+    assert _div_binomial([1, 3], 1) is None
+    assert _div_cyclotomic([1, 3], 2) is None
+    assert binomial_div(LaurentU({1: 3, 0: 1}), 1) is None
+    # the remainder does not vanish
+    assert binomial_div(qbracket(2) * qbracket(3) + 1, 4) is None
     with pytest.raises(ArithmeticError):
         RationalFunctionU(qbracket(2) * qbracket(3) + 1, (2,)).as_laurent()
     # a lower-degree dividend
-    assert poly_exact_div(qbracket(1), qbracket(2)) is None
+    assert binomial_div(qbracket(1), 4) is None
     with pytest.raises(ArithmeticError):
         RationalFunctionU(qbracket(1), (2,)).as_laurent()
     # rational content and u-shifts do not make an exact quotient inexact
     a = (qbracket(2) * LaurentU({1: 3, 0: Fraction(-1, 2)})).shift(5) * Fraction(4, 9)
-    b = LaurentU({1: 3, 0: Fraction(-1, 2)}).shift(-2) * Fraction(-2, 7)
-    assert poly_exact_div(a, b) == qbracket(2).shift(7) * Fraction(4 * -7, 9 * 2)
+    b = LaurentU({1: 3, 0: Fraction(-1, 2)}).shift(3) * Fraction(4, 9)
+    assert binomial_div(-a, 4) == -b  # a = (u^4 - 1) b
+    assert cyclotomic_div(a, 4) == binomial(2) * b  # u^4 - 1 = (u^2 - 1) Phi_4
     assert RationalFunctionU(a, (2,)).as_laurent() == LaurentU({1: 3, 0: Fraction(-1, 2)}).shift(5) * Fraction(4, 9)
 
 
@@ -414,11 +511,12 @@ signed_bracket_args = st.lists(st.integers(-7, 7).filter(bool), max_size=4)
 def test_every_result_keeps_the_content_layout(a, b, scale, k, args):
     brackets = bracket_product(args)
     positive = [abs(d) for d in args]
+    s = abs(k) + 1
     x, y = RationalFunctionU(a * brackets, positive), RationalFunctionU(b, positive[:1])
     values = [
         a + b, a - b, a - a, a * b, a * scale, -a, a.shift(k), a.bar(),
         brackets, brackets.bar(), brackets * a, (a * b).bar(),
-        poly_exact_div(a * b, b), poly_gcd(a, b),
+        binomial_div(a * binomial(s), s), cyclotomic_div(a * ref_cyclotomic(s) * b, s),
         *x.canonical(), *y.canonical(), *RationalFunctionU(a * scale).canonical(),
         x.as_laurent(), (x + y).num, (x - y).num, (x * y).num, (x * scale).num, x.bar().num,
     ]
