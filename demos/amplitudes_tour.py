@@ -15,6 +15,7 @@ from conifold.amplitudes import (
     onepoint_closed,
     onepoint_partition_sum,
 )
+from conifold.fock import beta_neg_exp, brane_state
 
 print("Closed forms at zero framing")
 print("----------------------------")
@@ -24,8 +25,9 @@ for n in (1, 2, 3):
 print()
 print("The same values out of the sum over partitions")
 print("----------------------------------------------")
+state = beta_neg_exp(brane_state(3, 3), 3, 3)
 for n in (1, 2, 3):
-    same = onepoint_partition_sum(0, n) == onepoint_closed(0, n)
+    same = onepoint_partition_sum(0, n, state) == onepoint_closed(0, n)
     print(f"  winding {n}: partition sum agrees -> {same}")
 
 print()

@@ -46,9 +46,10 @@ for mu, c in sorted(twisted.coeffs.items()):
 print()
 print("Oracle vs closed form")
 print("---------------------")
+state = beta_neg_exp(brane_state(3, 3), 3, 3)
 for a in (-2, 0, 1):
     for n in (1, 2, 3):
-        agree = oracle_onepoint(a, n) == onepoint_closed(a, n)
+        agree = oracle_onepoint(a, n, state) == onepoint_closed(a, n)
         print(f"  framing {a:+d}, winding {n}: {agree}")
 
 print()

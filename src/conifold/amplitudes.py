@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .fock import beta_neg_exp, brane_state, qpoly, qpoly_zero
+from .fock import FockVector, qpoly, qpoly_zero
 from .laurent import RationalFunctionU, bracket_ratio
 from .partitions import partitions_of
 from .series import TruncatedSeries, hbar_expand
@@ -55,21 +55,24 @@ def onepoint_closed(a: int, n: int) -> TruncatedSeries:
     return qpoly(terms, n)
 
 
-def onepoint_partition_sum(a: int, n: int) -> TruncatedSeries:
+def onepoint_partition_sum(a: int, n: int, state: FockVector) -> TruncatedSeries:
     """F_hat_n as the explicit sum over partitions of n.
 
     Each partition mu with multiplicities m_j contributes
         prod_j ((-1)^{j-1} + Q^j)^{m_j} / (j^{m_j} m_j! [j]^{m_j})
         * prod_j [(a+1) j n]^{m_j} / [(a+1) n],
-    whose first factor is the p_mu coefficient of the brane state.
+    whose first factor is the p_mu coefficient of the brane state.  `state`
+    is that state as beta_neg_exp(brane_state(N, D), N, D) builds it for
+    some N >= n; the sum is truncated at its Q-bound D.
     At a = -1 the bracket ratio is a first-order limit in w = a+1: each factor
     [w j n] vanishes like w, so only length-one partitions survive, with ratio
     lim [w n^2]/[w n] = n.
     """
     if n < 1:
         raise ValueError("winding must be positive")
-    state = beta_neg_exp(brane_state(n, n), n, n)
-    total = qpoly_zero(n)
+    if n > state.degree_bound:
+        raise ValueError(f"the brane state stops at degree {state.degree_bound}, below winding {n}")
+    total = qpoly_zero(state.q_bound)
     for mu in partitions_of(n):
         weight = state.coefficient(mu)
         if a == -1:

@@ -8,7 +8,9 @@ three things:
     brane state; an annihilator b_n (n d/dp_n, [b_m, b_n] = m delta_{m,-n})
     enters a correlator as E_n(0);
   * the cut-and-join operator and its Schur eigenbasis, used to apply the
-    framing twist q^{f K} exactly as the scaling s_nu -> u^{f kappa_nu} s_nu;
+    framing twist q^{f K} exactly as the scaling s_nu -> u^{f kappa_nu} s_nu,
+    read on power sums through one integer Laurent kernel
+    K_{t,mu} = sum_nu chi_nu(t) chi_nu(mu) u^{f kappa_nu} per pair of partitions;
   * the one-parameter operator family E_r(z) with commutator
     [E_a(z), E_b(w)] = sigma(aw - bz) E_{a+b}(z+w), sigma(z) = e^{z/2}-e^{-z/2},
     reduced against the vacuum by a deterministic rewriting engine.
@@ -170,12 +172,16 @@ def cutjoin_apply(v: FockVector) -> FockVector:
 def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
     """Apply q^{f K}: scale the Schur component s_nu by u^{f kappa_nu}.
 
-    Works degree by degree through the character transform
-        w_nu = sum_mu chi_nu(mu) c_mu,   c'_mu = (1/z_mu) sum_nu u^{f kappa_nu} chi_nu(mu) w_nu.
-    With `only`, a collection of partitions, the result holds just the
-    coefficients c'_mu of those mu (each equal to its value in the full
-    transform), and w_nu is built only for the nu with chi_nu(mu) != 0 for
-    some requested mu of its degree.
+    Works degree by degree, one requested coefficient at a time, through the
+    integer Laurent kernel of the twist on power sums,
+        c'_t = (1/z_t) sum_mu K_{t,mu} c_mu,
+        K_{t,mu} = sum_nu chi_nu(t) chi_nu(mu) u^{f kappa_nu},
+    so each target costs one product by a sparse integer polynomial and one
+    series addition per source mu.  Only the nu with chi_nu(t) != 0 enter
+    K_{t,mu}; for t = (n) they are the n hooks (Murnaghan-Nakayama).  With
+    `only`, a collection of partitions, the result holds just the
+    coefficients c'_t of those t, each equal to its value in the full
+    transform.
     """
     f = framing_exponent
     wanted = None if only is None else tuple(dict.fromkeys(tuple(mu) for mu in only))
@@ -185,33 +191,25 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
         by_degree.setdefault(sum(mu), {})[mu] = c
     for d, sector in by_degree.items():
         targets = partitions_of(d) if wanted is None else [mu for mu in wanted if sum(mu) == d]
-        if not targets:
-            continue
         if d == 0 or f == 0:
             for mu, c in sector.items():
                 if mu in targets:
                     out.add_term(mu, c)
             continue
-        scaled = {}
-        for nu in partitions_of(d):
-            if not any(character(nu, mu) for mu in targets):
-                continue
-            w = qpoly_zero(v.q_bound)
-            for mu, c in sector.items():
-                chi = character(nu, mu)
-                if chi:
-                    w = w + c.scale(Fraction(chi))
-            if w.is_zero():
-                continue
-            twist = RationalFunctionU(LaurentU.monomial(f * kappa(nu)))
-            scaled[nu] = w * twist
-        for mu in targets:
+        for t in targets:
+            rows = [(nu, f * kappa(nu), chi) for nu in partitions_of(d) if (chi := character(nu, t))]
+            scale = Fraction(1, z_aut(t))
             acc = qpoly_zero(v.q_bound)
-            for nu, w in scaled.items():
-                chi = character(nu, mu)
-                if chi:
-                    acc = acc + w.scale(Fraction(chi))
-            out.add_term(mu, acc.scale(Fraction(1, z_aut(mu))))
+            for mu, c in sector.items():
+                kernel: dict[int, int] = {}
+                for nu, e, chi_t in rows:
+                    chi = character(nu, mu)
+                    if chi:
+                        kernel[e] = kernel.get(e, 0) + chi_t * chi
+                kernel = LaurentU(kernel)
+                if kernel:
+                    acc = acc + c.scale(RationalFunctionU(kernel * scale))
+            out.add_term(t, acc)
     return out
 
 
@@ -239,22 +237,25 @@ def brane_state(n: int, q_bound: int) -> dict[int, TruncatedSeries]:
     return out
 
 
-def oracle_onepoint(a: int, n: int, q_bound: int | None = None) -> TruncatedSeries:
+def oracle_onepoint(a: int, n: int, state: FockVector) -> TruncatedSeries:
     """Winding-n one-point amplitude by brute force on the Fock space.
 
-    Builds the brane state exp(sum_m (c_m/m) b_{-m})|0>, applies the framing
-    twist q^{(a+1)K}, pairs against the vacuum, and reads the p_n coefficient
-    of the logarithm of the generating function.  Reported value is
-    (n i) * F_n, a pure bracket-ring polynomial in Q.
+    `state` is the brane state exp(sum_m (c_m/m) b_{-m})|0>, as
+    beta_neg_exp(brane_state(N, D), N, D) builds it for some N >= n; the
+    value is truncated at its Q-bound D.  Applies the framing twist
+    q^{(a+1)K}, pairs against the vacuum, and reads the p_n coefficient of
+    the logarithm of the generating function.  Reported value is (n i) * F_n,
+    a pure bracket-ring polynomial in Q.
 
-    Only that coefficient is twisted: chi_nu((n)) vanishes off the n hooks
-    nu = (n-r, 1^r) (Murnaghan-Nakayama), so qK_apply reads the column (n)
-    and the n hook rows: about n p(n) character values, not p(n)^2.
+    Only that coefficient is twisted, through the kernels K_{(n),mu} of
+    qK_apply: chi_nu((n)) vanishes off the n hooks nu = (n-r, 1^r), so the
+    twist reads the column (n) and the n hook rows, about n p(n) character
+    values, not p(n)^2.
     """
     if n < 1:
         raise ValueError("winding must be positive")
-    D = n if q_bound is None else q_bound
-    state = beta_neg_exp(brane_state(n, D), n, D)
+    if n > state.degree_bound:
+        raise ValueError(f"the brane state stops at degree {state.degree_bound}, below winding {n}")
     twisted = qK_apply(state, a + 1, only=((n,),))
     # Pairing with exp(sum_n x_n/(n i) b_n) weighs p_mu by prod_n (x_n/i)^{m_n},
     # i.e. by P_mu, so the generating function's coefficients are the stored

@@ -376,6 +376,22 @@ def _times_brackets(p: LaurentU, args) -> LaurentU:
     return _laurent(a, v - sum(args), c)
 
 
+def _binomial_product(args) -> dict[int, int]:
+    """prod_j (u^(2 d_j) - 1) as a sparse {exponent: int} map, monic."""
+    p = {0: 1}
+    for d in args:
+        s = 2 * d
+        q = {e + s: c for e, c in p.items()}
+        for e, c in p.items():
+            c = q.get(e, 0) - c
+            if c:
+                q[e] = c
+            else:
+                del q[e]
+        p = q
+    return p
+
+
 def _union(a: tuple[int, ...], b: tuple[int, ...]):
     """(M, M - a, M - b) for M the max-multiplicity union of the sorted multisets a and b."""
     lack_a, lack_b = [], list(a)
@@ -431,7 +447,10 @@ class RationalFunctionU:
         First each whole u^(2d) - 1 of the denominator that divides the
         numerator is cancelled; then, for the arguments d left, each
         Phi_e (e | 2d) as often as both sides hold it.  The denominator is a
-        product of cyclotomic polynomials, so what is left is coprime.
+        product of cyclotomic polynomials, so what is left is coprime.  When
+        no Phi_e cancels, the denominator is prod (u^(2d) - 1) itself, built
+        sparse: a dense list of (u^(2n) - 1)^2, as in 1/[n]^2, is nearly all
+        zeros.
         """
         if not self.den:
             return (self.num, LAURENT_ONE)
@@ -443,9 +462,8 @@ class RationalFunctionU:
                 left.append(d)
             else:
                 a = q
-        den, held = [1], {}
+        held, cancelled = {}, []
         for d in left:
-            den = _times_binomial(den, 2 * d)
             for e in divisors(2 * d):
                 held[e] = held.get(e, 0) + 1
         for e, k in held.items():
@@ -453,10 +471,16 @@ class RationalFunctionU:
                 q = _div_cyclotomic(a, e)
                 if q is None:
                     break
-                a, den = q, _div_cyclotomic(den, e)
+                a = q
+                cancelled.append(e)
         n = _laurent(a, v + sum(self.den), c)
-        if len(den) == 1:
-            return (n, LAURENT_ONE)
+        if not cancelled:
+            return (n, _lu(_ONE, _binomial_product(left)))
+        den = [1]
+        for d in left:
+            den = _times_binomial(den, 2 * d)
+        for e in cancelled:
+            den = _div_cyclotomic(den, e)
         return (n, _laurent(den, 0, _ONE))
 
     def is_zero(self) -> bool:

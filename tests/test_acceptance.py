@@ -25,6 +25,8 @@ from conifold.amplitudes import (
 from conifold.fock import (
     FockVector,
     beta_correlator_word,
+    beta_neg_exp,
+    brane_state,
     correlator_closed,
     correlator_reduce,
     cutjoin_apply,
@@ -141,11 +143,12 @@ def test_acceptance_01_onepoint_closed_vs_tables():
 
 def test_acceptance_02_oracle_triple_equality():
     start = time.time()
+    state = beta_neg_exp(brane_state(6, 6), 6, 6)
     for a in range(-3, 4):
         for n in range(1, 7):
             closed = onepoint_closed(a, n)
-            summed = onepoint_partition_sum(a, n)
-            oracle = oracle_onepoint(a, n)
+            summed = onepoint_partition_sum(a, n, state)
+            oracle = oracle_onepoint(a, n, state)
             assert closed == summed == oracle, (a, n)
     assert time.time() - start < 120
     announce(2, "partition sum = closed form = Fock oracle for |a| <= 3, n <= 6")

@@ -11,7 +11,7 @@ from conifold.amplitudes import (
     onepoint_closed,
     onepoint_partition_sum,
 )
-from conifold.fock import oracle_onepoint, qpoly
+from conifold.fock import beta_neg_exp, brane_state, oracle_onepoint, qpoly
 from conifold.laurent import RFU_ONE, LaurentU, RationalFunctionU, qbracket
 from conifold.series import TruncatedSeries
 
@@ -24,6 +24,11 @@ def brackets(num_args, den_args, scalar=1):
     for d in den_args:
         num = -num if d < 0 else num
     return RationalFunctionU(num, [abs(d) for d in den_args])
+
+
+def state_through(n):
+    """The brane state through winding n, truncated at Q^n."""
+    return beta_neg_exp(brane_state(n, n), n, n)
 
 
 def test_winding_one_table():
@@ -83,28 +88,35 @@ def test_framing_minus_one_degenerates():
             n,
         )
         assert onepoint_closed(-1, n) == expected
-        assert onepoint_partition_sum(-1, n) == expected
+        assert onepoint_partition_sum(-1, n, state_through(n)) == expected
 
 
 def test_partition_sum_equals_closed_form():
+    state = state_through(5)
     for a in range(-3, 4):
         for n in range(1, 6):
-            assert onepoint_partition_sum(a, n) == onepoint_closed(a, n), (a, n)
+            assert onepoint_partition_sum(a, n, state) == onepoint_closed(a, n), (a, n)
 
 
 def test_triple_equality_with_oracle_small():
+    state = state_through(4)
     for a in (-2, 0, 1):
         for n in range(1, 5):
             closed = onepoint_closed(a, n)
-            assert closed == onepoint_partition_sum(a, n)
-            assert closed == oracle_onepoint(a, n)
+            assert closed == onepoint_partition_sum(a, n, state)
+            assert closed == oracle_onepoint(a, n, state)
 
 
 def test_invalid_winding():
     with pytest.raises(ValueError):
         onepoint_closed(0, 0)
     with pytest.raises(ValueError):
-        onepoint_partition_sum(0, 0)
+        onepoint_partition_sum(0, 0, state_through(1))
+    # a state that stops below the winding has no p_n coefficient to read
+    with pytest.raises(ValueError):
+        onepoint_partition_sum(0, 3, state_through(2))
+    with pytest.raises(ValueError):
+        oracle_onepoint(0, 3, state_through(2))
 
 
 # -- genus zero ------------------------------------------------------------------

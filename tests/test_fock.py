@@ -18,11 +18,12 @@ from conifold.fock import (
     qK_apply,
     qpoly,
     qpoly_one,
+    qpoly_zero,
     schur_vector,
     vacuum,
 )
 from conifold.laurent import LaurentU, RFU_ZERO, RationalFunctionU, bracket_ratio, qbracket
-from conifold.partitions import kappa, multiplicities, partitions_of
+from conifold.partitions import character, kappa, multiplicities, partitions_of, z_aut
 
 
 def _reference_beta_apply(v: FockVector, k: int) -> FockVector:
@@ -187,6 +188,11 @@ def test_heisenberg_relations():
                 assert lhs == rhs, (m, n, mu)
 
 
+def _state(n, q_bound=None):
+    q_bound = n if q_bound is None else q_bound
+    return beta_neg_exp(brane_state(n, q_bound), n, q_bound)
+
+
 def test_oracle_onepoint_winding_one():
     expected = qpoly(
         {0: RationalFunctionU(LaurentU.const(1), (1,)),
@@ -194,12 +200,14 @@ def test_oracle_onepoint_winding_one():
         1,
     )
     for a in (-2, 0, 3):
-        assert oracle_onepoint(a, 1) == expected
+        assert oracle_onepoint(a, 1, _state(1)) == expected
+        # a state built through a higher winding gives the same value
+        assert oracle_onepoint(a, 1, _state(4)) == expected
 
 
 def test_oracle_onepoint_framing_minus_one():
     # framing -1: the twist is trivial and the amplitude is ((-1)^{n-1} + Q^n)/[n]
-    got = oracle_onepoint(-1, 3)
+    got = oracle_onepoint(-1, 3, _state(3))
     expected = qpoly(
         {0: RationalFunctionU(LaurentU.const(1), (3,)),
          3: RationalFunctionU(LaurentU.const(1), (3,))},
@@ -209,7 +217,7 @@ def test_oracle_onepoint_framing_minus_one():
 
 
 def test_oracle_onepoint_zero_framing_n2():
-    got = oracle_onepoint(0, 2)
+    got = oracle_onepoint(0, 2, _state(2))
     expected = (
         qpoly({0: RationalFunctionU(LaurentU.const(1), (2,))}, 2)
         + qpoly({1: RationalFunctionU(qbracket(2), (1, 1))}, 2)
@@ -238,10 +246,72 @@ def test_qK_only_equals_full_transform(n, framings):
 def test_oracle_onepoint_truncated_matches_full_transform():
     # at Q-bound D < n the oracle equals the full twist's p_n coefficient cut at Q^D
     for a, n in ((-3, 3), (0, 4), (2, 4)):
-        full = qK_apply(beta_neg_exp(brane_state(n, n), n, n), a + 1)
+        full = qK_apply(_state(n), a + 1)
         value = full.coefficient((n,)).scale(Fraction(n))
         for D in range(n):
-            assert oracle_onepoint(a, n, D) == value.truncated((D,)), (a, n, D)
+            assert oracle_onepoint(a, n, _state(n, D)) == value.truncated((D,)), (a, n, D)
+
+
+def _reference_qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
+    """q^{f K} by the two-step character transform, degree by degree:
+        w_nu = sum_mu chi_nu(mu) c_mu,   c'_mu = (1/z_mu) sum_nu u^{f kappa_nu} chi_nu(mu) w_nu.
+    With `only`, w_nu is built only for the nu with chi_nu(mu) != 0 for some
+    requested mu of its degree.
+    """
+    f = framing_exponent
+    wanted = None if only is None else tuple(dict.fromkeys(tuple(mu) for mu in only))
+    out = FockVector(v.degree_bound, v.q_bound, {})
+    by_degree = {}
+    for mu, c in v.coeffs.items():
+        by_degree.setdefault(sum(mu), {})[mu] = c
+    for d, sector in by_degree.items():
+        targets = partitions_of(d) if wanted is None else [mu for mu in wanted if sum(mu) == d]
+        if not targets:
+            continue
+        if d == 0 or f == 0:
+            for mu, c in sector.items():
+                if mu in targets:
+                    out.add_term(mu, c)
+            continue
+        scaled = {}
+        for nu in partitions_of(d):
+            if not any(character(nu, mu) for mu in targets):
+                continue
+            w = qpoly_zero(v.q_bound)
+            for mu, c in sector.items():
+                chi = character(nu, mu)
+                if chi:
+                    w = w + c.scale(Fraction(chi))
+            if w.is_zero():
+                continue
+            twist = RationalFunctionU(LaurentU.monomial(f * kappa(nu)))
+            scaled[nu] = w * twist
+        for mu in targets:
+            acc = qpoly_zero(v.q_bound)
+            for nu, w in scaled.items():
+                chi = character(nu, mu)
+                if chi:
+                    acc = acc + w.scale(Fraction(chi))
+            out.add_term(mu, acc.scale(Fraction(1, z_aut(mu))))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_qK_kernel_matches_the_two_step_transform(n):
+    # brane states cut at Q^0 and Q^n, twisted in full and on restricted sets,
+    # and every Schur vector of degree n, against the two-step transform
+    states = [_state(n, q_bound) for q_bound in sorted({0, n})]
+    schurs = {nu: schur_vector(nu) for nu in partitions_of(n)}
+    onlys = (((n,),), ((1,) * n, (n,), (n,)), partitions_of(n)[1::2], partitions_of(n - 1))
+    for f in range(-3, 4):
+        for v in states:
+            for only in (None,) + onlys:
+                _assert_same_state(qK_apply(v, f, only=only), _reference_qK_apply(v, f, only=only))
+        for nu, s in schurs.items():
+            _assert_same_state(qK_apply(s, f, only=((n,),)), _reference_qK_apply(s, f, only=((n,),)))
+            # s_nu is an eigenvector with eigenvalue u^{f kappa_nu}
+            twist = RationalFunctionU(LaurentU.monomial(f * kappa(nu)))
+            _assert_same_state(qK_apply(s, f), s.scale(twist))
 
 
 # -- correlators ----------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every job of the `oracle`, `integrality` and `curves` benchmark pools runs
 in-process through `cli.main`; its exit code and the sha256 of its stdout must
 equal the values recorded in perfbench/golden.json.  A speed-up that changes
-one output byte fails here.
+one output byte fails here.  A few jobs also run as fresh processes, through
+the `__main__` block that the in-process runs never reach.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import pytest
 from conifold import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
@@ -47,3 +50,22 @@ def test_job_matches_golden(key):
         status = cli.main(key.split())
     assert status == GOLDEN[key]["exit"]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[key]["stdout_sha256"]
+
+
+def test_jobs_as_fresh_processes_match_golden(tmp_path):
+    # `python -B -m conifold.cli` with no environment variable but the import path
+    for key in ("correlator --n-max 6 --format json", "oracle-compare --n-max 5 --framing 2 --format csv",
+                "mirror-check --framing 3 --order 16 --format json"):
+        assert key in JOBS
+        proc = subprocess.run([sys.executable, "-B", "-m", "conifold.cli", *key.split()],
+                              cwd=tmp_path, env={"PYTHONPATH": SRC}, capture_output=True)
+        assert proc.returncode == GOLDEN[key]["exit"], (key, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[key]["stdout_sha256"], key
+    # a check that fails exits 3, with its report on stderr and nothing on stdout
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "conifold.cli", *"disc-d --m-max 4 --k-max 4 --framing 1 --format json".split()],
+        cwd=tmp_path, env={"PYTHONPATH": SRC}, capture_output=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["error"]["kind"] == "verification-failure"

@@ -418,6 +418,17 @@ def test_canonical_above_the_golden_sizes():
             assert value.canonical() == ref_canonical(value.num, bracket_product(value.den))
 
 
+@pytest.mark.parametrize("n", [3999, 4000])
+def test_canonical_of_a_closed_string_coefficient_at_the_order_limit(n):
+    # (-1)^{n-1}/(n [n]^2) = (-1)^{n-1}/n u^{2n} / (u^{2n} - 1)^2: nothing cancels,
+    # and the denominator has three terms
+    sign = (-1) ** (n - 1)
+    value = RationalFunctionU(Fraction(sign, n), (n, n))
+    assert value.canonical() == (LaurentU({2 * n: Fraction(sign, n)}), LaurentU({4 * n: 1, 2 * n: -2, 0: 1}))
+    # with one u^{2n} - 1 in the numerator, the whole bracket cancels
+    assert (value * (bracket_product((n,)) * n)).canonical() == (LaurentU({n: sign}), LaurentU({2 * n: 1, 0: -1}))
+
+
 @settings(max_examples=80, deadline=None)
 @given(laurents(), laurents(max_terms=3), st.integers(1, 12))
 def test_general_laurents_match_euclid(a, common, s):
