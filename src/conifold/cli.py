@@ -217,9 +217,10 @@ def _rows_correlator(job: argparse.Namespace):
             for mults in itertools.product((1, 2, 3), repeat=len(comp)):
                 word = fock.beta_correlator_word(n, comp, mults)
                 closed = bracket_normal(*fock.correlator_closed_args(n, comp, mults))
-                # equal normal forms are equal values; on a mismatch the values decide
-                ok = ([bracket_normal(*t) for t in fock.correlator_terms(word)] == [closed]
-                      or fock.correlator_reduce(word) == fock.correlator_closed(n, comp, mults))
+                # every word of this family reduces along one chain (see correlator_terms),
+                # and normal forms are equal exactly when values are, so one branch
+                # equal to the closed form's normal form decides the row
+                ok = [bracket_normal(*t) for t in fock.correlator_terms(word)] == [closed]
                 rows.append({"n": n, "m": list(comp), "mult": list(mults), "agree": ok})
                 if not ok:
                     raise VerificationFailure(f"correlator mismatch at n={n}, m={comp}, multipliers={mults}")

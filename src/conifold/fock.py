@@ -181,7 +181,9 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
     K_{t,mu}; for t = (n) they are the n hooks (Murnaghan-Nakayama).  With
     `only`, a collection of partitions, the result holds just the
     coefficients c'_t of those t, each equal to its value in the full
-    transform.
+    transform.  f = 0 and degree 0 take the same path: by column
+    orthogonality, sum_nu chi_nu(t) chi_nu(mu) = z_t delta_{t,mu}, so the
+    kernel returns c_t.
     """
     f = framing_exponent
     wanted = None if only is None else tuple(dict.fromkeys(tuple(mu) for mu in only))
@@ -191,11 +193,6 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
         by_degree.setdefault(sum(mu), {})[mu] = c
     for d, sector in by_degree.items():
         targets = partitions_of(d) if wanted is None else [mu for mu in wanted if sum(mu) == d]
-        if d == 0 or f == 0:
-            for mu, c in sector.items():
-                if mu in targets:
-                    out.add_term(mu, c)
-            continue
         for t in targets:
             rows = [(nu, f * kappa(nu), chi) for nu in partitions_of(d) if (chi := character(nu, t))]
             scale = Fraction(1, z_aut(t))
@@ -213,15 +210,11 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
     return out
 
 
-def schur_vector(nu, degree_bound=None, q_bound: int = 0) -> FockVector:
-    """The Schur function s_nu expanded in power sums, as a FockVector."""
+def schur_vector(nu) -> FockVector:
+    """The Schur function s_nu expanded in power sums, as a FockVector of degree |nu| and Q-bound 0."""
     nu = tuple(nu)
-    n = sum(nu)
-    bound = n if degree_bound is None else degree_bound
-    coeffs = {}
-    for mu, frac in schur_in_powersums(nu).items():
-        coeffs[mu] = qpoly_one(q_bound).scale(frac)
-    return FockVector(bound, q_bound, coeffs)
+    coeffs = {mu: qpoly_one(0).scale(frac) for mu, frac in schur_in_powersums(nu).items()}
+    return FockVector(sum(nu), 0, coeffs)
 
 
 # -- one-point oracle ---------------------------------------------------------

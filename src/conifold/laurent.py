@@ -15,14 +15,14 @@ one gcd of the integer result (Knuth, TAOCP vol. 2, 4.6.1).
 RationalFunctionU is a LaurentU numerator over a multiset of positive bracket
 arguments, the only denominators the package builds (brane weights, closed
 forms, correlators, Adams-scaled Moebius sums).  As u^d [d] = u^(2d) - 1, two
-integer kernels carry all of its arithmetic: multiplying a dense list by
-u^s - 1 is two shifted copies, and dividing by it exactly is a prefix sum
-along each residue class mod s.  Sums and equality multiply, as_laurent
-divides, and canonical(), the reduced form that printing and hashing read,
-does both: since u^s - 1 = prod_{e | s} Phi_e(u), the gcd of a numerator with
-a bracket product is a product of cyclotomic polynomials, and dividing by
-Phi_e is multiplying by the u^d - 1 with mu(e/d) = -1 and dividing by those
-with mu(e/d) = +1.  No Euclid runs anywhere.
+integer kernels carry all of its arithmetic: multiplying by a bracket is two
+shifted copies of the sparse polynomial, and dividing by u^s - 1 exactly is a
+prefix sum along each residue class mod s of a dense list.  Sums and equality
+multiply; only canonical(), the reduced form that printing, hashing and
+as_laurent read, divides: since u^s - 1 = prod_{e | s} Phi_e(u), the gcd of a
+numerator with a bracket product is a product of cyclotomic polynomials, and
+dividing by Phi_e is multiplying by the u^d - 1 with mu(e/d) = -1 and dividing
+by those with mu(e/d) = +1.  No Euclid runs anywhere.
 """
 
 from __future__ import annotations
@@ -201,7 +201,9 @@ class LaurentU:
         content = self.content * other.content
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1:  # a primitive monomial is u^k
+        # a primitive monomial is u^k, in the CLI jobs always u^0 (a constant
+        # numerator); without this shift the oracle workload read about 4% slower
+        if len(a) == 1:
             (k,) = a
             return _lu(content, {e + k: v for e, v in b.items()} if k else b)
         # Gauss's lemma: the product of primitive polynomials is primitive
@@ -294,7 +296,7 @@ def qbinomial(n: int, j: int) -> "RationalFunctionU":
     return bracket_ratio(range(n, n - j, -1), range(1, j + 1))
 
 
-# -- integer polynomial core (lists of ints, index = exponent) -------------
+# -- integer polynomial core: sparse bracket products, exact division on dense lists
 
 
 def _primitive(p: LaurentU) -> tuple[Fraction, int, list[int]]:
@@ -367,29 +369,26 @@ def _div_cyclotomic(a: list[int], e: int) -> list[int] | None:
 
 
 def _times_brackets(p: LaurentU, args) -> LaurentU:
-    """p * prod_j [d_j] for positive d_j, as u^d [d] = u^(2d) - 1."""
-    if not args or not p.poly:
+    """p * prod_j [d_j] for positive d_j: per bracket, two shifted copies of the sparse P.
+
+    [d] = u^d - u^(-d) is monic up to a power of u, so by Gauss's lemma the
+    product keeps the content of p; an exponent where the copies cancel is
+    dropped.
+    """
+    poly = p.poly
+    if not args or not poly:
         return p
-    c, v, a = _primitive(p)
     for d in args:
-        a = _times_binomial(a, 2 * d)
-    return _laurent(a, v - sum(args), c)
-
-
-def _binomial_product(args) -> dict[int, int]:
-    """prod_j (u^(2 d_j) - 1) as a sparse {exponent: int} map, monic."""
-    p = {0: 1}
-    for d in args:
-        s = 2 * d
-        q = {e + s: c for e, c in p.items()}
-        for e, c in p.items():
+        q = {e + d: c for e, c in poly.items()}
+        for e, c in poly.items():
+            e -= d
             c = q.get(e, 0) - c
             if c:
                 q[e] = c
             else:
                 del q[e]
-        p = q
-    return p
+        poly = q
+    return _lu(p.content, poly)
 
 
 def _union(a: tuple[int, ...], b: tuple[int, ...]):
@@ -444,13 +443,13 @@ class RationalFunctionU:
     def canonical(self) -> tuple[LaurentU, LaurentU]:
         """(numerator, denominator) in lowest terms, the denominator monic at valuation zero.
 
-        First each whole u^(2d) - 1 of the denominator that divides the
-        numerator is cancelled; then, for the arguments d left, each
-        Phi_e (e | 2d) as often as both sides hold it.  The denominator is a
-        product of cyclotomic polynomials, so what is left is coprime.  When
-        no Phi_e cancels, the denominator is prod (u^(2d) - 1) itself, built
-        sparse: a dense list of (u^(2n) - 1)^2, as in 1/[n]^2, is nearly all
-        zeros.
+        The numerator, as a dense list, has each whole u^(2d) - 1 of the
+        denominator that divides it cancelled; then, for the arguments d left,
+        each Phi_e (e | 2d) as often as both sides hold it.  The denominator
+        is a product of cyclotomic polynomials, so what is left is coprime.
+        The denominator prod (u^(2d) - 1) over the d left is built sparse by
+        _times_brackets, and goes dense only when some Phi_e is divided out
+        of it.  The one place the package divides in the bracket ring.
         """
         if not self.den:
             return (self.num, LAURENT_ONE)
@@ -474,14 +473,13 @@ class RationalFunctionU:
                 a = q
                 cancelled.append(e)
         n = _laurent(a, v + sum(self.den), c)
-        if not cancelled:
-            return (n, _lu(_ONE, _binomial_product(left)))
-        den = [1]
-        for d in left:
-            den = _times_binomial(den, 2 * d)
-        for e in cancelled:
-            den = _div_cyclotomic(den, e)
-        return (n, _laurent(den, 0, _ONE))
+        den = _times_brackets(_lu(_ONE, {sum(left): 1}), left)
+        if cancelled:
+            _, _, a = _primitive(den)
+            for e in cancelled:
+                a = _div_cyclotomic(a, e)
+            den = _laurent(a, 0, _ONE)
+        return (n, den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -548,19 +546,11 @@ class RationalFunctionU:
     # -- extraction -------------------------------------------------------
 
     def as_laurent(self) -> LaurentU:
-        """The value as a LaurentU, dividing by one bracket at a time.
-
-        If num = L * prod [den], every partial quotient is a polynomial, so an
-        inexact step proves that the value is not a Laurent polynomial.
-        """
-        if not self.den:
-            return self.num
-        c, v, a = _primitive(self.num)
-        for d in self.den:
-            a = _div_binomial(a, 2 * d)
-            if a is None:
-                raise ArithmeticError(f"{self} is not a Laurent polynomial")
-        return _laurent(a, v + sum(self.den), c)
+        """The value as a LaurentU: the numerator of canonical(), whose denominator must be 1."""
+        n, d = self.canonical()
+        if d != LAURENT_ONE:
+            raise ArithmeticError(f"{self} is not a Laurent polynomial")
+        return n
 
     def __str__(self) -> str:
         n, d = self.canonical()

@@ -116,8 +116,6 @@ def ov_N(a: int, m: int, k: int) -> LaurentU:
     g = _gcd0(k, m)
     total = RationalFunctionU(0)
     for n in divisors(g):
-        if (m * a + k) % n:  # n | k and n | m force this; guard the sign exponent
-            raise ArithmeticError(f"sign exponent (ma+k)/n not integral at n={n}")
         total = total + Fraction(mobius(n)) * allgenus_rhs(a, k // n, m // n, n)
     value = (RationalFunctionU(qbracket(1)) * total).as_laurent()
     if not value.has_integer_coeffs():

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from conifold.amplitudes import onepoint_closed
 from conifold.fock import (
     FockVector,
     beta_correlator_word,
@@ -214,6 +215,10 @@ def test_oracle_onepoint_framing_minus_one():
         3,
     )
     assert got == expected
+    # the twist q^{0 K} runs the f = 0 kernel on the n hooks
+    state = _state(8)
+    for n in range(1, 9):
+        assert oracle_onepoint(-1, n, state) == onepoint_closed(-1, n), n
 
 
 def test_oracle_onepoint_zero_framing_n2():
@@ -312,6 +317,15 @@ def test_qK_kernel_matches_the_two_step_transform(n):
             # s_nu is an eigenvector with eigenvalue u^{f kappa_nu}
             twist = RationalFunctionU(LaurentU.monomial(f * kappa(nu)))
             _assert_same_state(qK_apply(s, f), s.scale(twist))
+
+
+def test_qK_at_zero_framing_is_the_identity():
+    # the f = 0 kernel sum_nu chi_nu(t) chi_nu(mu) is z_t delta_{t,mu} (column orthogonality)
+    assert qK_apply(_state(6), 0) == _state(6)
+    for n in range(1, 7):
+        for nu in partitions_of(n):
+            s = schur_vector(nu)
+            assert qK_apply(s, 0) == s, nu
 
 
 # -- correlators ----------------------------------------------------------------
