@@ -8,12 +8,11 @@ bar-symmetric integer Laurent polynomials N_{m,k} at all genera.
 """
 
 from conifold.ovinv import (
+    catalan_number,
     disc_d,
-    disc_d_raw,
     disc_e,
     dmm_report,
     ov_N,
-    seq_catalan,
 )
 
 print("Genus-zero d invariants at zero framing (rows m, columns k)")
@@ -25,7 +24,8 @@ for m in range(1, 9):
 print()
 print("The adjacent column is the Catalan sequence")
 print("-------------------------------------------")
-print(" ", [seq_catalan(k) for k in range(1, 11)])
+assert all(abs(disc_d(0, k, k + 1)) == catalan_number(k) for k in range(1, 11))
+print(" ", [catalan_number(k) for k in range(1, 11)])
 
 print()
 print("Half-integral e invariants (boxed spots of the printed table)")
@@ -50,5 +50,5 @@ print()
 print("A caveat at odd framing")
 print("-----------------------")
 print("  the defining recursion forces d_{2,2} = (a+2)/2, so d-integrality")
-print(f"  fails there: d_{{2,2}} at framing 1 is {disc_d_raw(1, 2, 2)}")
+print(f"  fails there: d_{{2,2}} at framing 1 is {disc_d(1, 2, 2)}")
 print("  (2 d is always integral, and even framings are fully integral)")

@@ -23,7 +23,7 @@ print("-----------------------")
 y = y_from_amplitude(0, 4)
 print(f"  y(x) = {y}")
 print(f"  residual of y^2 - (1-x) y - x E through x^10: "
-      f"{'0' if zero_framing_curve_check(10).is_zero() else 'NONZERO'}")
+      f"{'0' if zero_framing_curve_check(10)['curve'].is_zero() else 'NONZERO'}")
 
 print()
 print("Lagrange inversion of x = z (1 - Q z)^{a+1} / (1 + z)^{a+1}")
@@ -36,7 +36,7 @@ print()
 print("Framed curve residuals")
 print("----------------------")
 for a in (-3, -2, 0, 1, 2, 3):
-    ok = framed_curve_check(a, 8).is_zero()
+    ok = all(residual.is_zero() for residual in framed_curve_check(a, 8).values())
     print(f"  framing {a:+d}: residual of y + x y^{-a} - 1 - E x y^{-a-1} is zero -> {ok}")
 
 print()

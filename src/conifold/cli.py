@@ -38,9 +38,10 @@ class VerificationFailure(Exception):
     pass
 
 
-def _check(condition: bool, message: str) -> None:
+def _check(condition: bool, message: str, *args) -> None:
+    """Raise the job's verification failure unless condition holds; message % args is built only then."""
     if not condition:
-        raise VerificationFailure(message)
+        raise VerificationFailure(message % args)
 
 
 # -- table builders ------------------------------------------------------------
@@ -54,10 +55,7 @@ def _rows_onepoint(job: argparse.Namespace):
     for n in range(1, N + 1):
         closed = amplitudes.onepoint_closed(job.framing, n)
         summed = amplitudes.onepoint_partition_sum(job.framing, n, state)
-        _check(
-            closed == summed,
-            f"closed form and partition sum disagree at (a={job.framing}, n={n})",
-        )
+        _check(closed == summed, "closed form and partition sum disagree at (a=%d, n=%d)", job.framing, n)
         rows.append({"a": job.framing, "n": n, "value": closed})
     # anchor: the winding-1 amplitude is (1 + Q)/[1] in every framing
     anchor = fock.qpoly(
@@ -91,25 +89,47 @@ def _rows_genus0(job: argparse.Namespace):
     return rows
 
 
+def _disc(kind: str, a: int, k: int, m: int) -> Fraction:
+    """d_{k,m} or e_{k,m} at framing a, checked: integral d or half-integral e, its
+    defining recursion, and e = (-1)^k d at coprime (k, m)."""
+    if kind == "d":
+        value = ovinv.disc_d(a, k, m)
+        _check(value.denominator == 1, "d_{%d,%d}^(%d) = %s is not an integer", k, m, a, value)
+    else:
+        value = ovinv.disc_e(a, k, m)
+        _check((2 * value).denominator == 1, "e_{%d,%d}^(%d) = %s is not a half integer", k, m, a, value)
+    _check(ovinv.recursion_holds(a, k, m, kind == "d", value),
+           "%s_{%d,%d}^(%d) fails its defining recursion", kind, k, m, a)
+    if kind == "e" and gcd(k, m) == 1:
+        _check(value == (-1) ** k * ovinv.disc_d(a, k, m), "e_{%d,%d}^(%d) != (-1)^k d at coprime (k, m)", k, m, a)
+    return value
+
+
+def _check_catalan(k: int) -> int:
+    """C(k), checked against |d_{k,k+1}| at zero framing."""
+    value = ovinv.catalan_number(k)
+    _check(value == abs(_disc("d", 0, k, k + 1)), "|d_{%d,%d}| is not the Catalan number C(%d)", k, k + 1, k)
+    return value
+
+
 def _rows_disc(job: argparse.Namespace, kind: str):
-    fn = ovinv.disc_d if kind == "d" else ovinv.disc_e
     rows = []
     for m in range(1, job.m_max + 1):
         row = {"m": m}
         for k in range(1, job.k_max + 1):
-            row[f"{kind}_{k}"] = fn(job.framing, k, m) if k <= m else Fraction(0)
+            row[f"{kind}_{k}"] = _disc(kind, job.framing, k, m) if k <= m else Fraction(0)
         rows.append(row)
     if kind == "d":
-        # anchor: Catalan column |d_{k,k+1}| = C(k), asserted inside seq_catalan
+        # anchor: Catalan column |d_{k,k+1}| = C(k)
         for k in range(1, max(2, min(job.k_max, job.m_max - 1)) + 1):
-            ovinv.seq_catalan(k)
+            _check_catalan(k)
     else:
         # anchor: boxed half-integer entries of the zero-framing table
         anchors = {(1, 1): Fraction(1), (2, 2): Fraction(1, 2), (2, 4): Fraction(7, 2),
                    (5, 10): Fraction(5045)}
         for (k, m), v in anchors.items():
             if (k, m) == (1, 1) or (m <= job.m_max and k <= job.k_max):
-                _check(ovinv.disc_e(0, k, m) == v, f"e_{{{k},{m}}} fails its anchor")
+                _check(_disc("e", 0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
     _check_framing(job.framing)
     return rows
 
@@ -134,6 +154,8 @@ def _rows_ovn(job: argparse.Namespace):
     for m in range(1, job.m_max + 1):
         for k in range(0, m + 1):
             value = ovinv.ov_N(a, m, k)
+            _check(value.has_integer_coeffs(), "N_{%d,%d}^(%d) has non-integer coefficients", m, k, a)
+            _check(value.bar() == value, "N_{%d,%d}^(%d) is not bar symmetric", m, k, a)
             # anchor: at u = 1 each row is m times the Moebius sum of its genus-zero
             # coefficients, sum_{n | (k, m)} mu(n)/n^2 (-1)^{(ma+k)/n+1} [Q^{k/n}] at winding m/n
             genus0 = sum(
@@ -143,7 +165,7 @@ def _rows_ovn(job: argparse.Namespace):
             )
             _check(
                 value.content * sum(value.poly.values()) == m * genus0,
-                f"N_{{{m},{k}}} at u = 1 is not m times its genus-zero Moebius sum",
+                "N_{%d,%d} at u = 1 is not m times its genus-zero Moebius sum", m, k,
             )
             values[m, k] = value
             # anchor: the defining relation at u = 2, read from printed rows only,
@@ -154,7 +176,7 @@ def _rows_ovn(job: argparse.Namespace):
             rhs = _brackets_at_two(num) / _brackets_at_two(den)
             _check(
                 lhs == (-rhs if (m * a + k) % 2 else rhs),
-                f"N_{{{m},{k}}} at u = 2 fails the divisor-sum relation with its amplitude",
+                "N_{%d,%d} at u = 2 fails the divisor-sum relation with its amplitude", m, k,
             )
             rows.append({"a": a, "m": m, "k": k, "value": value})
     # anchor: N_{2,1} at zero framing is -(u + u^{-1})
@@ -179,31 +201,45 @@ def _check_framing(a: int) -> None:
         for n in range(1, 4):
             expected = {(0,): Fraction((-1) ** n, n * n), (n,): Fraction(-1, n * n)}
             _check(amplitudes.genus0_onepoint(a, n).terms == expected,
-                   f"genus-zero x^{n} coefficient at framing -1 fails its anchor")
+                   "genus-zero x^%d coefficient at framing -1 fails its anchor", n)
         return
-    _check(mirror.framed_curve_check(a, 4).is_zero(), f"mirror curve residual at framing {a} does not vanish")
+    _check_curve(mirror.framed_curve_check(a, 4), "mirror curve residual at framing %d does not vanish", a)
+
+
+def _check_curve(residuals: dict, message: str, *args) -> None:
+    """Check the residuals of a mirror curve check in order: log y, z0 (framed branch only), the curve."""
+    framed = "z0" in residuals
+    _check(residuals["log y"].is_zero(), "log of the %s disagrees with x d/dx Psi_0",
+           "framed branch" if framed else "square-root closed form")
+    if framed:
+        _check(residuals["z0"].is_zero(), "z0 = x y^{-(a+1)} fails")
+    _check(residuals["curve"].is_zero(), message, *args)
 
 
 def _rows_sequences(job: argparse.Namespace):
     if job.which == "catalan":
         # anchor: C(1) = |d_{1,2}|, checked even when --count 1 prints only C(0)
-        ovinv.seq_catalan(1)
-        values = [ovinv.catalan_number(0)] + [ovinv.seq_catalan(k) for k in range(1, job.count)]
+        _check_catalan(1)
+        values = [ovinv.catalan_number(0)] + [_check_catalan(k) for k in range(1, job.count)]
         return [{"index": i, "value": v} for i, v in enumerate(values)]
-    return ovinv.dmm_report(job.count)
+    rows = ovinv.dmm_report(job.count)
+    for row in rows:
+        m = row["m"]
+        _check(row["formula"] == abs(_disc("d", 0, m, m)), "d_{%d,%d} divisor sum disagrees with Moebius inversion", m, m)
+    return rows
 
 
 def _rows_mirror(job: argparse.Namespace):
     a, order = job.framing, job.order
     rows = []
     if a == 0:
-        residual = mirror.zero_framing_curve_check(order)
-        rows.append({"check": "zero-framing curve residual", "order": order, "ok": residual.is_zero()})
-        _check(residual.is_zero(), "zero-framing residual does not vanish")
+        residuals = mirror.zero_framing_curve_check(order)
+        rows.append({"check": "zero-framing curve residual", "order": order, "ok": residuals["curve"].is_zero()})
+        _check_curve(residuals, "zero-framing residual does not vanish")
     else:
-        residual = mirror.framed_curve_check(a, order)
-        rows.append({"check": f"framed curve residual (a={a})", "order": order, "ok": residual.is_zero()})
-        _check(residual.is_zero(), "framed residual does not vanish")
+        residuals = mirror.framed_curve_check(a, order)
+        rows.append({"check": f"framed curve residual (a={a})", "order": order, "ok": residuals["curve"].is_zero()})
+        _check_curve(residuals, "framed residual does not vanish")
     ok = mirror.framing_transform_check(a)
     rows.append({"check": "framing transformation x -> x y^(%d)" % -a, "order": order, "ok": ok})
     _check(ok, "framing transformation check failed")
@@ -222,8 +258,7 @@ def _rows_correlator(job: argparse.Namespace):
                 # equal to the closed form's normal form decides the row
                 ok = [bracket_normal(*t) for t in fock.correlator_terms(word)] == [closed]
                 rows.append({"n": n, "m": list(comp), "mult": list(mults), "agree": ok})
-                if not ok:
-                    raise VerificationFailure(f"correlator mismatch at n={n}, m={comp}, multipliers={mults}")
+                _check(ok, "correlator mismatch at n=%d, m=%s, multipliers=%s", n, comp, mults)
     return rows
 
 
@@ -249,7 +284,7 @@ def _rows_oracle(job: argparse.Namespace):
         closed, summed, oracle = (v.truncated((bound,)) for v in (closed, summed, oracle))
         ok = closed == summed == oracle
         rows.append({"a": job.framing, "n": n, "agree": ok, "value": closed})
-        _check(ok, f"oracle disagreement at (a={job.framing}, n={n})")
+        _check(ok, "oracle disagreement at (a=%d, n=%d)", job.framing, n)
     return rows
 
 
@@ -260,7 +295,7 @@ def _rows_closed_string(job: argparse.Namespace):
         expected = RationalFunctionU(Fraction((-1) ** (n - 1), n), (n, n))
         _check(
             series.scalar_coefficient((n,)) == expected,
-            f"closed-string Q^{n} coefficient fails its anchor (-1)^{{n-1}}/(n [n]^2)",
+            "closed-string Q^%d coefficient fails its anchor (-1)^{n-1}/(n [n]^2)", n,
         )
     return [{"q_order": job.order, "log_Z": series}]
 
@@ -360,7 +395,9 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric") and v is not None}
     try:
         rows = COMMANDS[args.command].rows(args)
-    # main has rejected usage errors, so a ValueError here is a check that broke
+    # main has rejected usage errors, so an ArithmeticError or ValueError here is a
+    # computation that a fault broke (a reversion without a linear term, a quotient
+    # as_laurent cannot divide out); every check the job makes raises through _check
     except (VerificationFailure, ArithmeticError, ValueError) as exc:
         report = {
             "meta": {"command": args.command, "parameters": params, "format_version": FORMAT_VERSION},

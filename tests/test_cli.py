@@ -370,6 +370,121 @@ def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):
     assert "Q^2 coefficient" in _assert_verification_failure(capsys, *argv)
 
 
+def _planted(module, name, cell, delta):
+    """Patch module.name, a function of (a, *cell), to add delta at the one cell `cell`."""
+    def patch(monkeypatch):
+        function = getattr(module, name)
+
+        def planted(a, *rest):
+            value = function(a, *rest)
+            return value + delta if rest == cell else value
+
+        monkeypatch.setattr(module, name, planted)
+    return patch
+
+
+def _planted_value(module, name, at, delta):
+    """Patch module.name, a function of one argument, to add delta at `at`."""
+    def patch(monkeypatch):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda k: function(k) + delta if k == at else function(k))
+    return patch
+
+
+def _dropping_power(applies):
+    """Patch TruncatedSeries.__pow__ to lose every E^1 term of a power whose exponent `applies` accepts."""
+    def patch(monkeypatch):
+        power = TruncatedSeries.__pow__
+
+        def dropping(self, k):
+            out = power(self, k)
+            if applies(k):
+                out = out._with_terms({e: c for e, c in out.terms.items() if e[1] != 1})
+            return out
+
+        monkeypatch.setattr(TruncatedSeries, "__pow__", dropping)
+    return patch
+
+
+def _shifted_framing(shift):
+    def patch(monkeypatch):
+        monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args(shift))
+    return patch
+
+
+# one planted fault per check of the d, e and N values, the named sequences and the
+# mirror-curve residuals, with a job that must fail it and the message it must give
+PLANTED_FAULTS = {
+    "d-integral": (_planted(ovinv, "disc_d", (1, 2), Fraction(1, 2)),
+                   ("disc-d", "--m-max", "2", "--k-max", "2"), "d_{1,2}^(0) = -1/2 is not an integer"),
+    "e-half-integral": (_planted(ovinv, "disc_e", (2, 2), Fraction(1, 3)),
+                        ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{2,2}^(0) = 5/6 is not a half integer"),
+    "d-recursion": (_planted(ovinv, "disc_d", (2, 2), 1),
+                    ("disc-d", "--m-max", "2", "--k-max", "2"), "d_{2,2}^(0) fails its defining recursion"),
+    "e-recursion": (_planted(ovinv, "disc_e", (2, 2), 1),
+                    ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{2,2}^(0) fails its defining recursion"),
+    # the disc-e job reads d only to compare it with e at coprime (k, m)
+    "e-coprime": (_planted(ovinv, "disc_d", (1, 2), 1),
+                  ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{1,2}^(0) != (-1)^k d at coprime (k, m)"),
+    "catalan-anchor": (_planted_value(ovinv, "catalan_number", 2, 1),
+                       ("disc-d", "--m-max", "3", "--k-max", "2"), "|d_{2,3}| is not the Catalan number C(2)"),
+    "catalan": (_planted_value(ovinv, "catalan_number", 2, 1),
+                ("sequences", "--which", "catalan", "--count", "3"), "|d_{2,3}| is not the Catalan number C(2)"),
+    "dmm": (_planted_value(ovinv, "seq_dmm", 3, 1),
+            ("sequences", "--which", "dmm", "--count", "3"), "d_{3,3} divisor sum disagrees with Moebius inversion"),
+    "N-integer": (_planted(ovinv, "ov_N", (2, 1), LaurentU({0: Fraction(1, 2)})),
+                  ("ov-n", "--m-max", "2"), "N_{2,1}^(0) has non-integer coefficients"),
+    "N-bar": (_planted(ovinv, "ov_N", (2, 1), LaurentU({1: 1})),
+              ("ov-n", "--m-max", "2"), "N_{2,1}^(0) is not bar symmetric"),
+    "framed-log": (_shifted_framing({2: 4}), ("mirror-check", "--framing", "2", "--order", "3"),
+                   "log of the framed branch disagrees with x d/dx Psi_0"),
+    "zero-framing-log": (_shifted_framing({0: 4}), ("mirror-check", "--framing", "0", "--order", "3"),
+                         "log of the square-root closed form disagrees with x d/dx Psi_0"),
+    # y^{-3} loses its E^1 terms; the inverse (the power -1) that builds y and the
+    # powers of the E-free 1 + z in the Lagrange root stay whole, so log y holds
+    "z0": (_dropping_power(lambda k: k < -1),
+           ("mirror-check", "--framing", "2", "--order", "3"), "z0 = x y^{-(a+1)} fails"),
+    # at zero framing only the curve's y^{-1} is a power: log y holds
+    "curve": (_dropping_power(lambda k: k == -1),
+              ("mirror-check", "--framing", "0", "--order", "3"), "zero-framing residual does not vanish"),
+}
+
+
+@pytest.mark.parametrize("fault, argv, message", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))
+def test_each_check_fails_its_planted_fault(capsys, monkeypatch, fault, argv, message):
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    fault(monkeypatch)
+    assert _assert_verification_failure(capsys, *argv) == message
+
+
+def _smallest_jobs():
+    """argv of each command with every bounded parameter at its lowest, once per choice."""
+    for name, command in COMMANDS.items():
+        jobs = [[name]]
+        for dest, spec in command.params.items():
+            flag = "--" + dest.replace("_", "-")
+            if isinstance(spec[0], str):
+                jobs = [job + [flag, choice] for job in jobs for choice in spec]
+            elif spec[1] is not None:
+                jobs = [job + [flag, str(spec[1])] for job in jobs]
+        yield from jobs
+
+
+@pytest.mark.parametrize("argv", list(_smallest_jobs()), ids=" ".join)
+def test_every_smallest_job_makes_a_check(capsys, monkeypatch, argv):
+    # a job that passes without calling _check has checked nothing
+    made = []
+    check = cli._check
+
+    def counted(condition, message, *args):
+        made.append(message)
+        check(condition, message, *args)
+
+    monkeypatch.setattr(cli, "_check", counted)
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    assert made, argv
+
+
 def test_usage_error_on_bad_bound(capsys):
     status, _, err = run_main(capsys, "onepoint", "--n-max", "0")
     assert status == EXIT_USAGE

@@ -41,8 +41,10 @@ def test_y_constant_term_is_one():
 
 
 def test_zero_framing_residual_vanishes():
-    assert zero_framing_curve_check(5).is_zero()
-    assert zero_framing_curve_check(12).is_zero()
+    for order in (5, 12):
+        residuals = zero_framing_curve_check(order)
+        assert list(residuals) == ["log y", "curve"]
+        assert all(r.is_zero() for r in residuals.values()), order
 
 
 def test_lagrange_z0_leading_terms():
@@ -81,7 +83,9 @@ def test_lagrange_rejects_framing_minus_one():
 
 def test_framed_residual_vanishes():
     for a in (-4, -3, -2, 0, 1, 2, 3):
-        assert framed_curve_check(a, 6).is_zero(), a
+        residuals = framed_curve_check(a, 6)
+        assert list(residuals) == ["log y", "z0", "curve"]
+        assert all(r.is_zero() for r in residuals.values()), a
 
 
 def test_framed_curve_reduces_to_zero_framing():

@@ -10,14 +10,10 @@ from conifold.ovinv import (
     allgenus_rhs,
     catalan_number,
     disc_d,
-    disc_d_raw,
-    disc_d_recursion_holds,
     disc_e,
-    disc_e_raw,
-    disc_e_recursion_holds,
     dmm_report,
     ov_N,
-    seq_catalan,
+    recursion_holds,
     seq_dmm,
 )
 from conifold.partitions import divisors
@@ -105,18 +101,18 @@ def test_disc_d_values():
 def test_disc_d_zero_framing_integrality_m20():
     for m in range(1, 21):
         for k in range(0, m + 1):
-            assert disc_d(0, k, m).denominator == 1
+            d = disc_d(0, k, m)
+            assert d.denominator == 1
+            assert recursion_holds(0, k, m, True, d), (k, m)
 
 
 def test_disc_d_known_half_integer_exceptions():
     # the recursion forces d_{2,2} = (a+2)/2, non-integral at odd framing
-    assert disc_d_raw(1, 2, 2) == Fraction(3, 2)
-    assert disc_d_raw(-1, 2, 2) == Fraction(1, 2)
-    assert disc_d_raw(-3, 2, 2) == Fraction(-1, 2)
-    with pytest.raises(ArithmeticError):
-        disc_d(1, 2, 2)
-    # the raw values still solve the recursion; only integrality fails
-    assert disc_d_recursion_holds(1, 2, 2)
+    assert disc_d(1, 2, 2) == Fraction(3, 2)
+    assert disc_d(-1, 2, 2) == Fraction(1, 2)
+    assert disc_d(-3, 2, 2) == Fraction(-1, 2)
+    # the values still solve the recursion; only integrality fails
+    assert recursion_holds(1, 2, 2, True, Fraction(3, 2))
 
 
 def test_disc_e_table_spot_values():
@@ -130,8 +126,8 @@ def test_recursions_hold_on_grid():
     for a in (-2, 0, 3):
         for m in range(1, 13):
             for k in range(0, m + 1):
-                assert disc_d_recursion_holds(a, k, m), (a, k, m)
-                assert disc_e_recursion_holds(a, k, m), (a, k, m)
+                assert recursion_holds(a, k, m, True, disc_d(a, k, m)), (a, k, m)
+                assert recursion_holds(a, k, m, False, disc_e(a, k, m)), (a, k, m)
 
 
 def test_coprime_agreement():
@@ -145,7 +141,7 @@ def test_coprime_agreement():
         for m in range(1, 10):
             for k in range(1, m + 1):
                 if gcd(k, m) == 1:
-                    assert disc_e_raw(a, k, m) == (-1) ** k * disc_d_raw(a, k, m)
+                    assert disc_e(a, k, m) == (-1) ** k * disc_d(a, k, m)
 
 
 def test_generating_function_consistency():
@@ -222,8 +218,9 @@ def test_ov_N_integrality_and_bar_symmetry():
     for a in (-2, -1, 0, 1, 2):
         for m in range(1, 8):
             for k in range(0, m + 1):
-                value = ov_N(a, m, k)  # constructor asserts both properties
-                assert value.bar() == value
+                value = ov_N(a, m, k)
+                assert value.has_integer_coeffs(), (a, m, k)
+                assert value.bar() == value, (a, m, k)
 
 
 @pytest.mark.parametrize("a", [-2, 0, 2])
@@ -233,7 +230,7 @@ def test_ov_N_at_u_one_is_m_times_disc_d(a):
     for m in range(1, 11):
         for k in range(0, m + 1):
             value = ov_N(a, m, k)
-            assert value.content * sum(value.poly.values()) == m * disc_d_raw(a, k, m), (m, k)
+            assert value.content * sum(value.poly.values()) == m * disc_d(a, k, m), (m, k)
 
 
 def test_ov_N_inversion_identity():
@@ -247,10 +244,10 @@ def test_prime_case_cross_checks():
     for a in (-2, 0, 1, 3):
         for p in (2, 3, 5):
             for n in (1, 2, 3, 4):
-                assert _reference_disc_d_prime(a, p, n) == disc_d_raw(a, p, p * n), (a, p, n)
+                assert _reference_disc_d_prime(a, p, n) == disc_d(a, p, p * n), (a, p, n)
                 assert _reference_ov_N_prime(a, p, n) == ov_N(a, p * n, p), (a, p, n)
         for p, n in ((2, 3), (2, 5), (3, 4), (3, 5)):
-            assert _reference_disc_d_prime_square(a, p, n) == disc_d_raw(a, p * p, p * n), (a, p, n)
+            assert _reference_disc_d_prime_square(a, p, n) == disc_d(a, p * p, p * n), (a, p, n)
             assert _reference_ov_N_prime_square(a, p, n) == ov_N(a, p * n, p * p), (a, p, n)
     with pytest.raises(ValueError):
         _reference_disc_d_prime(0, 4, 2)
@@ -278,9 +275,7 @@ def test_dmm_report_flags_printed_mismatch():
 
 
 def test_seq_catalan():
-    assert seq_catalan(1) == 1
-    assert seq_catalan(5) == 42
-    assert seq_catalan(9) == 4862
-    assert catalan_number(0) == 1
+    # |d_{k,k+1}| at zero framing is the Catalan number C(k)
+    assert [catalan_number(k) for k in (0, 1, 5, 9)] == [1, 1, 42, 4862]
     for k in range(1, 13):
-        assert seq_catalan(k) == catalan_number(k)
+        assert abs(disc_d(0, k, k + 1)) == catalan_number(k)
