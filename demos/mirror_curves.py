@@ -23,7 +23,7 @@ print("-----------------------")
 y = y_from_amplitude(0, 4)
 print(f"  y(x) = {y}")
 print(f"  residual of y^2 - (1-x) y - x E through x^10: "
-      f"{'0' if zero_framing_curve_check(10)['curve'].is_zero() else 'NONZERO'}")
+      f"{'0' if all(r.is_zero() for r in zero_framing_curve_check(10).values()) else 'NONZERO'}")
 
 print()
 print("Lagrange inversion of x = z (1 - Q z)^{a+1} / (1 + z)^{a+1}")

@@ -89,18 +89,18 @@ def _rows_genus0(job: argparse.Namespace):
     return rows
 
 
-def _disc(kind: str, a: int, k: int, m: int) -> Fraction:
-    """d_{k,m} or e_{k,m} at framing a, checked: integral d or half-integral e, its
-    defining recursion, and e = (-1)^k d at coprime (k, m)."""
-    if kind == "d":
+def _disc(signed: bool, a: int, k: int, m: int) -> Fraction:
+    """d_{k,m} (signed) or e_{k,m} at framing a, checked: integral d or half-integral e,
+    its defining recursion, and e = (-1)^k d at coprime (k, m)."""
+    if signed:
         value = ovinv.disc_d(a, k, m)
         _check(value.denominator == 1, "d_{%d,%d}^(%d) = %s is not an integer", k, m, a, value)
     else:
         value = ovinv.disc_e(a, k, m)
         _check((2 * value).denominator == 1, "e_{%d,%d}^(%d) = %s is not a half integer", k, m, a, value)
-    _check(ovinv.recursion_holds(a, k, m, kind == "d", value),
-           "%s_{%d,%d}^(%d) fails its defining recursion", kind, k, m, a)
-    if kind == "e" and gcd(k, m) == 1:
+    _check(ovinv.recursion_holds(a, k, m, signed, value),
+           "%s_{%d,%d}^(%d) fails its defining recursion", "d" if signed else "e", k, m, a)
+    if not signed and gcd(k, m) == 1:
         _check(value == (-1) ** k * ovinv.disc_d(a, k, m), "e_{%d,%d}^(%d) != (-1)^k d at coprime (k, m)", k, m, a)
     return value
 
@@ -108,18 +108,19 @@ def _disc(kind: str, a: int, k: int, m: int) -> Fraction:
 def _check_catalan(k: int) -> int:
     """C(k), checked against |d_{k,k+1}| at zero framing."""
     value = ovinv.catalan_number(k)
-    _check(value == abs(_disc("d", 0, k, k + 1)), "|d_{%d,%d}| is not the Catalan number C(%d)", k, k + 1, k)
+    _check(value == abs(_disc(True, 0, k, k + 1)), "|d_{%d,%d}| is not the Catalan number C(%d)", k, k + 1, k)
     return value
 
 
-def _rows_disc(job: argparse.Namespace, kind: str):
+def _rows_disc(job: argparse.Namespace, signed: bool):
     rows = []
+    column = "d_%d" if signed else "e_%d"
     for m in range(1, job.m_max + 1):
         row = {"m": m}
         for k in range(1, job.k_max + 1):
-            row[f"{kind}_{k}"] = _disc(kind, job.framing, k, m) if k <= m else Fraction(0)
+            row[column % k] = _disc(signed, job.framing, k, m) if k <= m else Fraction(0)
         rows.append(row)
-    if kind == "d":
+    if signed:
         # anchor: Catalan column |d_{k,k+1}| = C(k)
         for k in range(1, max(2, min(job.k_max, job.m_max - 1)) + 1):
             _check_catalan(k)
@@ -129,7 +130,7 @@ def _rows_disc(job: argparse.Namespace, kind: str):
                    (5, 10): Fraction(5045)}
         for (k, m), v in anchors.items():
             if (k, m) == (1, 1) or (m <= job.m_max and k <= job.k_max):
-                _check(_disc("e", 0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
+                _check(_disc(False, 0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
     _check_framing(job.framing)
     return rows
 
@@ -203,12 +204,11 @@ def _check_framing(a: int) -> None:
             _check(amplitudes.genus0_onepoint(a, n).terms == expected,
                    "genus-zero x^%d coefficient at framing -1 fails its anchor", n)
         return
-    _check_curve(mirror.framed_curve_check(a, 4), "mirror curve residual at framing %d does not vanish", a)
+    _check_curve(True, mirror.framed_curve_check(a, 4), "mirror curve residual at framing %d does not vanish", a)
 
 
-def _check_curve(residuals: dict, message: str, *args) -> None:
-    """Check the residuals of a mirror curve check in order: log y, z0 (framed branch only), the curve."""
-    framed = "z0" in residuals
+def _check_curve(framed: bool, residuals: dict, message: str, *args) -> None:
+    """Check a curve check's residuals in order: log y, z0 (framed branch only), the curve."""
     _check(residuals["log y"].is_zero(), "log of the %s disagrees with x d/dx Psi_0",
            "framed branch" if framed else "square-root closed form")
     if framed:
@@ -225,7 +225,7 @@ def _rows_sequences(job: argparse.Namespace):
     rows = ovinv.dmm_report(job.count)
     for row in rows:
         m = row["m"]
-        _check(row["formula"] == abs(_disc("d", 0, m, m)), "d_{%d,%d} divisor sum disagrees with Moebius inversion", m, m)
+        _check(row["formula"] == abs(_disc(True, 0, m, m)), "d_{%d,%d} divisor sum disagrees with Moebius inversion", m, m)
     return rows
 
 
@@ -235,11 +235,11 @@ def _rows_mirror(job: argparse.Namespace):
     if a == 0:
         residuals = mirror.zero_framing_curve_check(order)
         rows.append({"check": "zero-framing curve residual", "order": order, "ok": residuals["curve"].is_zero()})
-        _check_curve(residuals, "zero-framing residual does not vanish")
+        _check_curve(False, residuals, "zero-framing residual does not vanish")
     else:
         residuals = mirror.framed_curve_check(a, order)
         rows.append({"check": f"framed curve residual (a={a})", "order": order, "ok": residuals["curve"].is_zero()})
-        _check_curve(residuals, "framed residual does not vanish")
+        _check_curve(True, residuals, "framed residual does not vanish")
     ok = mirror.framing_transform_check(a)
     rows.append({"check": "framing transformation x -> x y^(%d)" % -a, "order": order, "ok": ok})
     _check(ok, "framing transformation check failed")
@@ -314,8 +314,8 @@ DISC = {**FRAMING, "m_max": (8, 1, 160), "k_max": (6, 1, 160)}
 COMMANDS = {
     "onepoint": Command(_rows_onepoint, "closed-form one-point amplitudes", {**FRAMING, "n_max": (3, 1, 11)}),
     "genus0": Command(_rows_genus0, "genus-zero potential coefficients", {**FRAMING, "n_max": (5, 1, 300)}),
-    "disc-d": Command(lambda job: _rows_disc(job, "d"), "integrality table of d invariants", DISC),
-    "disc-e": Command(lambda job: _rows_disc(job, "e"), "integrality table of e invariants", DISC),
+    "disc-d": Command(lambda job: _rows_disc(job, True), "integrality table of d invariants", DISC),
+    "disc-e": Command(lambda job: _rows_disc(job, False), "integrality table of e invariants", DISC),
     "ov-n": Command(_rows_ovn, "all-genus Laurent-polynomial invariants", {**FRAMING, "m_max": (3, 1, 26)}),
     "sequences": Command(_rows_sequences, "named integer sequences with cross-checks",
                          {"which": ("catalan", "dmm"), "count": (10, 1, 1000)}),

@@ -370,24 +370,16 @@ def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):
     assert "Q^2 coefficient" in _assert_verification_failure(capsys, *argv)
 
 
-def _planted(module, name, cell, delta):
-    """Patch module.name, a function of (a, *cell), to add delta at the one cell `cell`."""
+def _planted(module, name, at, delta):
+    """Patch module.name to add delta to its value at the one argument tuple `at`."""
     def patch(monkeypatch):
         function = getattr(module, name)
 
-        def planted(a, *rest):
-            value = function(a, *rest)
-            return value + delta if rest == cell else value
+        def planted(*args):
+            value = function(*args)
+            return value + delta if args == at else value
 
         monkeypatch.setattr(module, name, planted)
-    return patch
-
-
-def _planted_value(module, name, at, delta):
-    """Patch module.name, a function of one argument, to add delta at `at`."""
-    def patch(monkeypatch):
-        function = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda k: function(k) + delta if k == at else function(k))
     return patch
 
 
@@ -406,39 +398,35 @@ def _dropping_power(applies):
     return patch
 
 
-def _shifted_framing(shift):
-    def patch(monkeypatch):
-        monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args(shift))
-    return patch
-
-
 # one planted fault per check of the d, e and N values, the named sequences and the
 # mirror-curve residuals, with a job that must fail it and the message it must give
 PLANTED_FAULTS = {
-    "d-integral": (_planted(ovinv, "disc_d", (1, 2), Fraction(1, 2)),
+    "d-integral": (_planted(ovinv, "disc_d", (0, 1, 2), Fraction(1, 2)),
                    ("disc-d", "--m-max", "2", "--k-max", "2"), "d_{1,2}^(0) = -1/2 is not an integer"),
-    "e-half-integral": (_planted(ovinv, "disc_e", (2, 2), Fraction(1, 3)),
+    "e-half-integral": (_planted(ovinv, "disc_e", (0, 2, 2), Fraction(1, 3)),
                         ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{2,2}^(0) = 5/6 is not a half integer"),
-    "d-recursion": (_planted(ovinv, "disc_d", (2, 2), 1),
+    "d-recursion": (_planted(ovinv, "disc_d", (0, 2, 2), 1),
                     ("disc-d", "--m-max", "2", "--k-max", "2"), "d_{2,2}^(0) fails its defining recursion"),
-    "e-recursion": (_planted(ovinv, "disc_e", (2, 2), 1),
+    "e-recursion": (_planted(ovinv, "disc_e", (0, 2, 2), 1),
                     ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{2,2}^(0) fails its defining recursion"),
     # the disc-e job reads d only to compare it with e at coprime (k, m)
-    "e-coprime": (_planted(ovinv, "disc_d", (1, 2), 1),
+    "e-coprime": (_planted(ovinv, "disc_d", (0, 1, 2), 1),
                   ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{1,2}^(0) != (-1)^k d at coprime (k, m)"),
-    "catalan-anchor": (_planted_value(ovinv, "catalan_number", 2, 1),
+    "catalan-anchor": (_planted(ovinv, "catalan_number", (2,), 1),
                        ("disc-d", "--m-max", "3", "--k-max", "2"), "|d_{2,3}| is not the Catalan number C(2)"),
-    "catalan": (_planted_value(ovinv, "catalan_number", 2, 1),
+    "catalan": (_planted(ovinv, "catalan_number", (2,), 1),
                 ("sequences", "--which", "catalan", "--count", "3"), "|d_{2,3}| is not the Catalan number C(2)"),
-    "dmm": (_planted_value(ovinv, "seq_dmm", 3, 1),
+    "dmm": (_planted(ovinv, "seq_dmm", (3,), 1),
             ("sequences", "--which", "dmm", "--count", "3"), "d_{3,3} divisor sum disagrees with Moebius inversion"),
-    "N-integer": (_planted(ovinv, "ov_N", (2, 1), LaurentU({0: Fraction(1, 2)})),
+    "N-integer": (_planted(ovinv, "ov_N", (0, 2, 1), LaurentU({0: Fraction(1, 2)})),
                   ("ov-n", "--m-max", "2"), "N_{2,1}^(0) has non-integer coefficients"),
-    "N-bar": (_planted(ovinv, "ov_N", (2, 1), LaurentU({1: 1})),
+    "N-bar": (_planted(ovinv, "ov_N", (0, 2, 1), LaurentU({1: 1})),
               ("ov-n", "--m-max", "2"), "N_{2,1}^(0) is not bar symmetric"),
-    "framed-log": (_shifted_framing({2: 4}), ("mirror-check", "--framing", "2", "--order", "3"),
+    "framed-log": (lambda mp: mp.setattr(amplitudes, "onepoint_args", _shifted_args({2: 4})),
+                   ("mirror-check", "--framing", "2", "--order", "3"),
                    "log of the framed branch disagrees with x d/dx Psi_0"),
-    "zero-framing-log": (_shifted_framing({0: 4}), ("mirror-check", "--framing", "0", "--order", "3"),
+    "zero-framing-log": (lambda mp: mp.setattr(amplitudes, "onepoint_args", _shifted_args({0: 4})),
+                         ("mirror-check", "--framing", "0", "--order", "3"),
                          "log of the square-root closed form disagrees with x d/dx Psi_0"),
     # y^{-3} loses its E^1 terms; the inverse (the power -1) that builds y and the
     # powers of the E-free 1 + z in the Lagrange root stay whole, so log y holds

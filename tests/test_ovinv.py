@@ -130,18 +130,30 @@ def test_recursions_hold_on_grid():
                 assert recursion_holds(a, k, m, False, disc_e(a, k, m)), (a, k, m)
 
 
+def _assert_checked_pair(a, k, m):
+    """d integral and e half-integral at (k, m), each solving its recursion; returns (d, e)."""
+    d, e = disc_d(a, k, m), disc_e(a, k, m)
+    assert d.denominator == 1, (a, k, m)
+    assert (2 * e).denominator == 1, (a, k, m)
+    assert recursion_holds(a, k, m, True, d), (a, k, m)
+    assert recursion_holds(a, k, m, False, e), (a, k, m)
+    return d, e
+
+
 def test_coprime_agreement():
     for a in (0, 1, 2, 3):
         for m in range(1, 16):
             for k in range(1, m + 1):
                 if gcd(k, m) == 1:
-                    assert disc_e(a, k, m) == abs(disc_d(a, k, m)), (a, k, m)
+                    d, e = _assert_checked_pair(a, k, m)
+                    assert e == abs(d), (a, k, m)
     # at negative framing the sign pattern is e = (-1)^k d instead
     for a in (-2, -3):
         for m in range(1, 10):
             for k in range(1, m + 1):
                 if gcd(k, m) == 1:
-                    assert disc_e(a, k, m) == (-1) ** k * disc_d(a, k, m)
+                    d, e = _assert_checked_pair(a, k, m)
+                    assert e == (-1) ** k * d, (a, k, m)
 
 
 def test_generating_function_consistency():
@@ -245,10 +257,14 @@ def test_prime_case_cross_checks():
         for p in (2, 3, 5):
             for n in (1, 2, 3, 4):
                 assert _reference_disc_d_prime(a, p, n) == disc_d(a, p, p * n), (a, p, n)
-                assert _reference_ov_N_prime(a, p, n) == ov_N(a, p * n, p), (a, p, n)
+                value = ov_N(a, p * n, p)
+                assert value.has_integer_coeffs() and value.bar() == value, (a, p, n)
+                assert _reference_ov_N_prime(a, p, n) == value, (a, p, n)
         for p, n in ((2, 3), (2, 5), (3, 4), (3, 5)):
             assert _reference_disc_d_prime_square(a, p, n) == disc_d(a, p * p, p * n), (a, p, n)
-            assert _reference_ov_N_prime_square(a, p, n) == ov_N(a, p * n, p * p), (a, p, n)
+            value = ov_N(a, p * n, p * p)
+            assert value.has_integer_coeffs() and value.bar() == value, (a, p, n)
+            assert _reference_ov_N_prime_square(a, p, n) == value, (a, p, n)
     with pytest.raises(ValueError):
         _reference_disc_d_prime(0, 4, 2)
     with pytest.raises(ValueError):
