@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import io
 import itertools
 import json
 import sys
@@ -26,7 +25,7 @@ from math import gcd, prod
 
 from . import amplitudes, fock, mirror, ovinv, partitions
 from .laurent import LaurentU, RationalFunctionU, bracket_normal
-from .serialize import FORMAT_VERSION, json_text, text
+from .serialize import FORMAT_VERSION, json_table, json_text, text
 from .series import TruncatedSeries
 
 EXIT_OK = 0
@@ -45,10 +44,13 @@ def _check(condition: bool, message: str, *args) -> None:
 
 
 # -- table builders ------------------------------------------------------------
+#
+# A builder that checks its rows one at a time yields each row as it is made;
+# the checks after its loop run when the writer has taken the last row, still
+# before any output.  A builder whose checks come before its rows returns a list.
 
 
 def _rows_onepoint(job: argparse.Namespace):
-    rows = []
     # one brane state through --n-max serves every winding
     N = job.n_max
     state = fock.beta_neg_exp(fock.brane_state(N, N), N, N)
@@ -56,7 +58,7 @@ def _rows_onepoint(job: argparse.Namespace):
         closed = amplitudes.onepoint_closed(job.framing, n)
         summed = amplitudes.onepoint_partition_sum(job.framing, n, state)
         _check(closed == summed, "closed form and partition sum disagree at (a=%d, n=%d)", job.framing, n)
-        rows.append({"a": job.framing, "n": n, "value": closed})
+        yield {"a": job.framing, "n": n, "value": closed}
     # anchor: the winding-1 amplitude is (1 + Q)/[1] in every framing
     anchor = fock.qpoly(
         {0: RationalFunctionU(1, (1,)), 1: RationalFunctionU(1, (1,))},
@@ -66,14 +68,11 @@ def _rows_onepoint(job: argparse.Namespace):
         amplitudes.onepoint_closed(job.framing, 1) == anchor,
         "winding-1 amplitude fails its anchor value (1+Q)/[1]",
     )
-    return rows
 
 
 def _rows_genus0(job: argparse.Namespace):
-    rows = [
-        {"a": job.framing, "n": n, "value": amplitudes.genus0_onepoint(job.framing, n)}
-        for n in range(1, job.n_max + 1)
-    ]
+    for n in range(1, job.n_max + 1):
+        yield {"a": job.framing, "n": n, "value": amplitudes.genus0_onepoint(job.framing, n)}
     # anchor: the x^2 coefficient is -((2a+1) + 4(a+1) Q + (2a+3) Q^2)/4;
     # a series stores no zero coefficient, and the Q term vanishes at a = -1
     a = job.framing
@@ -86,7 +85,6 @@ def _rows_genus0(job: argparse.Namespace):
     got = amplitudes.genus0_onepoint(a, 2).terms
     _check(got == expected, "genus-zero x^2 coefficient fails its anchor polynomial")
     _check_framing(a)
-    return rows
 
 
 def _disc(signed: bool, a: int, k: int, m: int) -> Fraction:
@@ -113,13 +111,12 @@ def _check_catalan(k: int) -> int:
 
 
 def _rows_disc(job: argparse.Namespace, signed: bool):
-    rows = []
     column = "d_%d" if signed else "e_%d"
     for m in range(1, job.m_max + 1):
         row = {"m": m}
         for k in range(1, job.k_max + 1):
             row[column % k] = _disc(signed, job.framing, k, m) if k <= m else Fraction(0)
-        rows.append(row)
+        yield row
     if signed:
         # anchor: Catalan column |d_{k,k+1}| = C(k)
         for k in range(1, max(2, min(job.k_max, job.m_max - 1)) + 1):
@@ -132,7 +129,6 @@ def _rows_disc(job: argparse.Namespace, signed: bool):
             if (k, m) == (1, 1) or (m <= job.m_max and k <= job.k_max):
                 _check(_disc(False, 0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
     _check_framing(job.framing)
-    return rows
 
 
 def _brackets_at_two(args) -> Fraction:
@@ -151,7 +147,7 @@ def _at_power_of_two(p: LaurentU, j: int) -> Fraction:
 
 def _rows_ovn(job: argparse.Namespace):
     a = job.framing
-    rows, values = [], {}
+    values = {}
     for m in range(1, job.m_max + 1):
         for k in range(0, m + 1):
             value = ovinv.ov_N(a, m, k)
@@ -179,14 +175,13 @@ def _rows_ovn(job: argparse.Namespace):
                 lhs == (-rhs if (m * a + k) % 2 else rhs),
                 "N_{%d,%d} at u = 2 fails the divisor-sum relation with its amplitude", m, k,
             )
-            rows.append({"a": a, "m": m, "k": k, "value": value})
+            yield {"a": a, "m": m, "k": k, "value": value}
     # anchor: N_{2,1} at zero framing is -(u + u^{-1})
     _check(
         ovinv.ov_N(0, 2, 1) == LaurentU({1: -1, -1: -1}),
         "N_{2,1} at zero framing fails its anchor",
     )
     _check_framing(a)
-    return rows
 
 
 def _check_framing(a: int) -> None:
@@ -247,7 +242,6 @@ def _rows_mirror(job: argparse.Namespace):
 
 
 def _rows_correlator(job: argparse.Namespace):
-    rows = []
     for n in range(1, job.n_max + 1):
         for comp in _compositions(n):
             for mults in itertools.product((1, 2, 3), repeat=len(comp)):
@@ -257,9 +251,8 @@ def _rows_correlator(job: argparse.Namespace):
                 # and normal forms are equal exactly when values are, so one branch
                 # equal to the closed form's normal form decides the row
                 ok = [bracket_normal(*t) for t in fock.correlator_terms(word)] == [closed]
-                rows.append({"n": n, "m": list(comp), "mult": list(mults), "agree": ok})
                 _check(ok, "correlator mismatch at n=%d, m=%s, multipliers=%s", n, comp, mults)
-    return rows
+                yield {"n": n, "m": list(comp), "mult": list(mults), "agree": ok}
 
 
 def _compositions(n: int):
@@ -272,7 +265,6 @@ def _compositions(n: int):
 
 
 def _rows_oracle(job: argparse.Namespace):
-    rows = []
     N, D = job.n_max, job.q_degree
     B = N if D is None else D
     state = fock.beta_neg_exp(fock.brane_state(N, B), N, B)
@@ -283,9 +275,8 @@ def _rows_oracle(job: argparse.Namespace):
         bound = n if D is None else min(D, n)
         closed, summed, oracle = (v.truncated((bound,)) for v in (closed, summed, oracle))
         ok = closed == summed == oracle
-        rows.append({"a": job.framing, "n": n, "agree": ok, "value": closed})
         _check(ok, "oracle disagreement at (a=%d, n=%d)", job.framing, n)
-    return rows
+        yield {"a": job.framing, "n": n, "agree": ok, "value": closed}
 
 
 def _rows_closed_string(job: argparse.Namespace):
@@ -367,34 +358,70 @@ def _numeric_view(value):
     return value
 
 
-def emit_table(rows, fmt: str, meta: dict) -> str:
+def _numeric_rows(rows, meta: dict):
+    """The --numeric view of each row as it arrives; marks meta lossy once one value converts."""
+    for row in rows:
+        viewed = {k: _numeric_view(v) for k, v in row.items()}
+        # _numeric_view returns a value it leaves exact as it is
+        if any(viewed[k] is not v for k, v in row.items()):
+            meta["numeric_lossy"] = True
+        yield viewed
+
+
+class _Chunks(list):
+    """A list that csv.writer can write to: one chunk per row."""
+
+    write = list.append
+
+
+def emit_table(rows, fmt: str, meta: dict) -> list[str]:
+    """The document of a table as chunks, each row rendered as it arrives.
+
+    `rows` is any iterable of dicts; the header is the first row's keys.  The
+    chunks concatenate to the document; no row is kept.  `meta` is read after
+    the last row (a --numeric view marks it lossy on the way), and its header
+    chunk goes first.
+    """
     if fmt == "json":
-        return json_text({"meta": dict(meta, format_version=FORMAT_VERSION), "rows": rows}) + "\n"
-    header = list(rows[0].keys()) if rows else []
+        return json_table(rows, meta)
+    if fmt not in ("csv", "text"):
+        raise ValueError(f"unknown format {fmt!r}")
+    rows = iter(rows)
+    first = next(rows, None)
+    header = [] if first is None else list(first)
+    if first is not None:
+        rows = itertools.chain((first,), rows)
     if fmt == "csv":
-        buf = io.StringIO()
-        out = csv.writer(buf, lineterminator="\n")
+        chunks = _Chunks()
+        out = csv.writer(chunks, lineterminator="\n")
         out.writerow(header)
         out.writerows([text(row[h]) for h in header] for row in rows)
-        return buf.getvalue()
-    if fmt == "text":
-        lines = [f"# {meta.get('command', '')} {json.dumps(meta.get('parameters', {}), sort_keys=True)}"]
-        if meta.get("numeric_lossy"):
-            lines.append("# numeric: lossy decimal approximations of exact values")
-        for row in rows:
-            lines.append("  ".join(f"{h}={text(row[h])}" for h in header))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        return chunks
+    chunks = [None]
+    chunks += ("  ".join(f"{h}={text(row[h])}" for h in header) + "\n" for row in rows)
+    chunks[0] = f"# {meta.get('command', '')} {json.dumps(meta.get('parameters', {}), sort_keys=True)}\n"
+    if meta.get("numeric_lossy"):
+        chunks[0] += "# numeric: lossy decimal approximations of exact values\n"
+    return chunks
 
 
 # -- driver -----------------------------------------------------------------------
 
 
-def run(args: argparse.Namespace) -> tuple[int, str]:
-    """Execute a job parsed by build_parser(); returns (exit status, document)."""
+def run(args: argparse.Namespace) -> tuple[int, list[str]]:
+    """Execute a job parsed by build_parser(); returns (exit status, document as chunks).
+
+    The rows are built and rendered inside one try, so a check that fails on
+    any row, or after the last, leaves only the error report: a table reaches
+    its caller only once every check of the job has passed.
+    """
     params = {k: v for k, v in vars(args).items() if k not in ("command", "fmt", "numeric") and v is not None}
+    meta = {"command": args.command, "parameters": params}
     try:
         rows = COMMANDS[args.command].rows(args)
+        if args.numeric:
+            rows = _numeric_rows(rows, meta)
+        chunks = emit_table(rows, args.fmt, meta)
     # main has rejected usage errors, so an ArithmeticError or ValueError here is a
     # computation that a fault broke (a reversion without a linear term, a quotient
     # as_laurent cannot divide out); every check the job makes raises through _check
@@ -403,16 +430,10 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
             "meta": {"command": args.command, "parameters": params, "format_version": FORMAT_VERSION},
             "error": {"kind": "verification-failure", "message": str(exc)},
         }
-        return EXIT_VERIFICATION, json_text(report) + "\n"
-    meta = {"command": args.command, "parameters": params}
-    if args.numeric:
-        viewed = [{k: _numeric_view(v) for k, v in row.items()} for row in rows]
-        # _numeric_view returns a value it leaves exact as it is
-        if any(new[k] is not v for row, new in zip(rows, viewed) for k, v in row.items()):
-            rows, meta["numeric_lossy"] = viewed, True
-            if args.fmt == "csv":
-                print("conifold: --numeric renders lossy decimal approximations", file=sys.stderr)
-    return EXIT_OK, emit_table(rows, args.fmt, meta)
+        return EXIT_VERIFICATION, [json_text(report) + "\n"]
+    if args.fmt == "csv" and meta.get("numeric_lossy"):
+        print("conifold: --numeric renders lossy decimal approximations", file=sys.stderr)
+    return EXIT_OK, chunks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,9 +462,10 @@ def main(argv=None) -> int:
     if error:
         print(error, file=sys.stderr)
         return EXIT_USAGE
-    status, doc = run(args)
+    status, chunks = run(args)
     out = sys.stdout if status == EXIT_OK else sys.stderr
-    out.write(doc)
+    # chunk by chunk: a join would copy the whole document once more
+    out.writelines(chunks)
     return status
 
 

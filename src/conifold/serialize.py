@@ -9,7 +9,8 @@ JSON forms:
 
 `json_text` writes a document of these forms, dicts with string keys, lists
 and tuples in one pass; its output is byte for byte that of
-json.dumps(<the JSON form>, sort_keys=True, indent=2).
+json.dumps(<the JSON form>, sort_keys=True, indent=2).  `json_table` writes
+a CLI table, {"meta": ..., "rows": [...]}, as chunks, one row at a time.
 
 Text forms are the pretty printers of the types themselves.  Lists print
 with commas, so `cli.emit_table` writes CSV with the `csv` module, which
@@ -94,6 +95,31 @@ def json_text(value, indent: str = "") -> str:
         doc = {"variables": value.variables, "orders": value.orders, "terms": sorted(value.terms.items())}
         return json_text(doc, indent)
     raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+# a table row sits at the indentation of an item of "rows"
+_ROW_INDENT = "    "
+_FIRST_ROW = "\n" + _ROW_INDENT
+_NEXT_ROW = ",\n" + _ROW_INDENT
+
+
+def json_table(rows, meta: dict) -> list[str]:
+    """Chunks whose concatenation is json_text({"meta": meta, "rows": rows}) + "\n",
+    with format_version added to meta.
+
+    Each row is written as it arrives, with shared separator strings between
+    rows, so no row is kept.  `meta` is read after the last row, so the rows'
+    iterable may still add to it; its chunk is written then and goes first.
+    """
+    chunks = [None]
+    sep = _FIRST_ROW
+    for row in rows:
+        chunks += (sep, json_text(row, _ROW_INDENT))
+        sep = _NEXT_ROW
+    meta_text = json_text(dict(meta, format_version=FORMAT_VERSION), "  ")
+    chunks[0] = '{\n  "meta": ' + meta_text + ',\n  "rows": ['
+    chunks.append("]\n}\n" if sep is _FIRST_ROW else "\n  ]\n}\n")
+    return chunks
 
 
 def text(value) -> str:

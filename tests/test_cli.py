@@ -445,6 +445,37 @@ def test_each_check_fails_its_planted_fault(capsys, monkeypatch, fault, argv, me
     assert _assert_verification_failure(capsys, *argv) == message
 
 
+def _shift_last_correlator_word(monkeypatch):
+    closed_args = fock.correlator_closed_args
+
+    def shifted(n, m, a):
+        dets, den = closed_args(n, m, a)
+        return (dets[:-1] + (dets[-1] + 1,), den) if (n, m, a) == (3, (3,), (3,)) else (dets, den)
+
+    # cli reads the name on the fock module
+    monkeypatch.setattr(fock, "correlator_closed_args", shifted)
+
+
+# faults that only the last row of a table, or a check after it, can see
+LAST_CHECKS = {
+    "last-correlator-row": (_shift_last_correlator_word, ("correlator", "--n-max", "3"),
+                            "correlator mismatch at n=3, m=(3,), multipliers=(3,)"),
+    # at framing 1 only the anchor after the loop reads N_{2,1} at zero framing
+    "ov-n-anchor": (_planted(ovinv, "ov_N", (0, 2, 1), LaurentU({1: 1})),
+                    ("ov-n", "--framing", "1", "--m-max", "2"), "N_{2,1} at zero framing fails its anchor"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("fault, argv, message", LAST_CHECKS.values(), ids=list(LAST_CHECKS))
+def test_nothing_is_written_before_the_last_check(capsys, monkeypatch, fault, argv, message, fmt):
+    # every row before the fault passes its checks, so a writer that streamed
+    # rows to stdout would have written them before the job failed
+    assert run_main(capsys, *argv, "--format", fmt)[0] == EXIT_OK
+    fault(monkeypatch)
+    assert _assert_verification_failure(capsys, *argv, "--format", fmt) == message
+
+
 def _smallest_jobs():
     """argv of each command with every bounded parameter at its lowest, once per choice."""
     for name, command in COMMANDS.items():
@@ -621,7 +652,7 @@ def _cli_correlator_words(monkeypatch, n_max):
 
     with monkeypatch.context() as patch:
         patch.setattr(fock, "beta_correlator_word", recorded)
-        COMMANDS["correlator"].rows(build_parser().parse_args(["correlator", "--n-max", str(n_max)]))
+        list(COMMANDS["correlator"].rows(build_parser().parse_args(["correlator", "--n-max", str(n_max)])))
     return words
 
 
@@ -731,7 +762,7 @@ def test_numeric_leaves_a_document_it_converts_nothing_in_unmarked(capsys, argv,
 
 
 def test_emit_table_empty_rows_csv():
-    assert emit_table([], "csv", {"command": "x", "parameters": {}}) == "\n"
+    assert "".join(emit_table([], "csv", {"command": "x", "parameters": {}})) == "\n"
 
 
 def test_correlator_csv_quotes_its_list_cells(capsys):
@@ -751,15 +782,15 @@ def test_correlator_csv_quotes_its_list_cells(capsys):
 
 def test_emit_table_csv_doubles_inner_quotes():
     rows = [{"a": 'say "hi", then stop', "b": 1, "c": 'x"y'}, {"a": "two\nlines", "b": 2, "c": ""}]
-    out = emit_table(rows, "csv", {"command": "x", "parameters": {}})
+    out = "".join(emit_table(rows, "csv", {"command": "x", "parameters": {}}))
     assert out == 'a,b,c\n"say ""hi"", then stop",1,"x""y"\n"two\nlines",2,\n'
     assert list(csv.reader(io.StringIO(out)))[1:] == [['say "hi", then stop', "1", 'x"y'], ["two\nlines", "2", ""]]
 
 
 def test_run_direct_jobspec():
-    status, doc = run(build_parser().parse_args(["genus0", "--framing", "2", "--n-max", "2", "--format", "csv"]))
+    status, chunks = run(build_parser().parse_args(["genus0", "--framing", "2", "--n-max", "2", "--format", "csv"]))
     assert status == EXIT_OK
-    assert doc.splitlines()[0] == "a,n,value"
+    assert "".join(chunks).splitlines()[0] == "a,n,value"
 
 
 def _small_job(name):
