@@ -25,7 +25,7 @@ from math import gcd, prod
 
 from . import amplitudes, fock, mirror, ovinv, partitions
 from .laurent import LaurentU, RationalFunctionU, bracket_normal
-from .serialize import FORMAT_VERSION, json_table, json_text, text
+from .serialize import FORMAT_VERSION, Blocks, json_table, json_text, text
 from .series import TruncatedSeries
 
 EXIT_OK = 0
@@ -164,11 +164,13 @@ def _rows_ovn(job: argparse.Namespace):
                 value.content * sum(value.poly.values()) == m * genus0,
                 "N_{%d,%d} at u = 1 is not m times its genus-zero Moebius sum", m, k,
             )
-            values[m, k] = value
+            # a later row reads N_{m,k} only as N_{m'/j,k'/j} with j >= 2 and m' <= m_max
+            if 2 * m <= job.m_max:
+                values[m, k] = value
             # anchor: the defining relation at u = 2, read from printed rows only,
             # sum_{j | (k, m)} N_{m/j,k/j}(2^j)/[j](2) = (-1)^{ma+k} [Q^k] F_hat_m at u = 2
             num, den = amplitudes.onepoint_args(a, m, k)
-            lhs = sum(_at_power_of_two(values[m // j, k // j], j) / _brackets_at_two((j,))
+            lhs = sum(_at_power_of_two(value if j == 1 else values[m // j, k // j], j) / _brackets_at_two((j,))
                       for j in partitions.divisors(gcd(k, m)))
             rhs = _brackets_at_two(num) / _brackets_at_two(den)
             _check(
@@ -368,19 +370,13 @@ def _numeric_rows(rows, meta: dict):
         yield viewed
 
 
-class _Chunks(list):
-    """A list that csv.writer can write to: one chunk per row."""
-
-    write = list.append
-
-
 def emit_table(rows, fmt: str, meta: dict) -> list[str]:
-    """The document of a table as chunks, each row rendered as it arrives.
+    """The document of a table as the chunks of a `serialize.Blocks`.
 
-    `rows` is any iterable of dicts; the header is the first row's keys.  The
-    chunks concatenate to the document; no row is kept.  `meta` is read after
-    the last row (a --numeric view marks it lossy on the way), and its header
-    chunk goes first.
+    `rows` is any iterable of dicts; the header is the first row's keys.
+    Each row is rendered as it arrives and joined into a text block, so no
+    row is kept.  `meta` is read after the last row (a --numeric view marks it
+    lossy on the way), and the chunk made from it goes first.
     """
     if fmt == "json":
         return json_table(rows, meta)
@@ -391,18 +387,18 @@ def emit_table(rows, fmt: str, meta: dict) -> list[str]:
     header = [] if first is None else list(first)
     if first is not None:
         rows = itertools.chain((first,), rows)
+    out = Blocks()
     if fmt == "csv":
-        chunks = _Chunks()
-        out = csv.writer(chunks, lineterminator="\n")
-        out.writerow(header)
-        out.writerows([text(row[h]) for h in header] for row in rows)
-        return chunks
-    chunks = [None]
-    chunks += ("  ".join(f"{h}={text(row[h])}" for h in header) + "\n" for row in rows)
-    chunks[0] = f"# {meta.get('command', '')} {json.dumps(meta.get('parameters', {}), sort_keys=True)}\n"
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([text(row[h]) for h in header] for row in rows)
+        return out.chunks()
+    for row in rows:
+        out.write("  ".join(f"{h}={text(row[h])}" for h in header) + "\n")
+    head = f"# {meta.get('command', '')} {json.dumps(meta.get('parameters', {}), sort_keys=True)}\n"
     if meta.get("numeric_lossy"):
-        chunks[0] += "# numeric: lossy decimal approximations of exact values\n"
-    return chunks
+        head += "# numeric: lossy decimal approximations of exact values\n"
+    return out.chunks(head)
 
 
 # -- driver -----------------------------------------------------------------------

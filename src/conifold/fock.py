@@ -110,10 +110,6 @@ class FockVector:
         return all(self.coefficient(k) == other.coefficient(k) for k in keys)
 
 
-def vacuum(degree_bound: int, q_bound: int) -> FockVector:
-    return FockVector(degree_bound, q_bound, {(): qpoly_one(q_bound)})
-
-
 def beta_neg_exp(coeff_by_weight, degree_bound: int, q_bound: int) -> FockVector:
     """exp(sum_n (c_n / n) b_{-n}) |0>, truncated.
 

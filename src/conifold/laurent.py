@@ -104,10 +104,6 @@ class LaurentU:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def monomial(exponent: int, coeff=1) -> "LaurentU":
-        return LaurentU({exponent: coeff})
-
-    @staticmethod
     def const(c) -> "LaurentU":
         return LaurentU({0: c})
 
@@ -136,9 +132,6 @@ class LaurentU:
         if not self.poly:
             raise ValueError("valuation of the zero polynomial")
         return min(self.poly)
-
-    def is_monomial(self) -> bool:
-        return len(self.poly) == 1
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

@@ -345,28 +345,6 @@ class TruncatedSeries:
             raise ValueError("sqrt needs constant term 1")
         return self._with_terms(self._euler("power", Fraction(1, 2)))
 
-    def substitute(self, name: str, replacement: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute a series (same frame) for the named variable."""
-        self._compatible(replacement)
-        i = self._idx(name)
-        by_exp: dict[int, dict] = {}
-        for expts, c in self.terms.items():
-            e = expts[i]
-            key = expts[:i] + (0,) + expts[i + 1:]
-            by_exp.setdefault(e, {})[key] = c
-        if any(e < 0 for e in by_exp):
-            raise ValueError("substitute needs nonnegative exponents in the replaced variable")
-        acc = self.zero_like()
-        power = self.const_like(1)
-        prev = 0
-        for e in sorted(by_exp):
-            for _ in range(e - prev):
-                power = power * replacement
-            prev = e
-            part = TruncatedSeries(self.variables, self.orders, by_exp[e], self.one)
-            acc = acc + part * power
-        return acc
-
     # -- display --------------------------------------------------------------
 
     def __str__(self) -> str:

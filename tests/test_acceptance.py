@@ -63,6 +63,7 @@ from conifold.ovinv import (
 from conifold.partitions import character, kappa, partitions_of, z_aut
 from conifold.series import TruncatedSeries
 from test_fock import _reference_beta_apply  # the reference b_k, kept with the Fock tests
+from test_ovinv import _reference_monomial
 
 
 def announce(number, text):
@@ -277,7 +278,7 @@ def test_acceptance_06_sequences():
 
 def test_acceptance_07_n_polynomials():
     start = time.time()
-    u = LaurentU.monomial
+    u = _reference_monomial
 
     zero_framing = {
         (1, 0): u(0), (1, 1): -u(0),
@@ -376,7 +377,7 @@ def test_acceptance_11_property_suites():
     for M in range(13):
         coeffs = {0: LAURENT_ONE}
         for k in range(1, M + 1):
-            shift = LaurentU.monomial(M - 2 * k + 1)
+            shift = LaurentU({M - 2 * k + 1: 1})
             new = {}
             for e, c in coeffs.items():
                 new[e] = new.get(e, LaurentU()) + c

@@ -22,6 +22,7 @@ from conifold.cli import (
     run,
 )
 from conifold.laurent import LaurentU, bracket_normal
+from conifold.serialize import BLOCK
 from conifold.series import TruncatedSeries
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -354,6 +355,18 @@ def test_ov_n_fails_a_term_that_vanishes_at_u_equal_one(capsys, monkeypatch):
     monkeypatch.setattr(ovinv, "ov_N", faulty)
     assert "N_{5,2} at u = 2" in _assert_verification_failure(capsys, *argv)
     assert (5, 2) in calls
+
+
+@pytest.mark.parametrize("a", [-3, 0, 2])
+def test_ov_n_rows_keep_only_the_values_a_later_row_reads(a):
+    # the u = 2 relation of a row reads N_{m/j,k/j} at j >= 2, so the builder
+    # keeps N_{m,k} only where 2m <= --m-max; a value dropped too soon is a KeyError
+    reference = {}
+    for m_max in range(1, 11):
+        job = build_parser().parse_args(["ov-n", "--framing", str(a), "--m-max", str(m_max)])
+        expected = [{"a": a, "m": m, "k": k, "value": reference.setdefault((m, k), ovinv.ov_N(a, m, k))}
+                    for m in range(1, m_max + 1) for k in range(m + 1)]
+        assert list(COMMANDS["ov-n"].rows(job)) == expected
 
 
 def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):
@@ -759,6 +772,55 @@ def test_numeric_leaves_a_document_it_converts_nothing_in_unmarked(capsys, argv,
     assert "lossy" not in out + err
     if fmt == "json":
         assert "numeric_lossy" not in json.loads(out)["meta"]
+
+
+def _table(count, long=False):
+    """count rows of plain values; `long` makes the first row longer than a text block."""
+    rows = [{"n": n, "m": [n, 1], "ok": n % 2 == 0, "name": f'row "{n}", {"x" * (n % 7)}'} for n in range(count)]
+    if long and rows:
+        rows[0]["name"] = "y" * (3 * BLOCK)
+    return rows
+
+
+def _reference_document(rows, fmt, meta):
+    """The document of a whole table at once, from json.dumps, the csv module or the text lines."""
+    if fmt == "json":
+        return json.dumps({"meta": dict(meta, format_version=1), "rows": rows}, sort_keys=True, indent=2) + "\n"
+    header = list(rows[0]) if rows else []
+    cells = [[cli.text(row[h]) for h in header] for row in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header] + cells)
+        return buf.getvalue()
+    head = f"# {meta['command']} {json.dumps(meta['parameters'], sort_keys=True)}\n"
+    if meta.get("numeric_lossy"):
+        head += "# numeric: lossy decimal approximations of exact values\n"
+    return head + "".join("  ".join(f"{h}={c}" for h, c in zip(header, line)) + "\n" for line in cells)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("count, long, blocks", [(0, False, 0), (1, False, 0), (1, True, 1), (2000, False, 3)],
+                         ids=["no rows", "one row", "one row longer than a block", "three blocks"])
+def test_emit_table_chunks_join_to_the_whole_document(fmt, count, long, blocks):
+    rows, meta = _table(count, long), {"command": "x", "parameters": {"count": count}}
+    chunks = emit_table(iter(rows), fmt, meta)
+    assert "".join(chunks) == _reference_document(rows, fmt, meta)
+    assert sum(len(c) >= BLOCK for c in chunks) >= blocks
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_emit_table_of_a_lossy_numeric_view_marks_its_first_chunk(fmt):
+    rows = [{"n": n, "value": Fraction(1, n + 2)} for n in range(3000)]
+    meta = {"command": "x", "parameters": {}}
+    chunks = emit_table(cli._numeric_rows(iter(rows), meta), fmt, meta)
+    assert meta["numeric_lossy"] is True
+    viewed = [{"n": row["n"], "value": float(row["value"])} for row in rows]
+    if fmt == "json":
+        viewed = [dict(row, value=repr(row["value"])) for row in viewed]
+    assert "".join(chunks) == _reference_document(viewed, fmt, meta)
+    assert len(chunks) > 3
+    marker = {"json": '"numeric_lossy": true', "text": "# numeric: lossy", "csv": "n,value\n"}[fmt]
+    assert marker in chunks[0]
 
 
 def test_emit_table_empty_rows_csv():

@@ -21,7 +21,6 @@ from conifold.fock import (
     qpoly_one,
     qpoly_zero,
     schur_vector,
-    vacuum,
 )
 from conifold.laurent import LaurentU, RFU_ZERO, RationalFunctionU, bracket_ratio, qbracket
 from conifold.partitions import character, kappa, multiplicities, partitions_of, z_aut
@@ -48,13 +47,17 @@ def _reference_beta_apply(v: FockVector, k: int) -> FockVector:
     return out
 
 
+def _reference_vacuum(degree_bound, q_bound):
+    return FockVector(degree_bound, q_bound, {(): qpoly_one(q_bound)})
+
+
 def const_weights(values, q_bound=0):
     return {n: qpoly({0: RationalFunctionU(c)}, q_bound) for n, c in values.items()}
 
 
 def test_beta_neg_exp_vacuum():
     v = beta_neg_exp(const_weights({1: LaurentU(), 2: LaurentU()}), 2, 0)
-    assert v == vacuum(2, 0)
+    assert v == _reference_vacuum(2, 0)
 
 
 def test_beta_neg_exp_exponential_series():
@@ -128,7 +131,7 @@ def test_cutjoin_schur_eigenvectors():
 
 
 def test_qK_fixes_vacuum_and_p1():
-    v = vacuum(2, 0)
+    v = _reference_vacuum(2, 0)
     assert qK_apply(v, 3) == v
     p1 = FockVector(2, 0, {(1,): qpoly_one(0)})
     assert qK_apply(p1, 5) == p1
@@ -289,7 +292,7 @@ def _reference_qK_apply(v: FockVector, framing_exponent: int, only=None) -> Fock
                     w = w + c.scale(Fraction(chi))
             if w.is_zero():
                 continue
-            twist = RationalFunctionU(LaurentU.monomial(f * kappa(nu)))
+            twist = RationalFunctionU(LaurentU({f * kappa(nu): 1}))
             scaled[nu] = w * twist
         for mu in targets:
             acc = qpoly_zero(v.q_bound)
@@ -315,7 +318,7 @@ def test_qK_kernel_matches_the_two_step_transform(n):
         for nu, s in schurs.items():
             _assert_same_state(qK_apply(s, f, only=((n,),)), _reference_qK_apply(s, f, only=((n,),)))
             # s_nu is an eigenvector with eigenvalue u^{f kappa_nu}
-            twist = RationalFunctionU(LaurentU.monomial(f * kappa(nu)))
+            twist = RationalFunctionU(LaurentU({f * kappa(nu): 1}))
             _assert_same_state(qK_apply(s, f), s.scale(twist))
 
 

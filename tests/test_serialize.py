@@ -1,6 +1,7 @@
 """The one-pass JSON writer against json.dumps of the former jsonable tree."""
 
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -154,5 +155,15 @@ def test_emit_table_peak_memory_is_a_few_document_lengths():
         tracemalloc.stop()
     length = sum(map(len, chunks))
     # building a jsonable copy and indenting it with json.dumps peaked at 10.2x;
-    # keeping every row and then rendering the document read 4.8x
-    assert peak <= 2 * length, peak / length
+    # keeping every row and then rendering the document read 4.8x, one string
+    # per row 1.84x, and text blocks 1.55x
+    assert peak <= 1.6 * length, peak / length
+
+
+def test_a_table_is_held_in_about_its_own_length():
+    status, chunks = cli.run(cli.build_parser().parse_args(["correlator", "--n-max", "6", "--format", "json"]))
+    assert status == cli.EXIT_OK
+    length = sum(map(len, chunks))
+    held = sys.getsizeof(chunks) + sum(map(sys.getsizeof, {id(c): c for c in chunks}.values()))
+    # one string per row held 1.31x the document length, text blocks 1.004x
+    assert held <= 1.01 * length, held / length
