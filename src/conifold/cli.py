@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import amplitudes, fock, mirror, ovinv, partitions
-from .laurent import LaurentU, RationalFunctionU, bracket_normal
+from .laurent import LaurentU, RationalFunctionU
 from .serialize import FORMAT_VERSION, Blocks, json_table, json_text, text
 from .series import TruncatedSeries
 
@@ -248,11 +248,10 @@ def _rows_correlator(job: argparse.Namespace):
         for comp in _compositions(n):
             for mults in itertools.product((1, 2, 3), repeat=len(comp)):
                 word = fock.beta_correlator_word(n, comp, mults)
-                closed = bracket_normal(*fock.correlator_closed_args(n, comp, mults))
-                # every word of this family reduces along one chain (see correlator_terms),
-                # and normal forms are equal exactly when values are, so one branch
-                # equal to the closed form's normal form decides the row
-                ok = [bracket_normal(*t) for t in fock.correlator_terms(word)] == [closed]
+                # every word of this family reduces along one chain (see correlator_terms)
+                # whose merges pick up the closed form's arguments in order; equal
+                # arguments give equal values, so one branch equal to them decides the row
+                ok = fock.correlator_terms(word) == [fock.correlator_closed_args(n, comp, mults)]
                 _check(ok, "correlator mismatch at n=%d, m=%s, multipliers=%s", n, comp, mults)
                 yield {"n": n, "m": list(comp), "mult": list(mults), "agree": ok}
 

@@ -25,6 +25,7 @@ the overall 1/(n i) prefactor of the free-energy coefficient stripped.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 
 from .laurent import (
     LaurentU,
@@ -269,7 +270,7 @@ def beta_correlator_word(n: int, m, a) -> tuple[tuple[int, int], ...]:
     """
     if len(m) != len(a):
         raise ValueError("weights and argument multipliers must align")
-    return ((n, 0),) + tuple((-mi, ai) for mi, ai in zip(m, a))
+    return ((n, 0), *zip(map(neg, m), a))
 
 
 def correlator_terms(word: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -308,22 +309,23 @@ def correlator_terms(word: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int,
             pos -= 1
         if pos < 0:
             # all weights zero: each E_0(c i lam) contributes 1/[c] on the vacuum
-            dens = tuple(c for _, c in factors)
+            dens = tuple([c for _, c in factors])
             if 0 in dens:
                 raise ValueError("E_0(0) has no finite vacuum value")
             out.append((acc, dens))
             continue
         # the rightmost positive factor is never last and its neighbour is never positive
         (ra, ca), (rb, cb) = factors[pos], factors[pos + 1]
-        head, tail = factors[:pos], factors[pos + 2:]
         sigma = ra * cb - rb * ca
-        if sigma:  # a vanishing bracket annihilates the merged branch
-            merged = head + ((ra + rb, ca + cb),) + tail
-            if merged[0][0] >= 0 and merged[-1][0] <= 0:
-                work.append((merged, acc + (sigma,)))
-        swapped = head + ((rb, cb), (ra, ca)) + tail
-        if swapped[0][0] >= 0 and swapped[-1][0] <= 0:
-            work.append((swapped, acc))
+        # every pushed word starts at weight >= 0 and ends at weight <= 0, so a branch
+        # needs a test only at an end the pair holds (pos == 0, or the pair is last);
+        # a swapped last pair ends at ra > 0 and dies
+        last = pos + 2 == len(factors)
+        r = ra + rb
+        if sigma and (pos or r >= 0) and (not last or r <= 0):  # a vanishing bracket annihilates the merge
+            work.append((factors[:pos] + ((r, ca + cb),) + factors[pos + 2:], acc + (sigma,)))
+        if not last and (pos or rb >= 0):
+            work.append((factors[:pos] + ((rb, cb), (ra, ca)) + factors[pos + 2:], acc))
     return out
 
 

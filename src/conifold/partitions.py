@@ -16,7 +16,7 @@ Partition = tuple  # weakly decreasing positive ints
 
 
 def check_partition(mu) -> Partition:
-    mu = tuple(int(p) for p in mu)
+    mu = tuple([int(p) for p in mu])
     if any(p < 1 for p in mu):
         raise ValueError(f"partition parts must be positive: {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
@@ -128,8 +128,7 @@ def _strip_removals(nu: Partition, r: int):
         while pos < len(newbeta) and newbeta[pos] > nb:
             pos += 1
         newbeta.insert(pos, nb)
-        parts = tuple(c - (l - 1 - i) for i, c in enumerate(newbeta))
-        parts = tuple(p for p in parts if p > 0)
+        parts = tuple([p for i, c in enumerate(newbeta) if (p := c - (l - 1 - i)) > 0])
         yield parts, (-1) ** height
 
 

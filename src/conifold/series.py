@@ -33,7 +33,7 @@ class TruncatedSeries:
 
     def __init__(self, variables, orders, terms=None, one=_FR_ONE):
         variables = tuple(variables)
-        orders = tuple(int(o) for o in orders)
+        orders = tuple([int(o) for o in orders])
         if len(variables) != len(orders):
             raise ValueError("one truncation order per variable")
         self.variables = variables
@@ -42,7 +42,7 @@ class TruncatedSeries:
         clean = {}
         if terms:
             for expts, c in terms.items():
-                expts = tuple(int(e) for e in expts)
+                expts = tuple([int(e) for e in expts])
                 if len(expts) != len(variables):
                     raise ValueError("exponent tuple length mismatch")
                 if any(e > o for e, o in zip(expts, orders)):
@@ -207,7 +207,7 @@ class TruncatedSeries:
                 for ej, eb, cb in group:
                     if ej > roomj:
                         break
-                    e = tuple(map(add, ea, eb))
+                    e = (*map(add, ea, eb),)
                     if rest and any(x > o for x, o in zip(e[2:], rest)):
                         continue
                     s = sums.get(e)
