@@ -5,8 +5,8 @@ u = q^{1/2}, and truncated formal series.  The subpackages:
 
   laurent     quantum brackets [n], quantum binomials, Laurent polynomials in u
               over products of brackets
-  series      truncated multivariate series, reversion, log/exp/sqrt, and
-              expansion in hbar = i * (string coupling) over the rationals
+  series      truncated multivariate series, log/exp/sqrt, and expansion in
+              hbar = i * (string coupling) over the rationals
   partitions  integer partitions, symmetric-group characters (memoized in
               process), Moebius mu
   fock        the operator oracle: framing twist, cut-and-join, E-correlators
@@ -26,7 +26,7 @@ from .partitions import (
     partitions_of,
     z_aut,
 )
-from .series import TruncatedSeries, hbar_expand, series_reversion
+from .series import TruncatedSeries, hbar_expand
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "qfactorial",
     "qbinomial",
     "TruncatedSeries",
-    "series_reversion",
     "hbar_expand",
     "partitions_of",
     "z_aut",

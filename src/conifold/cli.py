@@ -312,7 +312,7 @@ COMMANDS = {
     "sequences": Command(_rows_sequences, "named integer sequences with cross-checks",
                          {"which": ("catalan", "dmm"), "count": (10, 1, 1000)}),
     "mirror-check": Command(
-        _rows_mirror, "mirror-curve residual verification", {**FRAMING, "order": (8, 1, 56)},
+        _rows_mirror, "mirror-curve residual verification", {**FRAMING, "order": (8, 1, 74)},
         {-1: "the Lagrange construction inverts x = z(1-Qz)^{a+1}/(1+z)^{a+1}, which degenerates when "
              "a+1 = 0 (the amplitude there is elementary: ((-1)^{n-1} + Q^n)/[n])."},
     ),
@@ -418,8 +418,8 @@ def run(args: argparse.Namespace) -> tuple[int, list[str]]:
             rows = _numeric_rows(rows, meta)
         chunks = emit_table(rows, args.fmt, meta)
     # main has rejected usage errors, so an ArithmeticError or ValueError here is a
-    # computation that a fault broke (a reversion without a linear term, a quotient
-    # as_laurent cannot divide out); every check the job makes raises through _check
+    # computation that a fault broke (a quotient as_laurent cannot divide out);
+    # every check the job makes raises through _check
     except (VerificationFailure, ArithmeticError, ValueError) as exc:
         report = {
             "meta": {"command": args.command, "parameters": params, "format_version": FORMAT_VERSION},

@@ -19,10 +19,11 @@ identity, which vanish exactly when it holds; the CLI decides on them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .amplitudes import genus0_onepoint, onepoint_closed
 from .laurent import RFU_ONE
-from .series import TruncatedSeries, hbar_expand, series_reversion
+from .series import TruncatedSeries, hbar_expand
 
 FRAME = ("x", "E")
 
@@ -75,20 +76,26 @@ def zero_framing_curve_check(order: int) -> dict:
     }
 
 
-def lagrange_z0(a: int, order: int) -> TruncatedSeries:
-    """Reversion of x = z (1 - Q z)^{a+1} / (1 + z)^{a+1}, with Q = -E.
+def _binomial(x: int, r: int) -> int:
+    """C(x, r) = x (x-1) ... (x-r+1) / r! for any integer x and r >= 0."""
+    return comb(x, r) if x >= 0 else (-1) ** r * comb(r - x - 1, r)
 
-    Returned as a series z0(x) in the (x, E) frame; the leading terms are
-    z0 = x + (a+1)(1+Q) x^2 + ... .  Framing -1 is excluded.
+
+def lagrange_z0(a: int, order: int) -> TruncatedSeries:
+    """Root z0(x) of x = z (1 - Q z)^{a+1} / (1 + z)^{a+1}, with Q = -E.
+
+    Returned as a series in the (x, E) frame.  With w = a + 1 the root solves
+    z0 = x phi(z0) for phi(z) = (1 + z)^w (1 + E z)^{-w}, so Lagrange-Buermann
+    gives it in closed form:
+        [x^n E^i] z0 = (1/n) [z^{n-1} E^i] phi^n = C(-wn, i) C(wn, n-1-i) / n.
+    The leading terms are z0 = x + (a+1)(1+Q) x^2 + ... .  Framing -1 is excluded.
     """
     if a == -1:
         raise ValueError("framing -1 has no Lagrange construction (the exponent a+1 vanishes)")
-    vars_, orders = _frame(order)
-    z = TruncatedSeries.variable("x", vars_, orders)
-    e = TruncatedSeries.variable("E", vars_, orders)
-    one = TruncatedSeries.constant(Fraction(1), vars_, orders)
-    s = z * (one + e * z) ** (a + 1) * (one + z) ** (-(a + 1))
-    return series_reversion(s, "x")
+    w = a + 1
+    terms = {(n, i): Fraction(_binomial(-w * n, i) * _binomial(w * n, n - 1 - i), n)
+             for n in range(1, order + 1) for i in range(n)}
+    return TruncatedSeries(*_frame(order), terms)
 
 
 def framed_curve_check(a: int, order: int) -> dict:

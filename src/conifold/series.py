@@ -10,10 +10,10 @@ where u = exp(hbar/2) has rational coefficients.
 The coefficient ring is whatever the stored values are: Fraction, LaurentU,
 RationalFunctionU, ... anything with exact +,-,*,== and a truthiness test for
 zero.  The ring's unit is carried on the series (attribute `one`) so
-functional operations can build constants.  Log, exp, sqrt, negative powers
-(the inverse is the power -1) and reversion each solve one first-order
-recurrence in the total-degree Euler operator (`TruncatedSeries._euler`), at
-about the cost of one product.
+functional operations can build constants.  Log, exp, sqrt and negative
+powers (the inverse is the power -1) each solve one first-order recurrence in
+the total-degree Euler operator (`TruncatedSeries._euler`), at about the cost
+of one product.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import factorial
-from operator import add, gt, itemgetter, le, mul
+from operator import add, gt, itemgetter, mul
 
 from .laurent import RationalFunctionU, _over_common_denominator, bracket_product
 
@@ -78,9 +78,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.variables, self.orders, {(0,) * len(self.variables): c}, self.one)
 
     # -- structure --------------------------------------------------------
-
-    def _idx(self, name: str) -> int:
-        return self.variables.index(name)
 
     def __bool__(self):
         return bool(self.terms)
@@ -250,14 +247,14 @@ class TruncatedSeries:
         inv = _FR_ONE / c0
         return self.scale(inv), inv
 
-    def _euler(self, op: str, alpha: Fraction = _FR_ONE, orders=None) -> dict:
-        """Terms of log f, exp f or f**alpha for f = self, in the box `orders`.
+    def _euler(self, op: str, alpha: Fraction = _FR_ONE) -> dict:
+        """Terms of log f, exp f or f**alpha for f = self, in f's own box.
 
-        f has nonnegative exponents and constant term one (zero for exp); the
-        box defaults to f's own.  The total-degree Euler operator D, with
-        D x^e = |e| x^e, commutes with truncation, and f D(log f) = D f,
-        D(exp f) = exp f D f and f D P = alpha P D f (P = f**alpha) give each
-        coefficient from those of lower total degree.  With
+        f has nonnegative exponents and constant term one (zero for exp).  The
+        total-degree Euler operator D, with D x^e = |e| x^e, commutes with
+        truncation, and f D(log f) = D f, D(exp f) = exp f D f and
+        f D P = alpha P D f (P = f**alpha) give each coefficient from those of
+        lower total degree.  With
         S1 = sum_{0 != k <= e} f_k b_{e-k} and S2 the same sum weighted by |k|:
             log f:     g_e = |e| f_e - S1 for g = D(log f), and L_e = g_e / |e|
             exp f:     |e| b_e = S2
@@ -272,10 +269,7 @@ class TruncatedSeries:
         """
         if self.has_negative_exponents():
             raise ValueError("functional operations need nonnegative exponents")
-        orders = self.orders if orders is None else orders
-        if any(o < 0 for o in orders):
-            return {}
-        f = {k: v for k, v in self.terms.items() if any(k) and all(map(le, k, orders))}
+        f = {k: v for k, v in self.terms.items() if any(k)}
         split = _over_common_denominator(f) if isinstance(self.one, (int, Fraction)) else None
         p, q = alpha.numerator, alpha.denominator
         if split is None:  # another ring: solve on its own elements
@@ -310,7 +304,7 @@ class TruncatedSeries:
 
             def step(e, n, s1, s2):
                 return div((p + q) * s2 - q * n * s1, q * n)
-        b = _solve(f, g, orders, b0, zero, step)
+        b = _solve(f, g, self.orders, b0, zero, step)
         if op == "log":
             if c is None:
                 return {e: v * Fraction(1, sum(e)) for e, v in b.items()}
@@ -369,46 +363,6 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         frame = ", ".join(f"{v}<={o}" for v, o in zip(self.variables, self.orders))
         return f"<TruncatedSeries [{frame}] {self}>"
-
-
-# -- compositional inverse --------------------------------------------------
-
-
-def series_reversion(s: TruncatedSeries, name: str | None = None) -> TruncatedSeries:
-    """Compositional inverse in the named (default: first) variable.
-
-    Needs zero constant term, an invertible linear coefficient, and every term
-    divisible by the variable.  Uses the Lagrange formula
-        [v^n] t = (1/n) [v^{n-1}] (v / s)^n,
-    with (v / s)^n = c1^{-n} h^{-n} for s / v = c1 h (c1 the linear
-    coefficient).  The formula reads h^{-n} only below v^n, so each power is
-    solved by the power recurrence in the box cut to v-order n - 1.
-    """
-    name = name or s.variables[0]
-    i = s._idx(name)
-    N = s.orders[i]
-    zkey = (0,) * len(s.variables)
-    if zkey in s.terms:
-        raise ValueError("reversion needs zero constant term")
-    if any(e[i] < 1 for e in s.terms):
-        raise ValueError("reversion needs every term divisible by the variable")
-    shifted = {}
-    for expts, c in s.terms.items():
-        key = expts[:i] + (expts[i] - 1,) + expts[i + 1:]
-        shifted[key] = c
-    g = TruncatedSeries(s.variables, s.orders, shifted, s.one)  # s / v
-    c1 = g.constant_term()
-    if c1 is None or not c1:
-        raise ValueError("reversion needs an invertible linear coefficient")
-    h, inv = g._unit()
-    out = {}
-    for n in range(1, N + 1):
-        box = s.orders[:i] + (n - 1,) + s.orders[i + 1:]
-        scale = Fraction(1, n) if inv is None else inv ** n * Fraction(1, n)
-        for expts, c in h._euler("power", Fraction(-n), box).items():
-            if expts[i] == n - 1:
-                out[expts[:i] + (n,) + expts[i + 1:]] = c * scale
-    return s._with_terms(out)
 
 
 def _solve(f, g, orders, b0, zero, step) -> dict:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conifold import amplitudes, cli, fock, ovinv, partitions, series
+from conifold import amplitudes, cli, fock, mirror, ovinv, partitions, series
 from conifold.cli import (
     COMMANDS,
     EXIT_OK,
@@ -173,8 +173,8 @@ def test_mirror_check_fails_a_product_that_drops_the_x_edge(capsys, monkeypatch)
     monkeypatch.setattr(TruncatedSeries, "__mul__", _dropping_product(lambda e, orders: e[0] != orders[0]))
     messages = _mirror_check_failures(capsys)
     for framing in ("2", "-3"):
-        # at order 1 the fault surfaces as a ValueError inside the reversion
-        assert "reversion needs an invertible linear coefficient" in messages[framing, "1"]
+        # at order 1 y = (1 + E z0)/(1 + z0) loses every x term, which log y sees first
+        assert messages[framing, "1"] == "log of the framed branch disagrees with x d/dx Psi_0"
 
 
 def test_mirror_check_fails_a_product_that_drops_the_E_edge(capsys, monkeypatch):
@@ -188,7 +188,7 @@ def test_mirror_check_fails_a_product_that_stops_short_of_the_E_bound(capsys, mo
     _mirror_check_failures(capsys)
 
 
-# the recurrence kernel behind inverse, log, sqrt, negative powers and reversion
+# the recurrence kernel behind inverse, log, sqrt and negative powers
 
 
 def test_mirror_check_fails_a_kernel_that_drops_the_x_edge(capsys, monkeypatch):
@@ -442,10 +442,14 @@ PLANTED_FAULTS = {
     "zero-framing-log": (lambda mp: mp.setattr(amplitudes, "onepoint_args", _shifted_args({0: 4})),
                          ("mirror-check", "--framing", "0", "--order", "3"),
                          "log of the square-root closed form disagrees with x d/dx Psi_0"),
-    # y^{-3} loses its E^1 terms; the inverse (the power -1) that builds y and the
-    # powers of the E-free 1 + z in the Lagrange root stay whole, so log y holds
+    # y^{-3} loses its E^1 terms; the inverse (the power -1) that builds y stays
+    # whole, and the Lagrange root is written down without a power, so log y holds
     "z0": (_dropping_power(lambda k: k < -1),
            ("mirror-check", "--framing", "2", "--order", "3"), "z0 = x y^{-(a+1)} fails"),
+    # [x^2 E] of the Lagrange root at framing 2 reads C(-6, 1) = -6 as -5
+    "lagrange-root": (_planted(mirror, "_binomial", (-6, 1), 1),
+                      ("mirror-check", "--framing", "2", "--order", "3"),
+                      "log of the framed branch disagrees with x d/dx Psi_0"),
     # at zero framing only the curve's y^{-1} is a power: log y holds
     "curve": (_dropping_power(lambda k: k == -1),
               ("mirror-check", "--framing", "0", "--order", "3"), "zero-framing residual does not vanish"),

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from conifold.mirror import (
+    _binomial,
     framed_curve_check,
     framing_transform_check,
     lagrange_z0,
@@ -45,6 +47,13 @@ def test_zero_framing_residual_vanishes():
         residuals = zero_framing_curve_check(order)
         assert list(residuals) == ["log y", "curve"]
         assert all(r.is_zero() for r in residuals.values()), order
+
+
+def test_binomial_is_the_falling_factorial_over_r_factorial():
+    # every integer x, with the zero window 0 <= x < r where a factor x - k vanishes
+    for x in range(-12, 13):
+        for r in range(9):
+            assert _binomial(x, r) == Fraction(prod(range(x - r + 1, x + 1)), factorial(r)), (x, r)
 
 
 def test_lagrange_z0_leading_terms():

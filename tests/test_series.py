@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conifold.amplitudes import closed_string_logZ, onepoint_closed
 from conifold.laurent import RFU_ONE, LaurentU, RationalFunctionU, bracket_product, qbracket
-from conifold.mirror import quantum_mirror_check, quantum_mirror_series
+from conifold.mirror import lagrange_z0, quantum_mirror_check, quantum_mirror_series
 from conifold.ovinv import allgenus_rhs
-from conifold.series import TruncatedSeries, hbar_expand, series_reversion
+from conifold.series import TruncatedSeries, hbar_expand
 
 X = ("x",)
 
@@ -137,11 +137,10 @@ def test_mul_in_hbar_frame_matches_reference():
 
 
 # -- the recurrence kernel ------------------------------------------------------
-# inverse, log, exp, sqrt, negative powers and reversion solve one first-order
-# recurrence in the total-degree Euler operator.  The power sums and the
-# running-product reversion they replaced are kept here as references; the
-# results must have equal terms, and over the rationals every coefficient is a
-# Fraction.
+# inverse, log, exp, sqrt and negative powers solve one first-order recurrence
+# in the total-degree Euler operator.  The power sums they replaced are kept
+# here as references; the results must have equal terms, and over the
+# rationals every coefficient is a Fraction.
 
 
 def _reference_power_sum(w, coeff):
@@ -184,8 +183,9 @@ def _reference_sqrt(self):
 
 
 def _reference_reversion(s, name=None):
+    """Compositional inverse in the named (default: first) variable, one running power per order."""
     name = name or s.variables[0]
-    i = s._idx(name)
+    i = s.variables.index(name)
     N = s.orders[i]
     shifted = {}
     for expts, c in s.terms.items():
@@ -212,21 +212,15 @@ _NONZERO = {kind: [c for c in cs if c] for kind, cs in _COEFFS.items()}
 def functional_cases(draw):
     """(operation, series): a frame of 1-3 variables with orders 0-6 and a
     sparse series of int, Fraction or mixed coefficients shaped for the operation."""
-    op = draw(st.sampled_from(["inverse", "inverse_unit", "log", "exp", "sqrt", "pow", "reversion"]))
+    op = draw(st.sampled_from(["inverse", "inverse_unit", "log", "exp", "sqrt", "pow"]))
     n = draw(st.integers(1, 3))
     variables = ("x", "E", "Q")[:n]
-    # reversion in x needs room for the linear term
-    first = draw(st.integers(1 if op == "reversion" else 0, 6))
-    orders = (first, *draw(st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1)))
+    orders = tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
     kind = draw(st.sampled_from(sorted(_COEFFS)))
     exponents = st.tuples(*(st.integers(0, o) for o in orders)).filter(any)
     terms = draw(st.dictionaries(exponents, st.sampled_from(_NONZERO[kind]), max_size=5))
     zero = (0,) * n
-    if op == "reversion":
-        unit = (1,) + zero[1:]
-        terms = {e: c for e, c in terms.items() if e[0] >= 1}
-        terms[unit] = draw(st.sampled_from(_NONZERO[kind]))
-    elif op == "inverse":
+    if op == "inverse":
         terms[zero] = draw(st.sampled_from(_NONZERO[kind]))
     elif op != "exp":
         terms[zero] = draw(st.sampled_from([1, Fraction(1)]))
@@ -242,7 +236,6 @@ _REFERENCES = {
     "log": _reference_log,
     "exp": _reference_exp,
     "sqrt": _reference_sqrt,
-    "reversion": _reference_reversion,
 }
 
 
@@ -252,22 +245,26 @@ def test_functional_operations_match_references(case):
     op, s = case
     if isinstance(op, int):
         got, ref = s ** op, _reference_inverse(s) ** -op
-    elif op == "reversion":
-        got, ref = series_reversion(s), _reference_reversion(s)
     else:
         got, ref = getattr(s, op.removesuffix("_unit"))(), _REFERENCES[op](s)
     assert got.terms == ref.terms, (op, s)
     assert all(type(c) is Fraction for c in got.terms.values()), (op, s)
 
 
-def test_reversion_matches_reference_in_each_variable():
-    vars_ = ("x", "E", "Q")
-    orders = (4, 3, 2)
-    x, e, q = (TruncatedSeries.variable(v, vars_, orders) for v in vars_)
-    base = Fraction(2, 3) - e + q * x + Fraction(1, 2) * x * e * q
-    for v, name in ((x, "x"), (e, "E"), (q, "Q")):
-        s = v * base
-        assert series_reversion(s, name).terms == _reference_reversion(s, name).terms, name
+def test_lagrange_z0_matches_reference_reversion():
+    # the closed form inverts x(z) = z (1 + E z)^w / (1 + z)^w, w = a + 1, built
+    # from products and the reference inverse alone
+    for a in range(-6, 6):
+        if a == -1:
+            continue
+        w = a + 1
+        for N in range(1, 11):
+            vars_, orders = ("x", "E"), (N, N)
+            z = TruncatedSeries.variable("x", vars_, orders)
+            e = TruncatedSeries.variable("E", vars_, orders)
+            ratio = (z.const_like(1) + e * z) * _reference_inverse(z.const_like(1) + z)
+            curve = z * (ratio ** w if w > 0 else _reference_inverse(ratio) ** -w)
+            assert lagrange_z0(a, N).terms == _reference_reversion(curve, "x").terms, (a, N)
 
 
 def test_exp_over_bracket_ring_matches_reference():
@@ -416,14 +413,6 @@ def test_functional_operations_reject_negative_exponents(op):
         s ** -2 if op == "s ** -2" else getattr(s, op)()
 
 
-def test_reversion_identity_and_geometric():
-    x = xs(5)
-    assert series_reversion(x) == x
-    s = x * (one(5) + x).inverse()  # z/(1+z)
-    t = series_reversion(s)
-    assert t == sum((x ** k for k in range(1, 6)), TruncatedSeries.zero(X, (5,)))
-
-
 def _reference_substitute(s, name, replacement):
     """s with a series of the same frame put in place of the named variable."""
     assert (s.variables, s.orders) == (replacement.variables, replacement.orders)
@@ -438,39 +427,6 @@ def _reference_substitute(s, name, replacement):
         prev = e
         acc = acc + TruncatedSeries(s.variables, s.orders, by_exp[e], s.one) * power
     return acc
-
-
-def test_reversion_round_trip_two_variables():
-    vars_ = ("x", "Q")
-    orders = (6, 6)
-    x = TruncatedSeries.variable("x", vars_, orders)
-    q = TruncatedSeries.variable("Q", vars_, orders)
-    s = x - 2 * q * x ** 2 + (q * q + 1) * x ** 3
-    t = series_reversion(s, "x")
-    assert _reference_substitute(s, "x", t) == x
-    assert _reference_substitute(t, "x", s) == x
-
-
-def test_reversion_rejects_bad_input():
-    x = xs(4)
-    with pytest.raises(ValueError):
-        series_reversion(one(4) + x)
-    with pytest.raises(ValueError):
-        series_reversion(x * x)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3),
-                min_size=0, max_size=4))
-def test_reversion_round_trip_random(coeffs):
-    N = 6
-    x = xs(N)
-    s = x
-    for k, c in enumerate(coeffs, start=2):
-        s = s + x ** k * c
-    t = series_reversion(s)
-    assert _reference_substitute(s, "x", t) == x
-    assert _reference_substitute(t, "x", s) == x
 
 
 def test_substitute():
