@@ -191,16 +191,8 @@ def _check_framing(a: int) -> None:
 
     Tables and genus0_onepoint read one formula, so the mirror-curve
     comparison of log y with x d/dx Psi_0 at framing a checks the formula
-    the table was built from.  Framing -1 has no Lagrange construction; there
-    the amplitude degenerates to ((-1)^{n-1} + Q^n)/[n], whose genus-zero part
-    -((-1)^{n-1} + Q^n)/n^2 is the anchor.
+    the table was built from.
     """
-    if a == -1:
-        for n in range(1, 4):
-            expected = {(0,): Fraction((-1) ** n, n * n), (n,): Fraction(-1, n * n)}
-            _check(amplitudes.genus0_onepoint(a, n).terms == expected,
-                   "genus-zero x^%d coefficient at framing -1 fails its anchor", n)
-        return
     _check_curve(True, mirror.framed_curve_check(a, 4), "mirror curve residual at framing %d does not vanish", a)
 
 
@@ -298,7 +290,7 @@ def _rows_closed_string(job: argparse.Namespace):
 # or to its choices, the first being the default.  A highest value keeps the
 # job under about 4 s at the costliest framing in -3..3 on a 2-core host with
 # Python 3.11.7, so under about 10 s on a host 2.5 times slower.
-Command = namedtuple("Command", "rows help params excluded", defaults=({},))
+Command = namedtuple("Command", "rows help params")
 
 FRAMING = {"framing": (0, None, None)}
 DISC = {**FRAMING, "m_max": (8, 1, 160), "k_max": (6, 1, 160)}
@@ -311,11 +303,7 @@ COMMANDS = {
     "ov-n": Command(_rows_ovn, "all-genus Laurent-polynomial invariants", {**FRAMING, "m_max": (3, 1, 26)}),
     "sequences": Command(_rows_sequences, "named integer sequences with cross-checks",
                          {"which": ("catalan", "dmm"), "count": (10, 1, 1000)}),
-    "mirror-check": Command(
-        _rows_mirror, "mirror-curve residual verification", {**FRAMING, "order": (8, 1, 74)},
-        {-1: "the Lagrange construction inverts x = z(1-Qz)^{a+1}/(1+z)^{a+1}, which degenerates when "
-             "a+1 = 0 (the amplitude there is elementary: ((-1)^{n-1} + Q^n)/[n])."},
-    ),
+    "mirror-check": Command(_rows_mirror, "mirror-curve residual verification", {**FRAMING, "order": (8, 1, 74)}),
     "correlator": Command(_rows_correlator, "operator correlators vs the closed form", {"n_max": (4, 1, 7)}),
     # truncating below Q^0 would empty every side of the comparison
     "oracle-compare": Command(_rows_oracle, "closed form vs partition sum vs Fock oracle",
@@ -333,9 +321,6 @@ def _limits(lowest, highest) -> str:
 def _usage_error(args: argparse.Namespace) -> str | None:
     """The rule of its COMMANDS entry that a parsed job breaks, or None."""
     name, command = args.command, COMMANDS[args.command]
-    reason = command.excluded.get(getattr(args, "framing", None))
-    if reason:
-        return f"{name}: framing {args.framing} is excluded: {reason}"
     for dest, spec in command.params.items():
         value = getattr(args, dest)
         # argparse checks the choices, and an unset --q-degree is None

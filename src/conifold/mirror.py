@@ -88,10 +88,8 @@ def lagrange_z0(a: int, order: int) -> TruncatedSeries:
     z0 = x phi(z0) for phi(z) = (1 + z)^w (1 + E z)^{-w}, so Lagrange-Buermann
     gives it in closed form:
         [x^n E^i] z0 = (1/n) [z^{n-1} E^i] phi^n = C(-wn, i) C(wn, n-1-i) / n.
-    The leading terms are z0 = x + (a+1)(1+Q) x^2 + ... .  Framing -1 is excluded.
+    The leading terms are z0 = x + (a+1)(1+Q) x^2 + ... ; w = 0 gives z0 = x.
     """
-    if a == -1:
-        raise ValueError("framing -1 has no Lagrange construction (the exponent a+1 vanishes)")
     w = a + 1
     terms = {(n, i): Fraction(_binomial(-w * n, i) * _binomial(w * n, n - 1 - i), n)
              for n in range(1, order + 1) for i in range(n)}
@@ -104,8 +102,6 @@ def framed_curve_check(a: int, order: int) -> dict:
     "log y" is log y - x d/dx Psi_0, "z0" is x y^{-(a+1)} - z0 term by term,
     and "curve" is y + x y^{-a} - 1 - E x y^{-a-1}.
     """
-    if a == -1:
-        raise ValueError("framing -1 is excluded")
     vars_, orders = _frame(order)
     z0 = lagrange_z0(a, order)
     x = TruncatedSeries.variable("x", vars_, orders)

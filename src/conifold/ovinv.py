@@ -23,17 +23,12 @@ from .laurent import LaurentU, RationalFunctionU, qbracket
 from .partitions import divisors, mobius
 
 
-def _gcd0(k: int, m: int) -> int:
-    # gcd(0, m) = m so the k = 0 column participates in the divisor sums
-    return m if k == 0 else gcd(k, m)
-
-
 def _mobius_sum(a: int, k: int, m: int, signed: bool) -> Fraction:
     """-sum_{n | (k, m)} mu(n)/n^2 s_n [Q^{k/n}] at winding m/n, s_n = (-1)^{k/n} if signed else 1."""
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
     value = Fraction(0)
-    for n in divisors(_gcd0(k, m)):
+    for n in divisors(gcd(k, m)):
         sign = -1 if signed and (k // n) % 2 else 1
         value -= Fraction(mobius(n), n * n) * sign * genus0_coefficient(a, m // n, k // n)
     return value
@@ -66,7 +61,7 @@ def recursion_holds(a: int, k: int, m: int, signed: bool, value: Fraction) -> bo
     s = (-1)^k for d and 1 for e; the smaller v are recomputed by inversion.
     """
     lhs = value
-    for j in divisors(_gcd0(k, m)):
+    for j in divisors(gcd(k, m)):
         if j > 1:
             lhs += Fraction(1, j * j) * _mobius_sum(a, k // j, m // j, signed)
     sign = -1 if signed and k % 2 else 1
@@ -85,9 +80,8 @@ def ov_N(a: int, m: int, k: int) -> LaurentU:
     """
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
-    g = _gcd0(k, m)
     total = RationalFunctionU(0)
-    for n in divisors(g):
+    for n in divisors(gcd(k, m)):
         total = total + Fraction(mobius(n)) * allgenus_rhs(a, k // n, m // n, n)
     return (RationalFunctionU(qbracket(1)) * total).as_laurent()
 

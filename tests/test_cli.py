@@ -100,10 +100,17 @@ def test_disc_d_verification_failure_exit_code(capsys):
     assert "3/2" in report["error"]["message"]
 
 
-def test_mirror_check_rejects_framing_minus_one(capsys):
-    status, _, err = run_main(capsys, "mirror-check", "--framing", "-1", "--order", "4")
-    assert status == EXIT_USAGE
-    assert "framing -1" in err
+def test_mirror_check_runs_at_framing_minus_one(capsys, monkeypatch):
+    argv = ("mirror-check", "--framing", "-1", "--order", "4")
+    status, out, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    assert out.count("ok=true") == 2
+    # framing-1 values served at framing -1 fail the curve check; winding 1 does
+    # not depend on the framing, so at order 1 the fault passes
+    monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args({-1: 1}))
+    message = _assert_verification_failure(capsys, *argv)
+    assert message == "log of the framed branch disagrees with x d/dx Psi_0"
+    assert run_main(capsys, "mirror-check", "--framing", "-1", "--order", "1")[0] == EXIT_OK
 
 
 def test_mirror_check_ok(capsys):
@@ -277,17 +284,18 @@ def test_tables_at_framing_zero_fail_a_shifted_formula(capsys, monkeypatch, argv
 
 @pytest.mark.parametrize("command", ["disc-e", "ov-n"])
 def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch, command):
-    # framing -1 has no mirror-curve check; its degenerate genus-zero value is the anchor
+    # framing -1 is anchored by the mirror curve like every other framing
     argv = (command, "--framing", "-1", "--m-max", "4")
     status, _, _ = run_main(capsys, *argv)
     assert status == EXIT_OK
     monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args({-1: 1}))
-    assert "framing -1 fails its anchor" in _assert_verification_failure(capsys, *argv)
+    message = _assert_verification_failure(capsys, *argv)
+    assert message == "log of the framed branch disagrees with x d/dx Psi_0"
 
 
 @pytest.mark.parametrize("framing", ["-3", "-1", "0", "2"])
 def test_genus0_fails_a_formula_shifted_from_winding_three(capsys, monkeypatch, framing):
-    # the x^2 anchor reads winding 2 only; the framing check reads n <= 4 (n <= 3 at a = -1)
+    # the x^2 anchor reads winding 2 only; the framing check reads n <= 4
     argv = ("genus0", "--framing", framing, "--n-max", "5")
     status, _, _ = run_main(capsys, *argv)
     assert status == EXIT_OK
@@ -495,13 +503,17 @@ def test_nothing_is_written_before_the_last_check(capsys, monkeypatch, fault, ar
 
 
 def _smallest_jobs():
-    """argv of each command with every bounded parameter at its lowest, once per choice."""
+    """argv of each command with every bounded parameter at its lowest, once per choice
+    and once per framing in -3..3, so that no framing can be turned away."""
     for name, command in COMMANDS.items():
         jobs = [[name]]
         for dest, spec in command.params.items():
             flag = "--" + dest.replace("_", "-")
             if isinstance(spec[0], str):
                 jobs = [job + [flag, choice] for job in jobs for choice in spec]
+            elif dest == "framing":
+                # the job without the flag runs at framing 0
+                jobs += [job + [flag, str(a)] for job in jobs for a in (-3, -2, -1, 1, 2, 3)]
             elif spec[1] is not None:
                 jobs = [job + [flag, str(spec[1])] for job in jobs]
         yield from jobs

@@ -1,8 +1,6 @@
 from fractions import Fraction
 from math import factorial, prod
 
-import pytest
-
 from conifold.mirror import (
     _binomial,
     framed_curve_check,
@@ -73,7 +71,7 @@ def test_lagrange_z0_at_Q_zero_framing_zero():
 
 
 def test_lagrange_defining_identity():
-    for a, N in ((0, 8), (2, 6), (-2, 6), (3, 5)):
+    for a, N in ((0, 8), (2, 6), (-2, 6), (3, 5), (-1, 6)):
         z0 = lagrange_z0(a, N)
         one = TruncatedSeries.constant(Fraction(1), VARS, (N, N))
         x = TruncatedSeries.variable("x", VARS, (N, N))
@@ -83,11 +81,11 @@ def test_lagrange_defining_identity():
         assert residual.is_zero(), a
 
 
-def test_lagrange_rejects_framing_minus_one():
-    with pytest.raises(ValueError):
-        lagrange_z0(-1, 4)
-    with pytest.raises(ValueError):
-        framed_curve_check(-1, 4)
+def test_framing_minus_one_is_an_ordinary_framing():
+    # w = a + 1 = 0 turns x = z (1 - Q z)^w / (1 + z)^w into x = z, so z0 = x
+    for order in range(1, 9):
+        assert lagrange_z0(-1, order) == TruncatedSeries.variable("x", VARS, (order, order))
+        assert all(r.is_zero() for r in framed_curve_check(-1, order).values()), order
 
 
 def test_framed_residual_vanishes():
