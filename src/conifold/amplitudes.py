@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .fock import FockVector, qpoly, qpoly_zero
+from .fock import FockVector, qpoly
 from .laurent import RationalFunctionU, bracket_ratio
 from .partitions import partitions_of
 from .series import TruncatedSeries, hbar_expand
@@ -72,7 +72,7 @@ def onepoint_partition_sum(a: int, n: int, state: FockVector) -> TruncatedSeries
         raise ValueError("winding must be positive")
     if n > state.degree_bound:
         raise ValueError(f"the brane state stops at degree {state.degree_bound}, below winding {n}")
-    total = qpoly_zero(state.q_bound)
+    total = qpoly({}, state.q_bound)
     for mu in partitions_of(n):
         weight = state.coefficient(mu)
         if a == -1:

@@ -53,14 +53,6 @@ def qpoly(terms: dict[int, RationalFunctionU], q_bound: int) -> TruncatedSeries:
     return TruncatedSeries(QVAR, (q_bound,), {(e,): c for e, c in terms.items()}, RFU_ONE)
 
 
-def qpoly_zero(q_bound: int) -> TruncatedSeries:
-    return TruncatedSeries(QVAR, (q_bound,), {}, RFU_ONE)
-
-
-def qpoly_one(q_bound: int) -> TruncatedSeries:
-    return qpoly({0: RFU_ONE}, q_bound)
-
-
 class FockVector:
     """Finite combination sum c_mu p_mu, |mu| <= degree_bound, Q-degree <= q_bound."""
 
@@ -69,18 +61,15 @@ class FockVector:
         self.q_bound = q_bound
         self.coeffs = coeffs
 
-    def copy(self) -> "FockVector":
-        return FockVector(self.degree_bound, self.q_bound, dict(self.coeffs))
-
     def coefficient(self, mu) -> TruncatedSeries:
-        return self.coeffs.get(tuple(mu), qpoly_zero(self.q_bound))
+        return self.coeffs.get(tuple(mu), qpoly({}, self.q_bound))
 
     def add_term(self, mu: Partition, c: TruncatedSeries) -> None:
-        if sum(mu) > self.degree_bound or c.is_zero():
+        if sum(mu) > self.degree_bound or not c:
             return
         cur = self.coeffs.get(mu)
         s = c if cur is None else cur + c
-        if s.is_zero():
+        if not s:
             self.coeffs.pop(mu, None)
         else:
             self.coeffs[mu] = s
@@ -88,7 +77,7 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         if (self.degree_bound, self.q_bound) != (other.degree_bound, other.q_bound):
             raise ValueError("FockVector bounds differ")
-        out = self.copy()
+        out = FockVector(self.degree_bound, self.q_bound, dict(self.coeffs))
         for mu, c in other.coeffs.items():
             out.add_term(mu, c)
         return out
@@ -100,7 +89,7 @@ class FockVector:
         out = {}
         for mu, v in self.coeffs.items():
             w = v.scale(c) if isinstance(c, (int, Fraction)) else v * c
-            if not w.is_zero():
+            if w:
                 out[mu] = w
         return FockVector(self.degree_bound, self.q_bound, out)
 
@@ -120,7 +109,7 @@ def beta_neg_exp(coeff_by_weight, degree_bound: int, q_bound: int) -> FockVector
     that is absent stays absent in every partition that contains it.  The map
     coeff_by_weight must provide a Q-polynomial for every 1 <= n <= bound.
     """
-    coeffs = {(): qpoly_one(q_bound)}
+    coeffs = {(): qpoly({0: RFU_ONE}, q_bound)}
     for d in range(1, degree_bound + 1):
         for mu in partitions_of(d):
             lower = coeffs.get(mu[:-1])
@@ -128,7 +117,7 @@ def beta_neg_exp(coeff_by_weight, degree_bound: int, q_bound: int) -> FockVector
                 continue
             j = mu[-1]
             term = (lower * coeff_by_weight[j]).scale(Fraction(1, j * mu.count(j)))
-            if not term.is_zero():
+            if term:
                 coeffs[mu] = term
     return FockVector(degree_bound, q_bound, coeffs)
 
@@ -193,7 +182,7 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
         for t in targets:
             rows = [(nu, f * kappa(nu), chi) for nu in partitions_of(d) if (chi := character(nu, t))]
             scale = Fraction(1, z_aut(t))
-            acc = qpoly_zero(v.q_bound)
+            acc = qpoly({}, v.q_bound)
             for mu, c in sector.items():
                 kernel: dict[int, int] = {}
                 for nu, e, chi_t in rows:
@@ -210,7 +199,7 @@ def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
 def schur_vector(nu) -> FockVector:
     """The Schur function s_nu expanded in power sums, as a FockVector of degree |nu| and Q-bound 0."""
     nu = tuple(nu)
-    coeffs = {mu: qpoly_one(0).scale(frac) for mu, frac in schur_in_powersums(nu).items()}
+    coeffs = {mu: qpoly({0: RFU_ONE}, 0).scale(frac) for mu, frac in schur_in_powersums(nu).items()}
     return FockVector(sum(nu), 0, coeffs)
 
 

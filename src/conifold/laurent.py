@@ -104,10 +104,6 @@ class LaurentU:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def const(c) -> "LaurentU":
-        return LaurentU({0: c})
-
-    @staticmethod
     def _coerce(x):
         if isinstance(x, LaurentU):
             return x
@@ -119,9 +115,6 @@ class LaurentU:
 
     def __bool__(self) -> bool:
         return bool(self.poly)
-
-    def is_zero(self) -> bool:
-        return not self.poly
 
     def degree(self) -> int:
         if not self.poly:
@@ -417,7 +410,7 @@ class RationalFunctionU:
 
     def __init__(self, num, den_args=()):
         if isinstance(num, (int, Fraction)):
-            num = LaurentU.const(num)
+            num = LaurentU({0: num})
         den = tuple(sorted(den_args))
         if den and den[0] < 1:
             raise ValueError("denominator bracket arguments must be positive; bracket_ratio folds signs")
@@ -474,11 +467,8 @@ class RationalFunctionU:
             den = _laurent(a, 0, _ONE)
         return (n, den)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num.poly)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -501,9 +491,9 @@ class RationalFunctionU:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.num.is_zero():
+        if not self.num.poly:
             return o
-        if o.num.is_zero():
+        if not o.num.poly:
             return self
         if self.den == o.den:
             return _rfu(self.num + o.num, self.den)

@@ -136,15 +136,8 @@ def framing_transform_check(a: int) -> bool:
     The identity x + y - 1 - x y^{-1} E  |->  framed curve holds exactly as
     Laurent polynomials in (x, y, E); no truncation is involved.
     """
-    zero_framing = _curve_poly(0)
-    transformed: dict[tuple[int, int, int], Fraction] = {}
-    for (ex, ey, ee), c in zero_framing.items():
-        key = (ex, ey - a * ex, ee)
-        s = transformed.get(key, Fraction(0)) + c
-        if s:
-            transformed[key] = s
-        else:
-            transformed.pop(key, None)
+    # (ex, ey) -> (ex, ey - a ex) is one-to-one, so no two monomials merge
+    transformed = {(ex, ey - a * ex, ee): c for (ex, ey, ee), c in _curve_poly(0).items()}
     return transformed == _curve_poly(a)
 
 
@@ -163,14 +156,8 @@ def quantum_mirror_series(a: int, order: int) -> TruncatedSeries:
     """
     vars_ = ("x", "Q", WVAR)
     orders = (order, order, order)
-    exponent = TruncatedSeries.zero(vars_, orders, one=RFU_ONE)
-    for n in range(1, order + 1):
-        fhat = onepoint_closed(a, n)
-        terms = {}
-        for (j,), c in fhat.terms.items():
-            terms[(n, j, 1)] = c
-        exponent = exponent + TruncatedSeries(vars_, orders, terms, RFU_ONE)
-    return exponent.exp()
+    terms = {(n, j, 1): c for n in range(1, order + 1) for (j,), c in onepoint_closed(a, n).terms.items()}
+    return TruncatedSeries(vars_, orders, terms, RFU_ONE).exp()
 
 
 def quantum_classical_limit(series: TruncatedSeries, order: int) -> TruncatedSeries:

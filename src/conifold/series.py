@@ -54,10 +54,6 @@ class TruncatedSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, variables, orders, one=_FR_ONE):
-        return cls(variables, orders, {}, one)
-
-    @classmethod
     def constant(cls, c, variables, orders, one=_FR_ONE):
         z = (0,) * len(tuple(variables))
         return cls(variables, orders, {z: c}, one)
@@ -69,9 +65,6 @@ class TruncatedSeries:
         e[variables.index(name)] = 1
         return cls(variables, orders, {tuple(e): one}, one)
 
-    def zero_like(self):
-        return TruncatedSeries(self.variables, self.orders, {}, self.one)
-
     def const_like(self, c):
         if isinstance(c, (int, Fraction)):
             c = self.one * Fraction(c)
@@ -81,9 +74,6 @@ class TruncatedSeries:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.variables), None)
@@ -162,7 +152,7 @@ class TruncatedSeries:
         if isinstance(c, (int, Fraction)):
             c = Fraction(c)
             if not c:
-                return self.zero_like()
+                return self._with_terms({})
         out = {}
         for e, v in self.terms.items():
             w = v * c
@@ -435,7 +425,7 @@ def hbar_expand(f: RationalFunctionU, order: int) -> TruncatedSeries:
     unit with constant term prod den, v = len(den).  The numerator is divided
     by that unit with the series inverse, and the quotient shifted down by v.
     """
-    if f.num.is_zero():
+    if not f:
         return TruncatedSeries((HBAR,), (order,))
     v = len(f.den)
     den = bracket_product(f.den)

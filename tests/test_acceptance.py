@@ -32,12 +32,12 @@ from conifold.fock import (
     cutjoin_apply,
     oracle_onepoint,
     qpoly,
-    qpoly_one,
     schur_vector,
 )
 from conifold.laurent import (
     LAURENT_ONE,
     LaurentU,
+    RFU_ONE,
     RationalFunctionU,
     bracket_ratio,
     qbinomial,
@@ -71,7 +71,7 @@ def announce(number, text):
 
 
 def brackets(num_args, den_args=(), scalar=1):
-    num = LaurentU.const(scalar)
+    num = LaurentU({0: scalar})
     for d in num_args:
         num = num * qbracket(d)
     # [-d] = -[d]: the sign of a negative denominator argument moves to the numerator
@@ -344,9 +344,9 @@ def test_acceptance_08_correlators():
 
 def test_acceptance_09_mirror_curves():
     start = time.time()
-    assert all(r.is_zero() for r in zero_framing_curve_check(20).values())
+    assert not any(zero_framing_curve_check(20).values())
     for a in (-4, -3, -2, 0, 1, 2, 3):
-        assert all(r.is_zero() for r in framed_curve_check(a, 12).values()), a
+        assert not any(framed_curve_check(a, 12).values()), a
         # agreement of the two constructions of the curve branch:
         # exp(x d/dx Psi_0) is the Lagrange branch (1 - Q z0)/(1 + z0); the
         # orientation printed as (1 + z0)/(1 - Q z0) is its reciprocal
@@ -407,7 +407,7 @@ def test_acceptance_11_property_suites():
             if m == 0 or n == 0:
                 continue
             for mu in basis:
-                v = FockVector(12, 0, {mu: qpoly_one(0)})
+                v = FockVector(12, 0, {mu: qpoly({0: RFU_ONE}, 0)})
                 lhs = (_reference_beta_apply(_reference_beta_apply(v, n), m)
                        - _reference_beta_apply(_reference_beta_apply(v, m), n))
                 rhs = v.scale(Fraction(m)) if m == -n else FockVector(12, 0, {})

@@ -17,7 +17,7 @@ from conifold.series import TruncatedSeries
 
 
 def brackets(num_args, den_args, scalar=1):
-    num = LaurentU.const(scalar)
+    num = LaurentU({0: scalar})
     for d in num_args:
         num = num * qbracket(d)
     # [-d] = -[d]: the sign of a negative denominator argument moves to the numerator

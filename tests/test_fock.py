@@ -18,11 +18,9 @@ from conifold.fock import (
     oracle_onepoint,
     qK_apply,
     qpoly,
-    qpoly_one,
-    qpoly_zero,
     schur_vector,
 )
-from conifold.laurent import LaurentU, RFU_ZERO, RationalFunctionU, bracket_ratio, qbracket
+from conifold.laurent import LaurentU, RFU_ONE, RFU_ZERO, RationalFunctionU, bracket_ratio, qbracket
 from conifold.partitions import character, kappa, multiplicities, partitions_of, z_aut
 
 
@@ -48,7 +46,7 @@ def _reference_beta_apply(v: FockVector, k: int) -> FockVector:
 
 
 def _reference_vacuum(degree_bound, q_bound):
-    return FockVector(degree_bound, q_bound, {(): qpoly_one(q_bound)})
+    return FockVector(degree_bound, q_bound, {(): qpoly({0: RFU_ONE}, q_bound)})
 
 
 def const_weights(values, q_bound=0):
@@ -61,19 +59,19 @@ def test_beta_neg_exp_vacuum():
 
 
 def test_beta_neg_exp_exponential_series():
-    v = beta_neg_exp(const_weights({1: LaurentU.const(1), 2: LaurentU()}), 2, 0)
-    assert v.coefficient(()) == qpoly_one(0)
-    assert v.coefficient((1,)) == qpoly_one(0)
-    assert v.coefficient((1, 1)) == qpoly_one(0).scale(Fraction(1, 2))
-    assert v.coefficient((2,)).is_zero()
+    v = beta_neg_exp(const_weights({1: LaurentU({0: 1}), 2: LaurentU()}), 2, 0)
+    assert v.coefficient(()) == qpoly({0: RFU_ONE}, 0)
+    assert v.coefficient((1,)) == qpoly({0: RFU_ONE}, 0)
+    assert v.coefficient((1, 1)) == qpoly({0: RFU_ONE}, 0).scale(Fraction(1, 2))
+    assert not v.coefficient((2,))
 
 
 def test_beta_neg_exp_brane_weights():
     # coefficient of p_2 with c_n = ((-1)^{n-1} + Q^n)/[n] is (-1 + Q^2)/(2 [2])
     v = beta_neg_exp(brane_state(2, 2), 2, 2)
     expected = qpoly(
-        {0: RationalFunctionU(LaurentU.const(Fraction(-1, 2)), (2,)),
-         2: RationalFunctionU(LaurentU.const(Fraction(1, 2)), (2,))},
+        {0: RationalFunctionU(LaurentU({0: Fraction(-1, 2)}), (2,)),
+         2: RationalFunctionU(LaurentU({0: Fraction(1, 2)}), (2,))},
         2,
     )
     assert v.coefficient((2,)) == expected
@@ -84,12 +82,12 @@ def _reference_beta_neg_exp(coeff_by_weight, degree_bound, q_bound):
     coeffs = {}
     for d in range(degree_bound + 1):
         for mu in partitions_of(d):
-            term = qpoly_one(q_bound)
+            term = qpoly({0: RFU_ONE}, q_bound)
             for n, m in multiplicities(mu).items():
                 cn = coeff_by_weight[n]
                 term = term * cn ** m
                 term = term.scale(Fraction(1, n ** m * factorial(m)))
-            if not term.is_zero():
+            if term:
                 coeffs[mu] = term
     return FockVector(degree_bound, q_bound, coeffs)
 
@@ -110,15 +108,15 @@ def test_beta_neg_exp_matches_the_product_form(n):
 
 
 def test_beta_neg_exp_drops_every_partition_with_a_zero_weight():
-    weights = const_weights({1: LaurentU.const(3), 2: LaurentU(), 3: LaurentU({1: 1, -1: 2}),
-                             4: LaurentU.const(-1), 5: LaurentU({2: 5})})
+    weights = const_weights({1: LaurentU({0: 3}), 2: LaurentU(), 3: LaurentU({1: 1, -1: 2}),
+                             4: LaurentU({0: -1}), 5: LaurentU({2: 5})})
     v = beta_neg_exp(weights, 5, 0)
     _assert_same_state(v, _reference_beta_neg_exp(weights, 5, 0))
     assert set(v.coeffs) == {mu for d in range(6) for mu in partitions_of(d) if 2 not in mu}
 
 
 def test_cutjoin_kills_p1():
-    v = FockVector(3, 0, {(1,): qpoly_one(0)})
+    v = FockVector(3, 0, {(1,): qpoly({0: RFU_ONE}, 0)})
     assert cutjoin_apply(v) == FockVector(3, 0, {})
 
 
@@ -133,14 +131,14 @@ def test_cutjoin_schur_eigenvectors():
 def test_qK_fixes_vacuum_and_p1():
     v = _reference_vacuum(2, 0)
     assert qK_apply(v, 3) == v
-    p1 = FockVector(2, 0, {(1,): qpoly_one(0)})
+    p1 = FockVector(2, 0, {(1,): qpoly({0: RFU_ONE}, 0)})
     assert qK_apply(p1, 5) == p1
 
 
 def test_qK_on_p2():
     # p_2 = s_(2) - s_(11); twisting by u^{kappa} gives
     # (u^2 - u^-2)/2 p_1^2 + (u^2 + u^-2)/2 p_2
-    p2 = FockVector(2, 0, {(2,): qpoly_one(0)})
+    p2 = FockVector(2, 0, {(2,): qpoly({0: RFU_ONE}, 0)})
     out = qK_apply(p2, 1)
     half = Fraction(1, 2)
     expected = FockVector(
@@ -164,16 +162,16 @@ def test_vacuum_pairing_is_coefficient_map():
     # pairing with exp(sum_n x_n/(n i) b_n) weighs p_mu by P_mu = prod_n (x_n/i)^{m_n},
     # so the paired coefficients are FockVector.coeffs, which never holds a zero
     v = FockVector(2, 1, {})
-    v.add_term((1,), qpoly_one(1).scale(Fraction(3, 7)))
-    v.add_term((2,), qpoly_one(1).scale(Fraction(0)))
+    v.add_term((1,), qpoly({0: RFU_ONE}, 1).scale(Fraction(3, 7)))
+    v.add_term((2,), qpoly({0: RFU_ONE}, 1).scale(Fraction(0)))
     assert set(v.coeffs) == {(1,)}
-    assert v.coeffs[(1,)] == qpoly_one(1).scale(Fraction(3, 7))
-    v.add_term((1,), qpoly_one(1).scale(Fraction(-3, 7)))
+    assert v.coeffs[(1,)] == qpoly({0: RFU_ONE}, 1).scale(Fraction(3, 7))
+    v.add_term((1,), qpoly({0: RFU_ONE}, 1).scale(Fraction(-3, 7)))
     assert v.coeffs == {}
     # exp((c/1) b_{-1}) |0> pairs to c^k / k! on (1^k)
-    c = LaurentU.const(2)
+    c = LaurentU({0: 2})
     v = beta_neg_exp(const_weights({1: c, 2: LaurentU(), 3: LaurentU()}), 3, 0)
-    assert v.coeffs[(1, 1, 1)] == qpoly_one(0).scale(Fraction(8, 6))
+    assert v.coeffs[(1, 1, 1)] == qpoly({0: RFU_ONE}, 0).scale(Fraction(8, 6))
 
 
 def test_heisenberg_relations():
@@ -185,7 +183,7 @@ def test_heisenberg_relations():
             if m == 0 or n == 0:
                 continue
             for mu in basis:
-                v = FockVector(N, 0, {mu: qpoly_one(0)})
+                v = FockVector(N, 0, {mu: qpoly({0: RFU_ONE}, 0)})
                 lhs = (_reference_beta_apply(_reference_beta_apply(v, n), m)
                        - _reference_beta_apply(_reference_beta_apply(v, m), n))
                 rhs = v.scale(Fraction(m)) if m == -n else FockVector(N, 0, {})
@@ -199,8 +197,8 @@ def _state(n, q_bound=None):
 
 def test_oracle_onepoint_winding_one():
     expected = qpoly(
-        {0: RationalFunctionU(LaurentU.const(1), (1,)),
-         1: RationalFunctionU(LaurentU.const(1), (1,))},
+        {0: RationalFunctionU(LaurentU({0: 1}), (1,)),
+         1: RationalFunctionU(LaurentU({0: 1}), (1,))},
         1,
     )
     for a in (-2, 0, 3):
@@ -213,8 +211,8 @@ def test_oracle_onepoint_framing_minus_one():
     # framing -1: the twist is trivial and the amplitude is ((-1)^{n-1} + Q^n)/[n]
     got = oracle_onepoint(-1, 3, _state(3))
     expected = qpoly(
-        {0: RationalFunctionU(LaurentU.const(1), (3,)),
-         3: RationalFunctionU(LaurentU.const(1), (3,))},
+        {0: RationalFunctionU(LaurentU({0: 1}), (3,)),
+         3: RationalFunctionU(LaurentU({0: 1}), (3,))},
         3,
     )
     assert got == expected
@@ -227,7 +225,7 @@ def test_oracle_onepoint_framing_minus_one():
 def test_oracle_onepoint_zero_framing_n2():
     got = oracle_onepoint(0, 2, _state(2))
     expected = (
-        qpoly({0: RationalFunctionU(LaurentU.const(1), (2,))}, 2)
+        qpoly({0: RationalFunctionU(LaurentU({0: 1}), (2,))}, 2)
         + qpoly({1: RationalFunctionU(qbracket(2), (1, 1))}, 2)
         + qpoly({2: RationalFunctionU(qbracket(3), (1, 2))}, 2)
     )
@@ -285,17 +283,17 @@ def _reference_qK_apply(v: FockVector, framing_exponent: int, only=None) -> Fock
         for nu in partitions_of(d):
             if not any(character(nu, mu) for mu in targets):
                 continue
-            w = qpoly_zero(v.q_bound)
+            w = qpoly({}, v.q_bound)
             for mu, c in sector.items():
                 chi = character(nu, mu)
                 if chi:
                     w = w + c.scale(Fraction(chi))
-            if w.is_zero():
+            if not w:
                 continue
             twist = RationalFunctionU(LaurentU({f * kappa(nu): 1}))
             scaled[nu] = w * twist
         for mu in targets:
-            acc = qpoly_zero(v.q_bound)
+            acc = qpoly({}, v.q_bound)
             for nu, w in scaled.items():
                 chi = character(nu, mu)
                 if chi:

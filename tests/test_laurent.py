@@ -28,7 +28,7 @@ from conifold.laurent import (
 
 def test_qbracket_basics():
     assert qbracket(1) == LaurentU({1: 1, -1: -1})
-    assert qbracket(0).is_zero()
+    assert not qbracket(0)
     assert qbracket(-3) == -qbracket(3)
 
 
@@ -91,7 +91,7 @@ def test_negative_binomial_identity():
             shift = LaurentU({M - 2 * k + 1: 1})
             new = [LaurentU() for _ in range(D + 1)]
             for j in range(D + 1):
-                if coeffs[j].is_zero():
+                if not coeffs[j]:
                     continue
                 power = LAURENT_ONE
                 for extra in range(0, D + 1 - j):
@@ -135,7 +135,7 @@ def test_rational_function_field_ops():
     with pytest.raises(TypeError):
         RationalFunctionU(qbracket(1), qbracket(2))
     with pytest.raises(TypeError):
-        LaurentU.const(1) / qbracket(2)
+        LaurentU({0: 1}) / qbracket(2)
     # a zero bracket divides by zero; a negative one is bracket_ratio's to fold
     for den in ((2, 0), (-2,)):
         with pytest.raises(ValueError):
@@ -272,7 +272,7 @@ def ref_exact_div(a, b):
 
 
 def ref_canonical(num, den):
-    if num.is_zero():
+    if not num:
         return (LaurentU(), LAURENT_ONE)
     if len(den.terms) == 1:
         (e, c), = den.terms.items()
@@ -456,10 +456,10 @@ def test_binomial_kernels_round_trip(p, s, k):
 def test_coprime_pairs_match_euclid(roots, split, ca, cb):
     # products of (u - r) over disjoint root sets share no factor; u - 1 is Phi_1 and u + 1 is Phi_2
     split = min(split, len(roots) - 1)
-    a = LaurentU.const(ca)
+    a = LaurentU({0: ca})
     for r in roots[:split]:
         a = a * LaurentU({1: 1, 0: -r})
-    b = LaurentU.const(cb)
+    b = LaurentU({0: cb})
     for r in roots[split:]:
         b = b * LaurentU({1: 1, 0: -r})
     assert cyclotomic_gcd(a, b, 6) == ref_gcd(a, b) == LAURENT_ONE
@@ -505,7 +505,7 @@ def _assert_content_layout(x):
     """x = content * P(u) with P primitive, its top coefficient positive, and the pair unique."""
     assert LaurentU(x.terms) == x
     assert hash(LaurentU(x.terms)) == hash(x)
-    if x.is_zero():
+    if not x:
         assert (x.content, x.poly) == (0, {})
         return
     assert x.content != 0
@@ -604,7 +604,7 @@ def test_bracket_normal_cancels_and_signs():
 def test_bracket_normal_zero():
     # a zero numerator bracket is the zero value, whatever else the ratio holds
     assert bracket_normal((0,), ()) == bracket_normal((3, 0, -2), (5,)) == (0, (), ())
-    assert bracket_ratio((3, 0, -2), (5,)).is_zero()
+    assert not bracket_ratio((3, 0, -2), (5,))
     assert bracket_normal((2,), (2,)) != bracket_normal((0,), ())
     with pytest.raises(ZeroDivisionError):
         bracket_normal((1,), (2, 0))

@@ -161,14 +161,14 @@ def test_generating_function_consistency():
     # potential at zero framing, through x^8 E^8
     N = 8
     vars_, orders = ("x", "E"), (N, N)
-    lhs = TruncatedSeries.zero(vars_, orders)
+    lhs = TruncatedSeries(vars_, orders)
     for n in range(1, N + 1):
         psi = genus0_onepoint(0, n)
         terms = {}
         for (j,), c in psi.terms.items():
             terms[(n, j)] = Fraction(n) * c * (-1) ** j  # Q = -E
         lhs = lhs + TruncatedSeries(vars_, orders, terms)
-    rhs = TruncatedSeries.zero(vars_, orders)
+    rhs = TruncatedSeries(vars_, orders)
     one = TruncatedSeries.constant(Fraction(1), vars_, orders)
     for m in range(1, N + 1):
         for k in range(0, m + 1):
