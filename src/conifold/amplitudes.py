@@ -16,10 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .fock import FockVector, qpoly
 from .laurent import RationalFunctionU, bracket_ratio
 from .partitions import partitions_of
-from .series import TruncatedSeries, hbar_expand
+from .series import TruncatedSeries, hbar_expand, qpoly
 
 LAMBDA = "lambda"
 
@@ -55,15 +54,15 @@ def onepoint_closed(a: int, n: int) -> TruncatedSeries:
     return qpoly(terms, n)
 
 
-def onepoint_partition_sum(a: int, n: int, state: FockVector) -> TruncatedSeries:
+def onepoint_partition_sum(a: int, n: int, state) -> TruncatedSeries:
     """F_hat_n as the explicit sum over partitions of n.
 
     Each partition mu with multiplicities m_j contributes
         prod_j ((-1)^{j-1} + Q^j)^{m_j} / (j^{m_j} m_j! [j]^{m_j})
         * prod_j [(a+1) j n]^{m_j} / [(a+1) n],
     whose first factor is the p_mu coefficient of the brane state.  `state`
-    is that state as beta_neg_exp(brane_state(N, D), N, D) builds it for
-    some N >= n; the sum is truncated at its Q-bound D.
+    is that state, the `fock.FockVector` that beta_neg_exp(brane_state(N, D),
+    N, D) builds for some N >= n; the sum is truncated at its Q-bound D.
     At a = -1 the bracket ratio is a first-order limit in w = a+1: each factor
     [w j n] vanishes like w, so only length-one partitions survive, with ratio
     lim [w n^2]/[w n] = n.

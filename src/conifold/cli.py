@@ -14,19 +14,19 @@ deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import itertools
-import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, prod
 
-from . import amplitudes, fock, mirror, ovinv, partitions
+# every job reads these; each builder imports the amplitudes, fock, mirror or
+# ovinv it reads, so a job loads only the layers of its own command
+from . import partitions
 from .laurent import LaurentU, RationalFunctionU
-from .serialize import FORMAT_VERSION, Blocks, json_table, json_text, text
-from .series import TruncatedSeries
+from .serialize import BLOCK, FORMAT_VERSION, Blocks, json_table, json_text, text
+from .series import TruncatedSeries, qpoly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,6 +51,7 @@ def _check(condition: bool, message: str, *args) -> None:
 
 
 def _rows_onepoint(job: argparse.Namespace):
+    from . import amplitudes, fock
     # one brane state through --n-max serves every winding
     N = job.n_max
     state = fock.beta_neg_exp(fock.brane_state(N, N), N, N)
@@ -60,7 +61,7 @@ def _rows_onepoint(job: argparse.Namespace):
         _check(closed == summed, "closed form and partition sum disagree at (a=%d, n=%d)", job.framing, n)
         yield {"a": job.framing, "n": n, "value": closed}
     # anchor: the winding-1 amplitude is (1 + Q)/[1] in every framing
-    anchor = fock.qpoly(
+    anchor = qpoly(
         {0: RationalFunctionU(1, (1,)), 1: RationalFunctionU(1, (1,))},
         1,
     )
@@ -71,6 +72,7 @@ def _rows_onepoint(job: argparse.Namespace):
 
 
 def _rows_genus0(job: argparse.Namespace):
+    from . import amplitudes
     for n in range(1, job.n_max + 1):
         yield {"a": job.framing, "n": n, "value": amplitudes.genus0_onepoint(job.framing, n)}
     # anchor: the x^2 coefficient is -((2a+1) + 4(a+1) Q + (2a+3) Q^2)/4
@@ -84,9 +86,10 @@ def _rows_genus0(job: argparse.Namespace):
     _check_framing(a)
 
 
-def _disc(signed: bool, a: int, k: int, m: int) -> Fraction:
+def _disc(ovinv, signed: bool, a: int, k: int, m: int) -> Fraction:
     """d_{k,m} (signed) or e_{k,m} at framing a, checked: integral d or half-integral e,
-    its defining recursion, and e = (-1)^k d at coprime (k, m)."""
+    its defining recursion, and e = (-1)^k d at coprime (k, m).  `ovinv` is the module,
+    which the builder imports once rather than once per cell."""
     if signed:
         value = ovinv.disc_d(a, k, m)
         _check(value.denominator == 1, "d_{%d,%d}^(%d) = %s is not an integer", k, m, a, value)
@@ -100,31 +103,33 @@ def _disc(signed: bool, a: int, k: int, m: int) -> Fraction:
     return value
 
 
-def _check_catalan(k: int) -> int:
+def _check_catalan(ovinv, k: int) -> int:
     """C(k), checked against |d_{k,k+1}| at zero framing."""
     value = ovinv.catalan_number(k)
-    _check(value == abs(_disc(True, 0, k, k + 1)), "|d_{%d,%d}| is not the Catalan number C(%d)", k, k + 1, k)
+    _check(value == abs(_disc(ovinv, True, 0, k, k + 1)),
+           "|d_{%d,%d}| is not the Catalan number C(%d)", k, k + 1, k)
     return value
 
 
 def _rows_disc(job: argparse.Namespace, signed: bool):
+    from . import ovinv
     column = "d_%d" if signed else "e_%d"
     for m in range(1, job.m_max + 1):
         row = {"m": m}
         for k in range(1, job.k_max + 1):
-            row[column % k] = _disc(signed, job.framing, k, m) if k <= m else Fraction(0)
+            row[column % k] = _disc(ovinv, signed, job.framing, k, m) if k <= m else Fraction(0)
         yield row
     if signed:
         # anchor: Catalan column |d_{k,k+1}| = C(k)
         for k in range(1, max(2, min(job.k_max, job.m_max - 1)) + 1):
-            _check_catalan(k)
+            _check_catalan(ovinv, k)
     else:
         # anchor: boxed half-integer entries of the zero-framing table
         anchors = {(1, 1): Fraction(1), (2, 2): Fraction(1, 2), (2, 4): Fraction(7, 2),
                    (5, 10): Fraction(5045)}
         for (k, m), v in anchors.items():
             if (k, m) == (1, 1) or (m <= job.m_max and k <= job.k_max):
-                _check(_disc(False, 0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
+                _check(_disc(ovinv, False, 0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
     _check_framing(job.framing)
 
 
@@ -143,6 +148,7 @@ def _at_power_of_two(p: LaurentU, j: int) -> Fraction:
 
 
 def _rows_ovn(job: argparse.Namespace):
+    from . import amplitudes, ovinv
     a = job.framing
     values = {}
     for m in range(1, job.m_max + 1):
@@ -190,6 +196,7 @@ def _check_framing(a: int) -> None:
     comparison of log y with x d/dx Psi_0 at framing a checks the formula
     the table was built from.
     """
+    from . import mirror
     _check_curve(True, mirror.framed_curve_check(a, 4), "mirror curve residual at framing %d does not vanish", a)
 
 
@@ -203,19 +210,22 @@ def _check_curve(framed: bool, residuals: dict, message: str, *args) -> None:
 
 
 def _rows_sequences(job: argparse.Namespace):
+    from . import ovinv
     if job.which == "catalan":
         # anchor: C(1) = |d_{1,2}|, checked even when --count 1 prints only C(0)
-        _check_catalan(1)
-        values = [ovinv.catalan_number(0)] + [_check_catalan(k) for k in range(1, job.count)]
+        _check_catalan(ovinv, 1)
+        values = [ovinv.catalan_number(0)] + [_check_catalan(ovinv, k) for k in range(1, job.count)]
         return [{"index": i, "value": v} for i, v in enumerate(values)]
     rows = ovinv.dmm_report(job.count)
     for row in rows:
         m = row["m"]
-        _check(row["formula"] == abs(_disc(True, 0, m, m)), "d_{%d,%d} divisor sum disagrees with Moebius inversion", m, m)
+        _check(row["formula"] == abs(_disc(ovinv, True, 0, m, m)),
+               "d_{%d,%d} divisor sum disagrees with Moebius inversion", m, m)
     return rows
 
 
 def _rows_mirror(job: argparse.Namespace):
+    from . import mirror
     a, order = job.framing, job.order
     rows = []
     if a == 0:
@@ -233,6 +243,7 @@ def _rows_mirror(job: argparse.Namespace):
 
 
 def _rows_correlator(job: argparse.Namespace):
+    from . import fock
     for n in range(1, job.n_max + 1):
         for comp in _compositions(n):
             for mults in itertools.product((1, 2, 3), repeat=len(comp)):
@@ -255,6 +266,7 @@ def _compositions(n: int):
 
 
 def _rows_oracle(job: argparse.Namespace):
+    from . import amplitudes, fock
     N, D = job.n_max, job.q_degree
     B = N if D is None else D
     state = fock.beta_neg_exp(fock.brane_state(N, B), N, B)
@@ -270,6 +282,7 @@ def _rows_oracle(job: argparse.Namespace):
 
 
 def _rows_closed_string(job: argparse.Namespace):
+    from . import amplitudes
     series = amplitudes.closed_string_logZ(job.order)
     # anchor: every Q^n coefficient is (-1)^{n-1}/(n [n]^2)
     for n in range(1, job.order + 1):
@@ -351,6 +364,29 @@ def _numeric_rows(rows, meta: dict):
         yield viewed
 
 
+def _write_csv_line(out: Blocks, cells: list[str]) -> None:
+    """One CSV line: a cell that holds a comma, a double quote or a line break is
+    quoted, its inner quotes doubled.  For every table the CLI writes (two cells
+    or more, no carriage return) that is the line csv.writer(lineterminator="\\n")
+    writes.  A line of a quarter block or more goes out cell by cell, so that
+    `Blocks` holds each long cell as it is instead of a joined copy: peak RSS of
+    `genus0 --n-max 300 --framing 3 --format csv` (fresh processes, 2-core host,
+    Python 3.11.7) read 37.2 MB with csv.writer, whose record buffer grows to the
+    longest line, 36.4-36.9 MB with every line joined, and 26.5-28.5 MB so.
+    """
+    cells = ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c or "\r" in c else c
+             for c in cells]
+    line = ",".join(cells) + "\n"
+    if len(line) < BLOCK // 4:
+        out.write(line)
+        return
+    for c in cells[:-1]:
+        out.write(c)
+        out.write(",")
+    out.write(cells[-1])
+    out.write("\n")
+
+
 def emit_table(rows, fmt: str, meta: dict) -> list[str]:
     """The document of a table as the chunks of a `serialize.Blocks`.
 
@@ -370,13 +406,16 @@ def emit_table(rows, fmt: str, meta: dict) -> list[str]:
         rows = itertools.chain((first,), rows)
     out = Blocks()
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([text(row[h]) for h in header] for row in rows)
+        _write_csv_line(out, header)
+        for row in rows:
+            _write_csv_line(out, [text(row[h]) for h in header])
         return out.chunks()
     for row in rows:
         out.write("  ".join(f"{h}={text(row[h])}" for h in header) + "\n")
-    head = f"# {meta.get('command', '')} {json.dumps(meta.get('parameters', {}), sort_keys=True)}\n"
+    # json.dumps(parameters, sort_keys=True): string keys, int or string values
+    params = meta.get("parameters", {})
+    items = ", ".join(json_text(k) + ": " + json_text(params[k]) for k in sorted(params))
+    head = f"# {meta.get('command', '')} {{{items}}}\n"
     if meta.get("numeric_lossy"):
         head += "# numeric: lossy decimal approximations of exact values\n"
     return out.chunks(head)
@@ -413,18 +452,23 @@ def run(args: argparse.Namespace) -> tuple[int, list[str]]:
     return EXIT_OK, chunks
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `conifold` parser.  Every command is registered, so usage, help and
+    "invalid choice" read the same; when `command` names one, only its
+    subparser gets arguments, as only it can parse a job of that command."""
     parser = argparse.ArgumentParser(
         prog="conifold",
         description="Exact one-point open-string amplitudes of the resolved conifold.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+    for name, entry in COMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
+        if command in COMMANDS and name != command:
+            continue
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
         p.add_argument("--numeric", action="store_true",
                        help="render rational values as lossy decimals (marked in the output)")
-        for dest, spec in command.params.items():
+        for dest, spec in entry.params.items():
             flag = "--" + dest.replace("_", "-")
             if isinstance(spec[0], str):
                 p.add_argument(flag, choices=spec, default=spec[0])
@@ -434,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads argv[0] as the command whenever it names one
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     error = _usage_error(args)
     if error:
         print(error, file=sys.stderr)

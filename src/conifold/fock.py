@@ -43,14 +43,7 @@ from .partitions import (
     schur_in_powersums,
     z_aut,
 )
-from .series import TruncatedSeries
-
-QVAR = ("Q",)
-
-
-def qpoly(terms: dict[int, RationalFunctionU], q_bound: int) -> TruncatedSeries:
-    """A polynomial in Q over the bracket ring, truncated at Q^q_bound."""
-    return TruncatedSeries(QVAR, (q_bound,), {(e,): c for e, c in terms.items()}, RFU_ONE)
+from .series import TruncatedSeries, qpoly
 
 
 class FockVector:

@@ -67,7 +67,7 @@ def zero_framing_curve_check(order: int) -> dict:
     vars_, orders = _frame(order)
     x = TruncatedSeries.variable("x", vars_, orders)
     e = TruncatedSeries.variable("E", vars_, orders)
-    one = TruncatedSeries.constant(Fraction(1), vars_, orders)
+    one = TruncatedSeries(vars_, orders, {(0, 0): Fraction(1)})
     radicand = (one - x) ** 2 + 4 * x * e
     y = ((one - x) + radicand.sqrt()).scale(Fraction(1, 2))
     return {
@@ -106,7 +106,7 @@ def framed_curve_check(a: int, order: int) -> dict:
     z0 = lagrange_z0(a, order)
     x = TruncatedSeries.variable("x", vars_, orders)
     e = TruncatedSeries.variable("E", vars_, orders)
-    one = TruncatedSeries.constant(Fraction(1), vars_, orders)
+    one = TruncatedSeries(vars_, orders, {(0, 0): Fraction(1)})
     y = (one + e * z0) * (one + z0).inverse()
     x_framed = x * y ** (-(a + 1))
     return {

@@ -14,20 +14,30 @@ a CLI table, {"meta": ..., "rows": [...]}, one row at a time into `Blocks`,
 the text blocks every table format is held in until it is written.
 
 Text forms are the pretty printers of the types themselves.  Lists print
-with commas, so `cli.emit_table` writes CSV with the `csv` module, which
-quotes such cells.
+with commas, so `cli.emit_table` quotes such cells when it writes CSV.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+from functools import lru_cache
 from math import gcd
 
 from .laurent import LaurentU, RationalFunctionU
 from .series import TruncatedSeries
 
 FORMAT_VERSION = 1
+
+
+# a table quotes the same few keys on every row
+@lru_cache(maxsize=256)
+def _quote(s: str) -> str:
+    """json.encoder.encode_basestring_ascii(s).  `json` is imported only for a
+    string that needs an escape, and no table the CLI writes holds one."""
+    if type(s) is str and s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(s)
 
 
 def _block(open_: str, items: list[str], close: str, indent: str) -> str:
@@ -84,7 +94,7 @@ def json_text(value, indent: str = "") -> str:
     if value is None:
         return "null"
     if isinstance(value, float):
-        return _quote(repr(value))
+        return '"' + repr(value) + '"'
     if isinstance(value, Fraction):
         return '"' + str(value) + '"'
     if isinstance(value, LaurentU):
@@ -117,9 +127,9 @@ class Blocks:
     """A document written piece by piece and held as text blocks: short pieces
     joined into blocks of about BLOCK characters, a long piece as it is.
 
-    csv.writer can write to it.  `chunks(*head)` returns head, then the
-    blocks; their concatenation is the document.  So a header that depends
-    on what the rows did is made after the last row and still goes first.
+    `chunks(*head)` returns head, then the blocks; their concatenation is the
+    document.  So a header that depends on what the rows did is made after
+    the last row and still goes first.
     """
 
     def __init__(self):

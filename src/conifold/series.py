@@ -23,7 +23,7 @@ from itertools import product
 from math import factorial
 from operator import add, gt, itemgetter, mul
 
-from .laurent import RationalFunctionU, _over_common_denominator, bracket_product
+from .laurent import RFU_ONE, RationalFunctionU, _over_common_denominator, bracket_product
 
 _FR_ONE = Fraction(1)
 
@@ -54,21 +54,11 @@ class TruncatedSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, c, variables, orders, one=_FR_ONE):
-        z = (0,) * len(tuple(variables))
-        return cls(variables, orders, {z: c}, one)
-
-    @classmethod
     def variable(cls, name, variables, orders, one=_FR_ONE):
         variables = tuple(variables)
         e = [0] * len(variables)
         e[variables.index(name)] = 1
         return cls(variables, orders, {tuple(e): one}, one)
-
-    def const_like(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = self.one * Fraction(c)
-        return TruncatedSeries(self.variables, self.orders, {(0,) * len(self.variables): c}, self.one)
 
     # -- structure --------------------------------------------------------
 
@@ -117,10 +107,14 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._compatible(other)
             return other
+        # a number or a bare ring element acts as a constant
         if isinstance(other, (int, Fraction)):
-            return self.const_like(other)
-        # a bare ring element acts as a constant
-        return self.const_like(self.one * other) if isinstance(other, type(self.one)) else None
+            c = self.one * Fraction(other)
+        elif isinstance(other, type(self.one)):
+            c = self.one * other
+        else:
+            return None
+        return TruncatedSeries(self.variables, self.orders, {(0,) * len(self.variables): c}, self.one)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -213,7 +207,7 @@ class TruncatedSeries:
             unit, inv = self._unit()
             out = self._with_terms(unit._euler("power", Fraction(k)))
             return out if inv is None else out.scale(inv ** -k)
-        result = self.const_like(1)
+        result = TruncatedSeries(self.variables, self.orders, {(0,) * len(self.variables): self.one}, self.one)
         base = self
         while k:
             if k & 1:
@@ -353,6 +347,11 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         frame = ", ".join(f"{v}<={o}" for v, o in zip(self.variables, self.orders))
         return f"<TruncatedSeries [{frame}] {self}>"
+
+
+def qpoly(terms: dict[int, RationalFunctionU], q_bound: int) -> TruncatedSeries:
+    """A polynomial in Q over the bracket ring, truncated at Q^q_bound."""
+    return TruncatedSeries(("Q",), (q_bound,), {(e,): c for e, c in terms.items()}, RFU_ONE)
 
 
 def _solve(f, g, orders, b0, zero, step) -> dict:

@@ -351,7 +351,7 @@ def test_acceptance_09_mirror_curves():
         # exp(x d/dx Psi_0) is the Lagrange branch (1 - Q z0)/(1 + z0); the
         # orientation printed as (1 + z0)/(1 - Q z0) is its reciprocal
         N = 12
-        one = TruncatedSeries.constant(Fraction(1), ("x", "E"), (N, N))
+        one = TruncatedSeries(("x", "E"), (N, N), {(0, 0): Fraction(1)})
         e = TruncatedSeries.variable("E", ("x", "E"), (N, N))
         z0 = lagrange_z0(a, N)
         y = y_from_amplitude(a, N)

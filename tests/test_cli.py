@@ -561,6 +561,22 @@ def test_parser_defaults_are_pinned():
         assert vars(build_parser().parse_args([command])) == {"command": command, **defaults}
 
 
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_a_parser_built_for_one_command_reads_it_as_the_whole_parser_does(capsys, name):
+    # main builds the arguments of the command argv[0] names only
+    job = next(job for job in _smallest_jobs() if job[0] == name)
+    one, whole = build_parser(name), build_parser()
+    assert one.parse_args(job) == whole.parse_args(job)
+    for argv in ([name, "--help"], [name, "--no-such-flag"], [name, "--format", "xml"]):
+        printed = []
+        for parser in (one, whole):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            printed.append((exc.value.code, *capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert printed[0][1] or printed[0][2]
+
+
 # every (command, parameter, lowest, highest) of the table with a limit
 LIMITS = [
     (command, dest, spec[1], spec[2])
@@ -631,22 +647,46 @@ def test_job_writes_nothing_to_its_working_directory(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# modules a job must leave unloaded: every job is a fresh interpreter, which
+# compiles and keeps each module it loads.  `dataclasses` and the `inspect` it
+# imports would add about 20 ms to any job; `csv` and `json` are not needed to
+# write a table, and a job loads only the package layers its command reads
+JOB_LEAVES_UNLOADED = {
+    "mirror-check --framing 3 --order 4": ("conifold.fock", "conifold.ovinv", "json"),
+    "closed-string --order 3 --format csv": ("conifold.fock", "conifold.mirror", "conifold.ovinv", "json"),
+    "genus0 --n-max 3 --framing 2 --format json": ("conifold.fock", "conifold.ovinv", "json"),
+    "disc-e --m-max 3 --k-max 2 --format csv": ("conifold.fock", "json"),
+    "correlator --n-max 3 --format json": ("conifold.amplitudes", "conifold.mirror", "conifold.ovinv", "json"),
+    "oracle-compare --n-max 3": ("conifold.mirror", "conifold.ovinv", "json"),
+    "ov-n --m-max 3": ("conifold.fock", "json"),
+}
+
+
 def test_jobs_import_neither_dataclasses_nor_inspect():
-    # every CLI job is a fresh interpreter; `dataclasses` and the `inspect` it
-    # imports would add about 20 ms to each job's start-up
     script = textwrap.dedent("""
         import contextlib, io, sys
         from conifold import cli
-        for argv in ("mirror-check --framing 3 --order 4", "oracle-compare --n-max 3", "ov-n --m-max 3"):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv.split()) == 0, argv
-        print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(sys.argv[1:])
+        print(status, *sorted(sys.modules))
     """)
+    for job, unloaded in JOB_LEAVES_UNLOADED.items():
+        # one fresh interpreter per job, so no job's imports hide another's
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", script, *job.split()], env={"PYTHONPATH": SRC}, capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_OK, (job, proc.stderr)
+        status, *modules = proc.stdout.split()
+        assert int(status) == EXIT_OK and "conifold.cli" in modules, job
+        assert sorted({"dataclasses", "inspect", "csv", *unloaded} & set(modules)) == [], job
+
+
+def test_amplitudes_loads_without_the_operator_engine():
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", script], env={"PYTHONPATH": SRC}, capture_output=True, text=True
+        [sys.executable, "-B", "-c", "import sys, conifold.amplitudes; print('conifold.fock' in sys.modules)"],
+        env={"PYTHONPATH": SRC}, capture_output=True, text=True,
     )
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert (proc.returncode, proc.stdout) == (EXIT_OK, "False\n"), proc.stderr
 
 
 def test_no_tuple_is_built_from_an_iterator_of_unknown_length():
@@ -674,10 +714,12 @@ def test_a_correlator_job_leaves_no_dead_tuples_behind():
     # traced memory left after the job, less the document it returns, read
     # 617 - 215 = 401 KiB when each word, leaf and series exponent was built by
     # tuple() of a generator and the rows were decided on normal forms, and
-    # 220 - 215 = 4 KiB with every per-term tuple built at its final size
+    # 220 - 215 = 4 KiB with every per-term tuple built at its final size.  The
+    # job's builder imports the operator engine; importing it first keeps the
+    # module itself (about 46 KiB) out of the trace
     script = textwrap.dedent("""
         import tracemalloc
-        from conifold import cli
+        from conifold import cli, fock
         args = cli.build_parser().parse_args("correlator --n-max 6 --format text".split())
         tracemalloc.start()
         status, chunks = cli.run(args)

@@ -73,7 +73,7 @@ def test_lagrange_z0_at_Q_zero_framing_zero():
 def test_lagrange_defining_identity():
     for a, N in ((0, 8), (2, 6), (-2, 6), (3, 5), (-1, 6)):
         z0 = lagrange_z0(a, N)
-        one = TruncatedSeries.constant(Fraction(1), VARS, (N, N))
+        one = TruncatedSeries(VARS, (N, N), {(0, 0): Fraction(1)})
         x = TruncatedSeries.variable("x", VARS, (N, N))
         e = TruncatedSeries.variable("E", VARS, (N, N))
         # z0 (1 - Q z0)^{a+1} - x (1 + z0)^{a+1} = 0 with Q = -E
@@ -101,7 +101,7 @@ def test_framed_curve_reduces_to_zero_framing():
         lambda z0, one, e: (one + e * z0) * (one + z0).inverse()
     )(
         lagrange_z0(0, 8),
-        TruncatedSeries.constant(Fraction(1), VARS, (8, 8)),
+        TruncatedSeries(VARS, (8, 8), {(0, 0): Fraction(1)}),
         TruncatedSeries.variable("E", VARS, (8, 8)),
     )
 
@@ -109,7 +109,7 @@ def test_framed_curve_reduces_to_zero_framing():
 def test_exp_potential_equals_lagrange_branch():
     for a in (-3, -2, 1, 2):
         N = 6
-        one = TruncatedSeries.constant(Fraction(1), VARS, (N, N))
+        one = TruncatedSeries(VARS, (N, N), {(0, 0): Fraction(1)})
         e = TruncatedSeries.variable("E", VARS, (N, N))
         z0 = lagrange_z0(a, N)
         branch = (one + e * z0) * (one + z0).inverse()

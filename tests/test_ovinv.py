@@ -169,7 +169,7 @@ def test_generating_function_consistency():
             terms[(n, j)] = Fraction(n) * c * (-1) ** j  # Q = -E
         lhs = lhs + TruncatedSeries(vars_, orders, terms)
     rhs = TruncatedSeries(vars_, orders)
-    one = TruncatedSeries.constant(Fraction(1), vars_, orders)
+    one = TruncatedSeries(vars_, orders, {(0, 0): Fraction(1)})
     for m in range(1, N + 1):
         for k in range(0, m + 1):
             d = disc_d(0, k, m)

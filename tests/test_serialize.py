@@ -1,9 +1,12 @@
 """The one-pass JSON writer against json.dumps of the former jsonable tree."""
 
+import ast
 import json
 import sys
 import tracemalloc
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from conifold import cli
 from conifold.laurent import RFU_ONE, LaurentU, RationalFunctionU, bracket_product
-from conifold.serialize import json_table, json_text
+from conifold.serialize import _quote, json_table, json_text
 from conifold.series import TruncatedSeries
 
 
@@ -102,6 +105,37 @@ documents = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def _strings(doc):
+    """Every key and string value of a parsed JSON document."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield k
+            yield from _strings(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _strings(v)
+    elif isinstance(doc, str):
+        yield doc
+
+
+def test_quote_is_json_encode_basestring_ascii():
+    # every ASCII character, each string literal of the package, and every key,
+    # label and message of a document the CLI writes, a failure report among them
+    ascii_ = [chr(c) for c in range(128)] + ["".join(map(chr, range(128)))]
+    literals = [node.value for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    written = []
+    jobs = [[name, "--format", "json"] for name in cli.COMMANDS]
+    jobs += [["mirror-check", "--framing", "-2", "--format", "json"], ["disc-d", "--framing", "1", "--m-max", "2"]]
+    for argv in jobs:
+        _, chunks = cli.run(cli.build_parser().parse_args(argv))
+        written += _strings(json.loads("".join(chunks)))
+    assert "verification-failure" in written and "framing transformation x -> x y^(2)" in written
+    for s in ascii_ + literals + written:
+        assert _quote(s) == encode_basestring_ascii(s), s
 
 
 @settings(max_examples=150, deadline=None)
