@@ -8,13 +8,14 @@ when passing to the string-coupling expansion.
 
 The closed formula is written once, as the bracket arguments of onepoint_args;
 onepoint_bracket reads them in the bracket ring at an Adams scale u -> u^s,
-genus0_coefficient in the classical limit [d] -> d.
+genus0_integer in the classical limit [d] -> d, where the numerator's product
+is one binomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import comb
 
 from .laurent import RationalFunctionU, bracket_ratio
 from .partitions import partitions_of
@@ -23,10 +24,17 @@ from .series import TruncatedSeries, hbar_expand, qpoly
 LAMBDA = "lambda"
 
 
-def onepoint_args(a: int, n: int, j: int) -> tuple[list[int], list[int]]:
-    """Bracket arguments of [Q^j] F_hat_n: numerator an+j+k for k = 1..n-1, denominator
-    1..j and 1..n-j.  Built from ranges, as the Moebius loops of ovinv call it per term."""
-    return [*range(a * n + j + 1, a * n + j + n)], [*range(1, j + 1), *range(1, n - j + 1)]
+def binomial(x: int, r: int) -> int:
+    """C(x, r) = x (x-1) ... (x-r+1) / r! for any integer x and r >= 0, and 0 for r < 0."""
+    if r < 0:
+        return 0
+    return comb(x, r) if x >= 0 else (-1) ** r * comb(r - x - 1, r)
+
+
+def onepoint_args(a: int, n: int, j: int) -> tuple[range, list[int]]:
+    """Bracket arguments of [Q^j] F_hat_n: numerator an+j+k for k = 1..n-1, as a range
+    whose top and length genus0_integer reads, and denominator 1..j and 1..n-j."""
+    return range(a * n + j + 1, a * n + j + n), [*range(1, j + 1), *range(1, n - j + 1)]
 
 
 def onepoint_bracket(a: int, n: int, j: int, scale: int = 1) -> RationalFunctionU:
@@ -35,10 +43,19 @@ def onepoint_bracket(a: int, n: int, j: int, scale: int = 1) -> RationalFunction
     return bracket_ratio([scale * d for d in num], [scale * d for d in den])
 
 
+def genus0_integer(a: int, n: int, j: int) -> int:
+    """T = -n^2 [Q^j] genus0_onepoint(a, n) = C(an+j+n-1, n-1) C(n, j), an integer.
+
+    The classical limit [d] -> d of [Q^j] F_hat_n is the numerator's product,
+    (n-1)! C(an+j+n-1, n-1), over j! (n-j)!, which is T/n.
+    """
+    num, _ = onepoint_args(a, n, j)
+    return binomial(num.stop - 1, len(num)) * comb(n, j)
+
+
 def genus0_coefficient(a: int, n: int, j: int) -> Fraction:
     """[Q^j] genus0_onepoint(a, n): -1/n times the classical limit [d] -> d of [Q^j] F_hat_n."""
-    num, den = onepoint_args(a, n, j)
-    return Fraction(-prod(num), n * prod(den))
+    return Fraction(-genus0_integer(a, n, j), n * n)
 
 
 def onepoint_closed(a: int, n: int) -> TruncatedSeries:

@@ -19,9 +19,8 @@ identity, which vanish exactly when it holds; the CLI decides on them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
-from .amplitudes import genus0_onepoint, onepoint_closed
+from .amplitudes import binomial, genus0_onepoint, onepoint_closed
 from .laurent import RFU_ONE
 from .series import TruncatedSeries, hbar_expand
 
@@ -76,11 +75,6 @@ def zero_framing_curve_check(order: int) -> dict:
     }
 
 
-def _binomial(x: int, r: int) -> int:
-    """C(x, r) = x (x-1) ... (x-r+1) / r! for any integer x and r >= 0."""
-    return comb(x, r) if x >= 0 else (-1) ** r * comb(r - x - 1, r)
-
-
 def lagrange_z0(a: int, order: int) -> TruncatedSeries:
     """Root z0(x) of x = z (1 - Q z)^{a+1} / (1 + z)^{a+1}, with Q = -E.
 
@@ -91,9 +85,22 @@ def lagrange_z0(a: int, order: int) -> TruncatedSeries:
     The leading terms are z0 = x + (a+1)(1+Q) x^2 + ... ; w = 0 gives z0 = x.
     """
     w = a + 1
-    terms = {(n, i): Fraction(_binomial(-w * n, i) * _binomial(w * n, n - 1 - i), n)
+    terms = {(n, i): Fraction(binomial(-w * n, i) * binomial(w * n, n - 1 - i), n)
              for n in range(1, order + 1) for i in range(n)}
     return TruncatedSeries(*_frame(order), terms)
+
+
+def lagrange_log_y(a: int, n: int, i: int) -> int:
+    """n [x^n E^i] log y on the framed branch y = (1 + E z0)/(1 + z0), an integer.
+
+    Lagrange-Buermann for H(z) = log((1 + E z)/(1 + z)) at z0 = x phi(z0), with
+    phi and w = a + 1 as in lagrange_z0, gives n [x^n] H(z0) = [z^{n-1}] H'(z) phi^n:
+        C(-wn-1, i-1) C(wn, n-i) - C(-wn, i) C(wn-1, n-1-i).
+    It equals n^2 (-1)^i [Q^i] genus0_onepoint(a, n) and reads neither
+    onepoint_args nor the genus-zero coefficients.
+    """
+    w = a + 1
+    return binomial(-w * n - 1, i - 1) * binomial(w * n, n - i) - binomial(-w * n, i) * binomial(w * n - 1, n - 1 - i)
 
 
 def framed_curve_check(a: int, order: int) -> dict:

@@ -18,20 +18,27 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .amplitudes import genus0_coefficient, onepoint_bracket
+from .amplitudes import genus0_integer, onepoint_bracket
 from .laurent import LaurentU, RationalFunctionU, qbracket
 from .partitions import divisors, mobius
 
 
-def _mobius_sum(a: int, k: int, m: int, signed: bool) -> Fraction:
-    """-sum_{n | (k, m)} mu(n)/n^2 s_n [Q^{k/n}] at winding m/n, s_n = (-1)^{k/n} if signed else 1."""
+def genus0_mobius_sum(a: int, k: int, m: int, t: int) -> Fraction:
+    """(1/m^2) sum_{n | (k, m)} mu(n) (-1)^{t/n} T(a, m/n, k/n), with T = genus0_integer.
+
+    That is -sum_n mu(n)/n^2 (-1)^{t/n} [Q^{k/n}] genus0_onepoint(a, m/n): one
+    integer sum over one denominator.  The sign exponent t, a multiple of every
+    such n, is k for d, 0 for e, and ma + k for N_{m,k}(1)/m.
+    """
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
-    value = Fraction(0)
+    total = 0
     for n in divisors(gcd(k, m)):
-        sign = -1 if signed and (k // n) % 2 else 1
-        value -= Fraction(mobius(n), n * n) * sign * genus0_coefficient(a, m // n, k // n)
-    return value
+        # the sign from the parity: t = ma + k is negative at negative framing,
+        # where (-1) ** (t // n) would be a float
+        term = mobius(n) * genus0_integer(a, m // n, k // n)
+        total += -term if (t // n) % 2 else term
+    return Fraction(total, m * m)
 
 
 def disc_d(a: int, k: int, m: int) -> Fraction:
@@ -41,7 +48,7 @@ def disc_d(a: int, k: int, m: int) -> Fraction:
     with k and m both even (the recursion itself forces d_{2,2} = (a+2)/2),
     so integrality of the d family only holds framing by framing.
     """
-    return _mobius_sum(a, k, m, True)
+    return genus0_mobius_sum(a, k, m, k)
 
 
 def disc_e(a: int, k: int, m: int) -> Fraction:
@@ -51,7 +58,7 @@ def disc_e(a: int, k: int, m: int) -> Fraction:
     e = (-1)^k d exactly; for a >= 0 the factor product is positive, so this
     is the familiar statement e = |d|.
     """
-    return _mobius_sum(a, k, m, False)
+    return genus0_mobius_sum(a, k, m, 0)
 
 
 def recursion_holds(a: int, k: int, m: int, signed: bool, value: Fraction) -> bool:
@@ -63,9 +70,10 @@ def recursion_holds(a: int, k: int, m: int, signed: bool, value: Fraction) -> bo
     lhs = value
     for j in divisors(gcd(k, m)):
         if j > 1:
-            lhs += Fraction(1, j * j) * _mobius_sum(a, k // j, m // j, signed)
+            lhs += Fraction(1, j * j) * genus0_mobius_sum(a, k // j, m // j, k // j if signed else 0)
     sign = -1 if signed and k % 2 else 1
-    return lhs == -sign * genus0_coefficient(a, m, k)
+    # -s [Q^k] genus0_onepoint(a, m) = s T(a, m, k)/m^2
+    return lhs == Fraction(sign * genus0_integer(a, m, k), m * m)
 
 
 def allgenus_rhs(a: int, k: int, m: int, scale: int) -> RationalFunctionU:

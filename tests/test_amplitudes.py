@@ -1,11 +1,14 @@
 """The stored amplitude is (n i) F_n: n times the tabulated winding-n value."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from conifold.amplitudes import (
     closed_string_logZ,
+    genus0_coefficient,
+    genus0_integer,
     genus0_onepoint,
     genus_expand,
     onepoint_closed,
@@ -151,6 +154,21 @@ def test_genus0_general_framing_quadratic_and_cubic():
             },
             3,
         ), a
+
+
+def _reference_genus0_coefficient(a, n, j):
+    """The product form -prod_{k=1}^{n-1}(an+j+k) / (n j! (n-j)!)."""
+    return Fraction(-prod(range(a * n + j + 1, a * n + j + n)), n * factorial(j) * factorial(n - j))
+
+
+def test_genus0_integer_is_the_product_form():
+    # T = C(an+j+n-1, n-1) C(n, j) = -n^2 [Q^j]; at n = 1 the numerator is empty
+    for a in range(-6, 7):
+        for n in range(1, 40):
+            for j in range(n + 1):
+                reference = _reference_genus0_coefficient(a, n, j)
+                assert genus0_integer(a, n, j) == -n * n * reference, (a, n, j)
+                assert genus0_coefficient(a, n, j) == reference, (a, n, j)
 
 
 # -- closed string ------------------------------------------------------------------

@@ -420,6 +420,43 @@ def _dropping_power(applies):
     return patch
 
 
+def _genus0_fault(change):
+    """Patch amplitudes.genus0_coefficient to return change(coefficient, a, n, j)."""
+    def patch(monkeypatch):
+        coefficient = amplitudes.genus0_coefficient
+        monkeypatch.setattr(amplitudes, "genus0_coefficient", lambda a, n, j: change(coefficient, a, n, j))
+    return patch
+
+
+# faults on the genus-zero coefficients of windings the x^2 anchor and the order-4 curve do not read
+GENUS0_FAULTS = {
+    "genus0-doubled": _genus0_fault(lambda c, a, n, j: 2 * c(a, n, j) if n >= 6 else c(a, n, j)),
+    "genus0-framing": _genus0_fault(lambda c, a, n, j: c(a + 1 if n >= 5 else a, n, j)),
+    "genus0-Q1": _genus0_fault(lambda c, a, n, j: c(a, n, j) + (1 if n >= 5 and j == 1 else 0)),
+}
+
+
+@pytest.mark.parametrize("framing", ["-3", "-1", "0", "2"])
+@pytest.mark.parametrize("fault", GENUS0_FAULTS.values(), ids=list(GENUS0_FAULTS))
+def test_genus0_checks_every_row_against_the_curve(capsys, monkeypatch, fault, framing):
+    argv = ("genus0", "--framing", framing, "--n-max", "8")
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    fault(monkeypatch)
+    assert "fails the curve's log y" in _assert_verification_failure(capsys, *argv)
+
+
+def _dropping_top_order(monkeypatch):
+    """Patch the series constructor to lose every term at a truncation order, as if it read
+    e >= o for e > o: the three legs of oracle-compare share it and still agree."""
+    init = TruncatedSeries.__init__
+
+    def dropping(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.terms = {e: c for e, c in self.terms.items() if all(x < o for x, o in zip(e, self.orders))}
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", dropping)
+
+
 # one planted fault per check of the d, e and N values, the named sequences and the
 # mirror-curve residuals, with a job that must fail it and the message it must give
 PLANTED_FAULTS = {
@@ -454,13 +491,22 @@ PLANTED_FAULTS = {
     # whole, and the Lagrange root is written down without a power, so log y holds
     "z0": (_dropping_power(lambda k: k < -1),
            ("mirror-check", "--framing", "2", "--order", "3"), "z0 = x y^{-(a+1)} fails"),
-    # [x^2 E] of the Lagrange root at framing 2 reads C(-6, 1) = -6 as -5
-    "lagrange-root": (_planted(mirror, "_binomial", (-6, 1), 1),
+    # [x^2 E] of the Lagrange root at framing 2 reads C(-6, 1) = -6 as -5; the genus-zero
+    # values read the binomial of amplitudes, so only the root is wrong
+    "lagrange-root": (_planted(mirror, "binomial", (-6, 1), 1),
                       ("mirror-check", "--framing", "2", "--order", "3"),
                       "log of the framed branch disagrees with x d/dx Psi_0"),
     # at zero framing only the curve's y^{-1} is a power: log y holds
     "curve": (_dropping_power(lambda k: k == -1),
               ("mirror-check", "--framing", "0", "--order", "3"), "zero-framing residual does not vanish"),
+    "genus0-doubled": (GENUS0_FAULTS["genus0-doubled"], ("genus0", "--n-max", "8"),
+                       "genus-zero Q^0 coefficient at winding 6 fails the curve's log y at framing 0"),
+    "genus0-framing": (GENUS0_FAULTS["genus0-framing"], ("genus0", "--n-max", "8"),
+                       "genus-zero Q^0 coefficient at winding 5 fails the curve's log y at framing 0"),
+    "genus0-Q1": (GENUS0_FAULTS["genus0-Q1"], ("genus0", "--n-max", "8"),
+                  "genus-zero Q^1 coefficient at winding 5 fails the curve's log y at framing 0"),
+    "winding-one": (_dropping_top_order, ("oracle-compare", "--n-max", "2"),
+                    "winding-1 amplitude fails its anchor value (1+Q)/[1]"),
 }
 
 

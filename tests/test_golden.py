@@ -43,13 +43,33 @@ def test_pools_are_recorded():
     assert all(key in GOLDEN for key in JOBS)
 
 
-@pytest.mark.parametrize("key", JOBS)
-def test_job_matches_golden(key):
+def _run_in_process(key):
+    """(exit status, sha256 of stdout) of one job run through cli.main."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         status = cli.main(key.split())
-    assert status == GOLDEN[key]["exit"]
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[key]["stdout_sha256"]
+    return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", JOBS)
+def test_job_matches_golden(key):
+    assert _run_in_process(key) == (GOLDEN[key]["exit"], GOLDEN[key]["stdout_sha256"])
+
+
+# genus-zero jobs past the pools' small sizes, recorded from the product form of the
+# coefficients and the Fraction Moebius sums, before both became integer binomials
+MID_SIZE = {
+    "genus0 --n-max 60 --framing 3": "14db6de9bfc8c51ee370147d38b81eb98b1a9d3f7cd58725c37f2ecaf4d1eceb",
+    "genus0 --n-max 60 --framing -3": "15b81f23bca83c0a19849c13bb196892a526e452f18ad9f04924af8df2dd4440",
+    "disc-e --m-max 60 --k-max 60 --framing 3": "bd849e8da42aab94da507c43c5d3a655b3e34b248d7881eb3090c21fca66ba8a",
+    "disc-d --m-max 60 --k-max 60 --framing 2": "83910e28607ba4238f52bef5e9fb5aa48e99b08ce2aa786381185793e5d7a5b6",
+    "sequences --which dmm --count 300": "f44403d05d20b293339a27fdc7e1436f237f00e444123853681df67cadcaa4c6",
+}
+
+
+@pytest.mark.parametrize("key", MID_SIZE)
+def test_mid_size_genus0_job_keeps_its_bytes(key):
+    assert _run_in_process(key) == (0, MID_SIZE[key])
 
 
 def test_jobs_as_fresh_processes_match_golden(tmp_path):

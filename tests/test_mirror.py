@@ -1,10 +1,11 @@
 from fractions import Fraction
 from math import factorial, prod
 
+from conifold.amplitudes import binomial, genus0_coefficient
 from conifold.mirror import (
-    _binomial,
     framed_curve_check,
     framing_transform_check,
+    lagrange_log_y,
     lagrange_z0,
     quantum_classical_limit,
     quantum_mirror_check,
@@ -51,7 +52,17 @@ def test_binomial_is_the_falling_factorial_over_r_factorial():
     # every integer x, with the zero window 0 <= x < r where a factor x - k vanishes
     for x in range(-12, 13):
         for r in range(9):
-            assert _binomial(x, r) == Fraction(prod(range(x - r + 1, x + 1)), factorial(r)), (x, r)
+            assert binomial(x, r) == Fraction(prod(range(x - r + 1, x + 1)), factorial(r)), (x, r)
+        # no r-subset for r < 0, as Lagrange-Buermann's C(x, i - 1) reads at i = 0
+        assert binomial(x, -1) == binomial(x, -3) == 0
+
+
+def test_lagrange_log_y_is_n_squared_times_the_genus0_coefficient():
+    # n [x^n E^i] log y = n^2 (-1)^i [Q^i] genus0_onepoint(a, n), framing -1 included
+    for a in range(-6, 7):
+        for n in range(1, 30):
+            for i in range(n + 1):
+                assert lagrange_log_y(a, n, i) == n * n * (-1) ** i * genus0_coefficient(a, n, i), (a, n, i)
 
 
 def test_lagrange_z0_leading_terms():

@@ -12,11 +12,12 @@ from conifold.ovinv import (
     disc_d,
     disc_e,
     dmm_report,
+    genus0_mobius_sum,
     ov_N,
     recursion_holds,
     seq_dmm,
 )
-from conifold.partitions import divisors
+from conifold.partitions import divisors, mobius
 from conifold.series import TruncatedSeries
 
 
@@ -247,6 +248,31 @@ def test_ov_N_at_u_one_is_m_times_disc_d(a):
         for k in range(0, m + 1):
             value = ov_N(a, m, k)
             assert value.content * sum(value.poly.values()) == m * disc_d(a, k, m), (m, k)
+
+
+def _reference_mobius_sum(a, k, m, sign):
+    """sum_{n | (k, m)} mu(n)/n^2 sign(n) [Q^{k/n}] at winding m/n, one Fraction a term."""
+    return sum(Fraction(mobius(n), n * n) * sign(n) * genus0_coefficient(a, m // n, k // n)
+               for n in divisors(gcd(k, m)))
+
+
+def _parity_sign(e):
+    """(-1)^e from the parity, an int also for negative e."""
+    return -1 if e % 2 else 1
+
+
+def test_one_mobius_sum_is_the_three_fraction_sums():
+    # d, e and the ov-n anchor at u = 1, negative framings included, where ma + k < 0
+    for a in range(-3, 4):
+        for m in range(1, 25):
+            for k in range(0, m + 1):
+                d = -_reference_mobius_sum(a, k, m, lambda n: _parity_sign(k // n))
+                e = -_reference_mobius_sum(a, k, m, lambda n: 1)
+                anchor = _reference_mobius_sum(a, k, m, lambda n: _parity_sign((m * a + k) // n + 1))
+                assert disc_d(a, k, m) == genus0_mobius_sum(a, k, m, k) == d, (a, k, m)
+                assert disc_e(a, k, m) == genus0_mobius_sum(a, k, m, 0) == e, (a, k, m)
+                value = genus0_mobius_sum(a, k, m, m * a + k)
+                assert type(value) is Fraction and value == anchor, (a, k, m)
 
 
 def test_ov_N_inversion_identity():
