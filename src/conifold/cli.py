@@ -96,38 +96,48 @@ def _rows_genus0(job: argparse.Namespace):
     _check_framing(a)
 
 
-def _disc(ovinv, signed: bool, a: int, k: int, m: int) -> Fraction:
-    """d_{k,m} (signed) or e_{k,m} at framing a, checked: integral d or half-integral e,
-    its defining recursion, and e = (-1)^k d at coprime (k, m).  `ovinv` is the module,
-    which the builder imports once rather than once per cell."""
-    if signed:
-        value = ovinv.disc_d(a, k, m)
-        _check(value.denominator == 1, "d_{%d,%d}^(%d) = %s is not an integer", k, m, a, value)
-    else:
-        value = ovinv.disc_e(a, k, m)
-        _check((2 * value).denominator == 1, "e_{%d,%d}^(%d) = %s is not a half integer", k, m, a, value)
-    _check(ovinv.recursion_holds(a, k, m, signed, value),
-           "%s_{%d,%d}^(%d) fails its defining recursion", "d" if signed else "e", k, m, a)
-    if not signed and gcd(k, m) == 1:
-        _check(value == (-1) ** k * ovinv.disc_d(a, k, m), "e_{%d,%d}^(%d) != (-1)^k d at coprime (k, m)", k, m, a)
-    return value
-
-
 def _check_catalan(ovinv, k: int) -> int:
     """C(k), checked against |d_{k,k+1}| at zero framing."""
     value = ovinv.catalan_number(k)
-    _check(value == abs(_disc(ovinv, True, 0, k, k + 1)),
-           "|d_{%d,%d}| is not the Catalan number C(%d)", k, k + 1, k)
+    _check(value == abs(ovinv.disc_d(0, k, k + 1)), "|d_{%d,%d}| is not the Catalan number C(%d)", k, k + 1, k)
     return value
 
 
 def _rows_disc(job: argparse.Namespace, signed: bool):
-    from . import ovinv
-    column = "d_%d" if signed else "e_%d"
+    """d_{k,m} (signed) or e_{k,m} at framing a, each cell checked: integral d or
+    half-integral e, its defining recursion, and e = (-1)^k d at coprime (k, m)."""
+    from . import mirror, ovinv
+    a = job.framing
+    name = "d" if signed else "e"
+    lower = {}
     for m in range(1, job.m_max + 1):
         row = {"m": m}
         for k in range(1, job.k_max + 1):
-            row[column % k] = _disc(ovinv, signed, job.framing, k, m) if k <= m else Fraction(0)
+            if k > m:
+                row[f"{name}_{k}"] = Fraction(0)
+                continue
+            if signed:
+                value = ovinv.disc_d(a, k, m)
+                _check(value.denominator == 1, "d_{%d,%d}^(%d) = %s is not an integer", k, m, a, value)
+            else:
+                value = ovinv.disc_e(a, k, m)
+                _check((2 * value).denominator == 1, "e_{%d,%d}^(%d) = %s is not a half integer", k, m, a, value)
+            # the defining recursion value + sum_{j | (k, m), j > 1} v_{k/j,m/j}/j^2 = -s [Q^k]
+            # at winding m, s = (-1)^k for d and 1 for e: its left side reads printed cells
+            # only, its right side the curve, m^2 (-1)^k [Q^k] = lagrange_log_y(a, m, k) = L,
+            # so it is -L/m^2 for d and (-1)^{k+1} L/m^2 for e
+            g = gcd(k, m)
+            lhs = value + sum(lower[k // j, m // j] / (j * j) for j in partitions.divisors(g) if j > 1)
+            rhs = Fraction(mirror.lagrange_log_y(a, m, k), m * m)
+            _check(lhs == (rhs if not signed and k % 2 else -rhs),
+                   "%s_{%d,%d}^(%d) fails its defining recursion", name, k, m, a)
+            if not signed and g == 1:
+                _check(value == (-1) ** k * ovinv.disc_d(a, k, m),
+                       "e_{%d,%d}^(%d) != (-1)^k d at coprime (k, m)", k, m, a)
+            # a later cell reads v_{k,m} only as v_{k'/j,m'/j} with j >= 2, k' <= k_max and m' <= m_max
+            if 2 * m <= job.m_max and 2 * k <= job.k_max:
+                lower[k, m] = value
+            row[f"{name}_{k}"] = value
         yield row
     if signed:
         # anchor: Catalan column |d_{k,k+1}| = C(k)
@@ -139,8 +149,8 @@ def _rows_disc(job: argparse.Namespace, signed: bool):
                    (5, 10): Fraction(5045)}
         for (k, m), v in anchors.items():
             if (k, m) == (1, 1) or (m <= job.m_max and k <= job.k_max):
-                _check(_disc(ovinv, False, 0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
-    _check_framing(job.framing)
+                _check(ovinv.disc_e(0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
+    _check_framing(a)
 
 
 def _brackets_at_two(args) -> Fraction:
@@ -223,9 +233,9 @@ def _rows_sequences(job: argparse.Namespace):
         return [{"index": i, "value": v} for i, v in enumerate(values)]
     rows = ovinv.dmm_report(job.count)
     for row in rows:
-        m = row["m"]
-        _check(row["formula"] == abs(_disc(ovinv, True, 0, m, m)),
-               "d_{%d,%d} divisor sum disagrees with Moebius inversion", m, m)
+        m, formula = row["m"], row["formula"]
+        _check(formula.denominator == 1, "|d_{%d,%d}| = %s of the divisor sum is not an integer", m, m, formula)
+        _check(formula == abs(ovinv.disc_d(0, m, m)), "d_{%d,%d} divisor sum disagrees with Moebius inversion", m, m)
     return rows
 
 
@@ -305,10 +315,11 @@ def _rows_closed_string(job: argparse.Namespace):
 # Each parameter maps its dest to (default, lowest, highest), None for no limit,
 # or to its choices, the first being the default.  A highest value keeps the
 # job under about 4 s at the costliest framing in -3..3 on a 2-core host with
-# Python 3.11.7, so under about 10 s on a host 2.5 times slower.
+# Python 3.11.7, so under about 10 s on a host 2.5 times slower; the limits hold
+# only there, so --framing is bounded to -3..3 as well.
 Command = namedtuple("Command", "rows help params")
 
-FRAMING = {"framing": (0, None, None)}
+FRAMING = {"framing": (0, -3, 3)}
 DISC = {**FRAMING, "m_max": (8, 1, 160), "k_max": (6, 1, 160)}
 
 COMMANDS = {

@@ -61,21 +61,6 @@ def disc_e(a: int, k: int, m: int) -> Fraction:
     return genus0_mobius_sum(a, k, m, 0)
 
 
-def recursion_holds(a: int, k: int, m: int, signed: bool, value: Fraction) -> bool:
-    """Whether `value` at (k, m) solves the defining recursion of d (signed) or e.
-
-    value + sum_{j | (k, m), j > 1} v_{k/j,m/j}/j^2 = -s [Q^k] at winding m,
-    s = (-1)^k for d and 1 for e; the smaller v are recomputed by inversion.
-    """
-    lhs = value
-    for j in divisors(gcd(k, m)):
-        if j > 1:
-            lhs += Fraction(1, j * j) * genus0_mobius_sum(a, k // j, m // j, k // j if signed else 0)
-    sign = -1 if signed and k % 2 else 1
-    # -s [Q^k] genus0_onepoint(a, m) = s T(a, m, k)/m^2
-    return lhs == Fraction(sign * genus0_integer(a, m, k), m * m)
-
-
 def allgenus_rhs(a: int, k: int, m: int, scale: int) -> RationalFunctionU:
     """(-1)^{ma+k} [Q^k] F_hat_m evaluated at u -> u^scale: the all-genus recursion's right side."""
     return onepoint_bracket(a, m, k, scale) * (-1 if (m * a + k) % 2 else 1)

@@ -57,13 +57,12 @@ from conifold.ovinv import (
     disc_e,
     dmm_report,
     ov_N,
-    recursion_holds,
     seq_dmm,
 )
 from conifold.partitions import character, kappa, partitions_of, z_aut
 from conifold.series import TruncatedSeries
 from test_fock import _reference_beta_apply  # the reference b_k, kept with the Fock tests
-from test_ovinv import _reference_monomial
+from test_ovinv import _reference_monomial, recursion_holds
 
 
 def announce(number, text):

@@ -231,11 +231,13 @@ def test_oracle_compare_fails_a_corrupted_character_value(capsys, monkeypatch):
         assert "oracle disagreement" in error["message"]
 
 
-# the table jobs that a framing-2 fault in the one-point formula must fail
+# the table jobs that a framing-2 fault in the one-point formula must fail, with
+# what their message must hold: each disc cell's recursion reads the curve, so
+# the first cell that the fault changes fails
 FRAMING_TWO_TABLES = [
-    ("disc-d", "--framing", "2", "--m-max", "8", "--k-max", "4"),
-    ("disc-e", "--framing", "2", "--m-max", "8", "--k-max", "4"),
-    ("ov-n", "--framing", "2", "--m-max", "6"),
+    (("disc-d", "--framing", "2", "--m-max", "8", "--k-max", "4"), "d_{1,2}^(2) fails its defining recursion"),
+    (("disc-e", "--framing", "2", "--m-max", "8", "--k-max", "4"), "e_{1,2}^(2) fails its defining recursion"),
+    (("ov-n", "--framing", "2", "--m-max", "6"), "x d/dx Psi_0"),
 ]
 
 
@@ -254,13 +256,13 @@ def _shifted_args(shift):
     return lambda a, n, j: args(shift.get(a, a), n, j)
 
 
-@pytest.mark.parametrize("argv", FRAMING_TWO_TABLES, ids=lambda argv: argv[0])
-def test_tables_fail_a_framing_shifted_formula(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, message", FRAMING_TWO_TABLES, ids=[argv[0] for argv, _ in FRAMING_TWO_TABLES])
+def test_tables_fail_a_framing_shifted_formula(capsys, monkeypatch, argv, message):
     # the framing-0 anchors alone pass framing-4 values served at framing 2
     status, _, _ = run_main(capsys, *argv)
     assert status == EXIT_OK
     monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args({2: 4}))
-    assert "x d/dx Psi_0" in _assert_verification_failure(capsys, *argv)
+    assert message in _assert_verification_failure(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -282,15 +284,42 @@ def test_tables_at_framing_zero_fail_a_shifted_formula(capsys, monkeypatch, argv
     assert "x d/dx Psi_0" in _assert_verification_failure(capsys, *argv)
 
 
-@pytest.mark.parametrize("command", ["disc-e", "ov-n"])
-def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("disc-e", "e_{1,2}^(-1) fails its defining recursion"),
+        ("ov-n", "log of the framed branch disagrees with x d/dx Psi_0"),
+    ],
+    ids=["disc-e", "ov-n"],
+)
+def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch, command, message):
     # framing -1 is anchored by the mirror curve like every other framing
     argv = (command, "--framing", "-1", "--m-max", "4")
     status, _, _ = run_main(capsys, *argv)
     assert status == EXIT_OK
     monkeypatch.setattr(amplitudes, "onepoint_args", _shifted_args({-1: 1}))
-    message = _assert_verification_failure(capsys, *argv)
-    assert message == "log of the framed branch disagrees with x d/dx Psi_0"
+    assert _assert_verification_failure(capsys, *argv) == message
+
+
+def test_disc_and_dmm_jobs_compute_each_moebius_sum_once(capsys, monkeypatch):
+    # a recursion that recomputed its lower cells would repeat the sums of cells
+    # the table has printed; off zero framing no anchor reads a printed cell
+    calls = []
+    mobius_sum = ovinv.genus0_mobius_sum
+
+    def recorded(*args):
+        calls.append(args)
+        return mobius_sum(*args)
+
+    monkeypatch.setattr(ovinv, "genus0_mobius_sum", recorded)
+    for argv in (("disc-d", "--framing", "2", "--m-max", "12", "--k-max", "12"),
+                 ("disc-e", "--framing", "3", "--m-max", "12", "--k-max", "12")):
+        calls.clear()
+        assert run_main(capsys, *argv)[0] == EXIT_OK
+        assert calls and len(set(calls)) == len(calls), argv
+    calls.clear()
+    assert run_main(capsys, "sequences", "--which", "dmm", "--count", "12")[0] == EXIT_OK
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("framing", ["-3", "-1", "0", "2"])
@@ -468,6 +497,13 @@ PLANTED_FAULTS = {
                     ("disc-d", "--m-max", "2", "--k-max", "2"), "d_{2,2}^(0) fails its defining recursion"),
     "e-recursion": (_planted(ovinv, "disc_e", (0, 2, 2), 1),
                     ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{2,2}^(0) fails its defining recursion"),
+    # T + 36 at winding 6 keeps d_{1,6} integral, and the order-4 curve check reads
+    # windings n <= 4 only: the recursion's right side, read from the curve, sees it
+    "d-recursion-curve": (_planted(ovinv, "genus0_integer", (0, 6, 1), 36),
+                          ("disc-d", "--m-max", "8", "--k-max", "4"), "d_{1,6}^(0) fails its defining recursion"),
+    "e-recursion-curve": (_planted(ovinv, "genus0_integer", (2, 6, 1), 36),
+                          ("disc-e", "--framing", "2", "--m-max", "8", "--k-max", "4"),
+                          "e_{1,6}^(2) fails its defining recursion"),
     # the disc-e job reads d only to compare it with e at coprime (k, m)
     "e-coprime": (_planted(ovinv, "disc_d", (0, 1, 2), 1),
                   ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{1,2}^(0) != (-1)^k d at coprime (k, m)"),
@@ -477,6 +513,8 @@ PLANTED_FAULTS = {
                 ("sequences", "--which", "catalan", "--count", "3"), "|d_{2,3}| is not the Catalan number C(2)"),
     "dmm": (_planted(ovinv, "seq_dmm", (3,), 1),
             ("sequences", "--which", "dmm", "--count", "3"), "d_{3,3} divisor sum disagrees with Moebius inversion"),
+    "dmm-integral": (_planted(ovinv, "seq_dmm", (3,), Fraction(1, 2)),
+                     ("sequences", "--which", "dmm", "--count", "3"), "|d_{3,3}| = 1/2 of the divisor sum is not an integer"),
     "N-integer": (_planted(ovinv, "ov_N", (0, 2, 1), LaurentU({0: Fraction(1, 2)})),
                   ("ov-n", "--m-max", "2"), "N_{2,1}^(0) has non-integer coefficients"),
     "N-bar": (_planted(ovinv, "ov_N", (0, 2, 1), LaurentU({1: 1})),
@@ -663,7 +701,7 @@ def test_readme_states_every_range_of_commands():
     for name, command in COMMANDS.items():
         row = next(cells[2] for cells in table if f"`{name}`" in cells[1])
         for dest, spec in command.params.items():
-            if dest == "framing" or isinstance(spec[0], str):
+            if isinstance(spec[0], str):
                 continue
             default, lowest, highest = spec
             span = f"at least {lowest}" if highest is None else f"{lowest}–{highest}"
@@ -705,6 +743,7 @@ JOB_LEAVES_UNLOADED = {
     "correlator --n-max 3 --format json": ("conifold.amplitudes", "conifold.mirror", "conifold.ovinv", "json"),
     "oracle-compare --n-max 3": ("conifold.mirror", "conifold.ovinv", "json"),
     "ov-n --m-max 3": ("conifold.fock", "json"),
+    "sequences --which dmm --count 5": ("conifold.fock", "conifold.mirror", "json"),
 }
 
 

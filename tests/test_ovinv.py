@@ -3,7 +3,7 @@ from math import factorial, gcd
 
 import pytest
 
-from conifold.amplitudes import genus0_coefficient, genus0_onepoint
+from conifold.amplitudes import genus0_coefficient, genus0_integer, genus0_onepoint
 from conifold.laurent import LaurentU, RationalFunctionU, _lu, qbracket
 from conifold.ovinv import (
     A131868_PRINTED,
@@ -14,7 +14,6 @@ from conifold.ovinv import (
     dmm_report,
     genus0_mobius_sum,
     ov_N,
-    recursion_holds,
     seq_dmm,
 )
 from conifold.partitions import divisors, mobius
@@ -31,6 +30,21 @@ def _reference_ov_N_consistency(a: int, m: int, k: int) -> bool:
         rescaled = _lu(nj.content, {e * j: v for e, v in nj.poly.items()})
         lhs = lhs + RationalFunctionU(rescaled, (j,))
     return lhs == allgenus_rhs(a, k, m, 1)
+
+
+def recursion_holds(a: int, k: int, m: int, signed: bool, value: Fraction) -> bool:
+    """Whether `value` at (k, m) solves the defining recursion of d (signed) or e.
+
+    value + sum_{j | (k, m), j > 1} v_{k/j,m/j}/j^2 = -s [Q^k] at winding m,
+    s = (-1)^k for d and 1 for e; the smaller v are recomputed by inversion.
+    """
+    lhs = value
+    for j in divisors(gcd(k, m)):
+        if j > 1:
+            lhs += Fraction(1, j * j) * genus0_mobius_sum(a, k // j, m // j, k // j if signed else 0)
+    sign = -1 if signed and k % 2 else 1
+    # -s [Q^k] genus0_onepoint(a, m) = s T(a, m, k)/m^2
+    return lhs == Fraction(sign * genus0_integer(a, m, k), m * m)
 
 
 # -- special-case cross-checks --------------------------------------------------
