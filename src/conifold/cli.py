@@ -168,7 +168,7 @@ def _at_power_of_two(p: LaurentU, j: int) -> Fraction:
 
 
 def _rows_ovn(job: argparse.Namespace):
-    from . import amplitudes, ovinv
+    from . import amplitudes, mirror, ovinv
     a = job.framing
     values = {}
     for m in range(1, job.m_max + 1):
@@ -176,20 +176,20 @@ def _rows_ovn(job: argparse.Namespace):
             value = ovinv.ov_N(a, m, k)
             _check(value.has_integer_coeffs(), "N_{%d,%d}^(%d) has non-integer coefficients", m, k, a)
             _check(value.bar() == value, "N_{%d,%d}^(%d) is not bar symmetric", m, k, a)
-            # anchor: at u = 1 each row is m times the Moebius sum of its genus-zero
-            # coefficients, sum_{n | (k, m)} mu(n)/n^2 (-1)^{(ma+k)/n+1} [Q^{k/n}] at winding m/n
-            _check(
-                value.content * sum(value.poly.values()) == m * ovinv.genus0_mobius_sum(a, k, m, m * a + k),
-                "N_{%d,%d} at u = 1 is not m times its genus-zero Moebius sum", m, k,
-            )
             # a later row reads N_{m,k} only as N_{m'/j,k'/j} with j >= 2 and m' <= m_max
             if 2 * m <= job.m_max:
                 values[m, k] = value
-            # anchor: the defining relation at u = 2, read from printed rows only,
-            # sum_{j | (k, m)} N_{m/j,k/j}(2^j)/[j](2) = (-1)^{ma+k} [Q^k] F_hat_m at u = 2
+            # the defining relation sum_{j | (k, m)} N_{m/j,k/j}(u^j)/[j] = (-1)^{ma+k} [Q^k] F_hat_m on printed rows
+            lower = [(j, value if j == 1 else values[m // j, k // j]) for j in partitions.divisors(gcd(k, m))]
+            # times [1] at u -> 1: [1]/[j] -> 1/j, [1] [Q^k] F_hat_m -> T/m = (-1)^{k+1} L/m, L the curve's log y
+            L = mirror.lagrange_log_y(a, m, k)
+            _check(
+                m * sum(Fraction(_at_power_of_two(v, 0), j) for j, v in lower) == (L if m * a % 2 else -L),
+                "N_{%d,%d} at u = 1 fails the divisor-sum relation with the curve", m, k,
+            )
+            # at u = 2 it also sees terms such as (u - 1/u)^2 that vanish at u = 1
             num, den = amplitudes.onepoint_args(a, m, k)
-            lhs = sum(_at_power_of_two(value if j == 1 else values[m // j, k // j], j) / _brackets_at_two((j,))
-                      for j in partitions.divisors(gcd(k, m)))
+            lhs = sum(_at_power_of_two(v, j) / _brackets_at_two((j,)) for j, v in lower)
             rhs = _brackets_at_two(num) / _brackets_at_two(den)
             _check(
                 lhs == (-rhs if (m * a + k) % 2 else rhs),
@@ -228,9 +228,8 @@ def _rows_sequences(job: argparse.Namespace):
     from . import ovinv
     if job.which == "catalan":
         # anchor: C(1) = |d_{1,2}|, checked even when --count 1 prints only C(0)
-        _check_catalan(ovinv, 1)
-        values = [ovinv.catalan_number(0)] + [_check_catalan(ovinv, k) for k in range(1, job.count)]
-        return [{"index": i, "value": v} for i, v in enumerate(values)]
+        values = [ovinv.catalan_number(0)] + [_check_catalan(ovinv, k) for k in range(1, max(job.count, 2))]
+        return [{"index": i, "value": v} for i, v in enumerate(values[:job.count])]
     rows = ovinv.dmm_report(job.count)
     for row in rows:
         m, formula = row["m"], row["formula"]

@@ -148,44 +148,43 @@ def cutjoin_apply(v: FockVector) -> FockVector:
     return out
 
 
-def qK_apply(v: FockVector, framing_exponent: int, only=None) -> FockVector:
-    """Apply q^{f K}: scale the Schur component s_nu by u^{f kappa_nu}.
+def qK_coefficient(v: FockVector, framing_exponent: int, t: Partition) -> TruncatedSeries:
+    """The coefficient c'_t of q^{f K} v, which scales the Schur component s_nu by u^{f kappa_nu}.
 
-    Works degree by degree, one requested coefficient at a time, through the
-    integer Laurent kernel of the twist on power sums,
+    Read through the integer Laurent kernel of the twist on power sums,
         c'_t = (1/z_t) sum_mu K_{t,mu} c_mu,
         K_{t,mu} = sum_nu chi_nu(t) chi_nu(mu) u^{f kappa_nu},
-    so each target costs one product by a sparse integer polynomial and one
-    series addition per source mu.  Only the nu with chi_nu(t) != 0 enter
-    K_{t,mu}; for t = (n) they are the n hooks (Murnaghan-Nakayama).  With
-    `only`, a collection of partitions, the result holds just the
-    coefficients c'_t of those t, each equal to its value in the full
-    transform.  f = 0 and degree 0 take the same path: by column
+    over the mu of v with |mu| = |t|, so it costs one product by a sparse
+    integer polynomial and one series addition per source mu.  Only the nu
+    with chi_nu(t) != 0 enter K_{t,mu}; for t = (n) they are the n hooks
+    (Murnaghan-Nakayama).  f = 0 and degree 0 take the same path: by column
     orthogonality, sum_nu chi_nu(t) chi_nu(mu) = z_t delta_{t,mu}, so the
     kernel returns c_t.
     """
-    f = framing_exponent
-    wanted = None if only is None else tuple(dict.fromkeys(tuple(mu) for mu in only))
-    out = FockVector(v.degree_bound, v.q_bound, {})
-    by_degree: dict[int, dict[Partition, TruncatedSeries]] = {}
+    d = sum(t)
+    rows = [(nu, framing_exponent * kappa(nu), chi) for nu in partitions_of(d) if (chi := character(nu, t))]
+    scale = Fraction(1, z_aut(t))
+    acc = qpoly({}, v.q_bound)
     for mu, c in v.coeffs.items():
-        by_degree.setdefault(sum(mu), {})[mu] = c
-    for d, sector in by_degree.items():
-        targets = partitions_of(d) if wanted is None else [mu for mu in wanted if sum(mu) == d]
-        for t in targets:
-            rows = [(nu, f * kappa(nu), chi) for nu in partitions_of(d) if (chi := character(nu, t))]
-            scale = Fraction(1, z_aut(t))
-            acc = qpoly({}, v.q_bound)
-            for mu, c in sector.items():
-                kernel: dict[int, int] = {}
-                for nu, e, chi_t in rows:
-                    chi = character(nu, mu)
-                    if chi:
-                        kernel[e] = kernel.get(e, 0) + chi_t * chi
-                kernel = LaurentU(kernel)
-                if kernel:
-                    acc = acc + c.scale(RationalFunctionU(kernel * scale))
-            out.add_term(t, acc)
+        if sum(mu) != d:
+            continue
+        kernel: dict[int, int] = {}
+        for nu, e, chi_t in rows:
+            chi = character(nu, mu)
+            if chi:
+                kernel[e] = kernel.get(e, 0) + chi_t * chi
+        kernel = LaurentU(kernel)
+        if kernel:
+            acc = acc + c.scale(RationalFunctionU(kernel * scale))
+    return acc
+
+
+def qK_apply(v: FockVector, framing_exponent: int) -> FockVector:
+    """Apply q^{f K}: qK_coefficient of every partition of each degree that v holds."""
+    out = FockVector(v.degree_bound, v.q_bound, {})
+    for d in dict.fromkeys(sum(mu) for mu in v.coeffs):
+        for t in partitions_of(d):
+            out.add_term(t, qK_coefficient(v, framing_exponent, t))
     return out
 
 
@@ -220,7 +219,7 @@ def oracle_onepoint(a: int, n: int, state: FockVector) -> TruncatedSeries:
     a pure bracket-ring polynomial in Q.
 
     Only that coefficient is twisted, through the kernels K_{(n),mu} of
-    qK_apply: chi_nu((n)) vanishes off the n hooks nu = (n-r, 1^r), so the
+    qK_coefficient: chi_nu((n)) vanishes off the n hooks nu = (n-r, 1^r), so the
     twist reads the column (n) and the n hook rows, about n p(n) character
     values, not p(n)^2.
     """
@@ -228,15 +227,13 @@ def oracle_onepoint(a: int, n: int, state: FockVector) -> TruncatedSeries:
         raise ValueError("winding must be positive")
     if n > state.degree_bound:
         raise ValueError(f"the brane state stops at degree {state.degree_bound}, below winding {n}")
-    twisted = qK_apply(state, a + 1, only=((n,),))
     # Pairing with exp(sum_n x_n/(n i) b_n) weighs p_mu by prod_n (x_n/i)^{m_n},
     # i.e. by P_mu, so the generating function's coefficients are the stored
     # ones.  In its log, monomials P_mu multiply by partition union, so no
     # product of two or more positive-degree monomials is ever a single P_n;
     # the log agrees with the generating function on one-part coefficients
     # and the extraction below is exact.
-    linear = twisted.coefficient((n,))
-    return linear.scale(Fraction(n))
+    return qK_coefficient(state, a + 1, (n,)).scale(Fraction(n))
 
 
 # -- correlators of E operators ----------------------------------------------

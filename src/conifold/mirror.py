@@ -109,6 +109,8 @@ def framed_curve_check(a: int, order: int) -> dict:
     "log y" is log y - x d/dx Psi_0, "z0" is x y^{-(a+1)} - z0 term by term,
     and "curve" is y + x y^{-a} - 1 - E x y^{-a-1}.
     """
+    if order < 1:
+        raise ValueError("order must be positive")
     vars_, orders = _frame(order)
     z0 = lagrange_z0(a, order)
     x = TruncatedSeries.variable("x", vars_, orders)

@@ -232,12 +232,12 @@ def test_oracle_compare_fails_a_corrupted_character_value(capsys, monkeypatch):
 
 
 # the table jobs that a framing-2 fault in the one-point formula must fail, with
-# what their message must hold: each disc cell's recursion reads the curve, so
-# the first cell that the fault changes fails
+# what their message must hold: each disc cell's recursion and each ov-n row's
+# relation at u = 1 read the curve, so the first cell or row that the fault changes fails
 FRAMING_TWO_TABLES = [
     (("disc-d", "--framing", "2", "--m-max", "8", "--k-max", "4"), "d_{1,2}^(2) fails its defining recursion"),
     (("disc-e", "--framing", "2", "--m-max", "8", "--k-max", "4"), "e_{1,2}^(2) fails its defining recursion"),
-    (("ov-n", "--framing", "2", "--m-max", "6"), "x d/dx Psi_0"),
+    (("ov-n", "--framing", "2", "--m-max", "6"), "N_{2,0} at u = 1 fails the divisor-sum relation with the curve"),
 ]
 
 
@@ -288,7 +288,7 @@ def test_tables_at_framing_zero_fail_a_shifted_formula(capsys, monkeypatch, argv
     "command, message",
     [
         ("disc-e", "e_{1,2}^(-1) fails its defining recursion"),
-        ("ov-n", "log of the framed branch disagrees with x d/dx Psi_0"),
+        ("ov-n", "N_{2,0} at u = 1 fails the divisor-sum relation with the curve"),
     ],
     ids=["disc-e", "ov-n"],
 )
@@ -303,7 +303,9 @@ def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch,
 
 def test_disc_and_dmm_jobs_compute_each_moebius_sum_once(capsys, monkeypatch):
     # a recursion that recomputed its lower cells would repeat the sums of cells
-    # the table has printed; off zero framing no anchor reads a printed cell
+    # the table has printed; off zero framing no anchor reads a printed cell.
+    # ov-n checks its rows against the curve and makes none; the Catalan job makes
+    # one per |d_{k,k+1}|, k = 1..11
     calls = []
     mobius_sum = ovinv.genus0_mobius_sum
 
@@ -320,6 +322,11 @@ def test_disc_and_dmm_jobs_compute_each_moebius_sum_once(capsys, monkeypatch):
     calls.clear()
     assert run_main(capsys, "sequences", "--which", "dmm", "--count", "12")[0] == EXIT_OK
     assert len(calls) == 12
+    calls.clear()
+    assert run_main(capsys, "ov-n", "--framing", "2", "--m-max", "6")[0] == EXIT_OK
+    assert not calls
+    assert run_main(capsys, "sequences", "--which", "catalan", "--count", "12")[0] == EXIT_OK
+    assert len(calls) == len(set(calls)) == 11
 
 
 @pytest.mark.parametrize("framing", ["-3", "-1", "0", "2"])
@@ -362,7 +369,7 @@ def test_onepoint_and_oracle_fail_a_corrupted_brane_weight(capsys, monkeypatch):
     "fault, message",
     [
         # a sign flipped at framing 2 alone keeps N integral and bar symmetric,
-        # so only the comparison at u = 1 with the genus-zero value sees it
+        # so the divisor-sum relation at u = 1 with the curve sees it first
         (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, scale) * (-1 if a == 2 else 1), "at u = 1"),
         # the same at the one cell (m, k) = (5, 2), above the windings of the other anchors
         (lambda rhs: lambda a, k, m, scale: rhs(a, k, m, scale) * (-1 if (m, k) == (5, 2) else 1), "N_{5,2} at u = 1"),
@@ -397,7 +404,7 @@ def test_ov_n_fails_a_term_that_vanishes_at_u_equal_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("a", [-3, 0, 2])
 def test_ov_n_rows_keep_only_the_values_a_later_row_reads(a):
-    # the u = 2 relation of a row reads N_{m/j,k/j} at j >= 2, so the builder
+    # the divisor-sum relations of a row read N_{m/j,k/j} at j >= 2, so the builder
     # keeps N_{m,k} only where 2m <= --m-max; a value dropped too soon is a KeyError
     reference = {}
     for m_max in range(1, 11):
@@ -474,6 +481,20 @@ def test_genus0_checks_every_row_against_the_curve(capsys, monkeypatch, fault, f
     assert "fails the curve's log y" in _assert_verification_failure(capsys, *argv)
 
 
+def _numerator_shifted(at):
+    """Patch amplitudes.onepoint_args to shift the numerator range by one at (n, j) = at, at every
+    framing: the values, genus0_integer and the u = 2 right side all read the shifted formula."""
+    def patch(monkeypatch):
+        args = amplitudes.onepoint_args
+
+        def shifted(a, n, j):
+            num, den = args(a, n, j)
+            return (range(num.start + 1, num.stop + 1), den) if (n, j) == at else (num, den)
+
+        monkeypatch.setattr(amplitudes, "onepoint_args", shifted)
+    return patch
+
+
 def _dropping_top_order(monkeypatch):
     """Patch the series constructor to lose every term at a truncation order, as if it read
     e >= o for e > o: the three legs of oracle-compare share it and still agree."""
@@ -519,6 +540,10 @@ PLANTED_FAULTS = {
                   ("ov-n", "--m-max", "2"), "N_{2,1}^(0) has non-integer coefficients"),
     "N-bar": (_planted(ovinv, "ov_N", (0, 2, 1), LaurentU({1: 1})),
               ("ov-n", "--m-max", "2"), "N_{2,1}^(0) is not bar symmetric"),
+    # the relation at u = 2 reads the shifted formula on both sides, and the order-4
+    # curve check reads windings n <= 4: the relation at u = 1, read from the curve, sees it
+    "N-curve": (_numerator_shifted((6, 1)), ("ov-n", "--framing", "2", "--m-max", "8"),
+                "N_{6,1} at u = 1 fails the divisor-sum relation with the curve"),
     "framed-log": (lambda mp: mp.setattr(amplitudes, "onepoint_args", _shifted_args({2: 4})),
                    ("mirror-check", "--framing", "2", "--order", "3"),
                    "log of the framed branch disagrees with x d/dx Psi_0"),
@@ -552,6 +577,35 @@ PLANTED_FAULTS = {
 def test_each_check_fails_its_planted_fault(capsys, monkeypatch, fault, argv, message):
     assert run_main(capsys, *argv)[0] == EXIT_OK
     fault(monkeypatch)
+    assert _assert_verification_failure(capsys, *argv) == message
+
+
+@pytest.mark.parametrize("framing, m_max", [("0", "8"), ("-3", "12")])
+def test_ov_n_fails_a_formula_shifted_at_winding_six(capsys, monkeypatch, framing, m_max):
+    # PLANTED_FAULTS["N-curve"] at two more framings; at framing -1 the shift changes
+    # no value, as both numerator ranges hold 0
+    argv = ("ov-n", "--framing", framing, "--m-max", m_max)
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    _numerator_shifted((6, 1))(monkeypatch)
+    message = _assert_verification_failure(capsys, *argv)
+    assert message == "N_{6,1} at u = 1 fails the divisor-sum relation with the curve"
+
+
+# the tables that check each printed cell against the curve's n [x^n E^i] log y, with
+# the message a wrong [x^3 E] log y at framing 2 must give
+CURVE_TABLES = [
+    (("genus0", "--n-max", "4"), "genus-zero Q^1 coefficient at winding 3 fails the curve's log y at framing 2"),
+    (("disc-d", "--m-max", "4", "--k-max", "2"), "d_{1,3}^(2) fails its defining recursion"),
+    (("disc-e", "--m-max", "4", "--k-max", "2"), "e_{1,3}^(2) fails its defining recursion"),
+    (("ov-n", "--m-max", "4"), "N_{3,1} at u = 1 fails the divisor-sum relation with the curve"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CURVE_TABLES, ids=[argv[0] for argv, _ in CURVE_TABLES])
+def test_tables_fail_a_wrong_curve_coefficient(capsys, monkeypatch, argv, message):
+    argv = (*argv, "--framing", "2")
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    _planted(mirror, "lagrange_log_y", (2, 3, 1), 1)(monkeypatch)
     assert _assert_verification_failure(capsys, *argv) == message
 
 

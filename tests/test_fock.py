@@ -17,6 +17,7 @@ from conifold.fock import (
     cutjoin_apply,
     oracle_onepoint,
     qK_apply,
+    qK_coefficient,
     qpoly,
     schur_vector,
 )
@@ -236,17 +237,16 @@ def test_oracle_onepoint_zero_framing_n2():
     "n, framings", [(n, (-2, -1, 0, 1, 3)) for n in range(1, 7)] + [(7, (2,))]
 )
 def test_qK_only_equals_full_transform(n, framings):
-    # the restricted transform returns exactly the requested coefficients of
-    # the full one; the repeated (n,) would come out doubled without the dedup
+    # one requested coefficient equals that of the full transform and of the
+    # two-step transform restricted to it
     st = beta_neg_exp(brane_state(n, n), n, n)
-    onlys = (((n,),), ((n,), (1,) * n), partitions_of(n - 1), ((n,), (n,)))
+    targets = ((n,), (1,) * n, *partitions_of(n - 1))
     for f in framings:
         full = qK_apply(st, f)
-        for only in onlys:
-            got = qK_apply(st, f, only=only)
-            assert set(got.coeffs) <= set(only), (f, only)
-            for mu in only:
-                assert got.coefficient(mu) == full.coefficient(mu), (f, mu)
+        for t in targets:
+            got = qK_coefficient(st, f, t)
+            assert got == full.coefficient(t), (f, t)
+            assert got == _reference_qK_apply(st, f, only=(t,)).coefficient(t), (f, t)
 
 
 def test_oracle_onepoint_truncated_matches_full_transform():
@@ -304,17 +304,19 @@ def _reference_qK_apply(v: FockVector, framing_exponent: int, only=None) -> Fock
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_qK_kernel_matches_the_two_step_transform(n):
-    # brane states cut at Q^0 and Q^n, twisted in full and on restricted sets,
-    # and every Schur vector of degree n, against the two-step transform
+    # brane states cut at Q^0 and Q^n, twisted in full and one coefficient at a
+    # time, and every Schur vector of degree n, against the two-step transform
     states = [_state(n, q_bound) for q_bound in sorted({0, n})]
     schurs = {nu: schur_vector(nu) for nu in partitions_of(n)}
-    onlys = (((n,),), ((1,) * n, (n,), (n,)), partitions_of(n)[1::2], partitions_of(n - 1))
+    targets = ((n,), (1,) * n, *partitions_of(n)[1::2], *partitions_of(n - 1))
     for f in range(-3, 4):
         for v in states:
-            for only in (None,) + onlys:
-                _assert_same_state(qK_apply(v, f, only=only), _reference_qK_apply(v, f, only=only))
+            _assert_same_state(qK_apply(v, f), _reference_qK_apply(v, f))
+            for t in targets:
+                got = qK_coefficient(v, f, t)
+                assert got == _reference_qK_apply(v, f, only=(t,)).coefficient(t), (f, t)
         for nu, s in schurs.items():
-            _assert_same_state(qK_apply(s, f, only=((n,),)), _reference_qK_apply(s, f, only=((n,),)))
+            assert qK_coefficient(s, f, (n,)) == _reference_qK_apply(s, f, only=((n,),)).coefficient((n,)), nu
             # s_nu is an eigenvector with eigenvalue u^{f kappa_nu}
             twist = RationalFunctionU(LaurentU({f * kappa(nu): 1}))
             _assert_same_state(qK_apply(s, f), s.scale(twist))

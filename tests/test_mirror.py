@@ -1,6 +1,8 @@
 from fractions import Fraction
 from math import factorial, prod
 
+import pytest
+
 from conifold.amplitudes import binomial, genus0_coefficient
 from conifold.mirror import (
     framed_curve_check,
@@ -97,6 +99,17 @@ def test_framing_minus_one_is_an_ordinary_framing():
     for order in range(1, 9):
         assert lagrange_z0(-1, order) == TruncatedSeries.variable("x", VARS, (order, order))
         assert not any(framed_curve_check(-1, order).values()), order
+
+
+def test_curve_checks_refuse_an_order_below_one():
+    # an empty box would hold three empty residuals, which pass on nothing
+    for order in (0, -1):
+        for a in range(-3, 4):
+            with pytest.raises(ValueError, match="order must be positive"):
+                framed_curve_check(a, order)
+        for check in (zero_framing_curve_check, lambda order: y_from_amplitude(0, order)):
+            with pytest.raises(ValueError, match="order must be positive"):
+                check(order)
 
 
 def test_framed_residual_vanishes():
