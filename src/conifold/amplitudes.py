@@ -34,6 +34,8 @@ def binomial(x: int, r: int) -> int:
 def onepoint_args(a: int, n: int, j: int) -> tuple[range, list[int]]:
     """Bracket arguments of [Q^j] F_hat_n: numerator an+j+k for k = 1..n-1, as a range
     whose top and length genus0_integer reads, and denominator 1..j and 1..n-j."""
+    if not 0 <= j <= n:
+        raise ValueError("need 0 <= j <= n")
     return range(a * n + j + 1, a * n + j + n), [*range(1, j + 1), *range(1, n - j + 1)]
 
 

@@ -93,7 +93,6 @@ def _rows_genus0(job: argparse.Namespace):
             _check(n * n * (-c if i % 2 else c) == mirror.lagrange_log_y(a, n, i),
                    "genus-zero Q^%d coefficient at winding %d fails the curve's log y at framing %d", i, n, a)
         yield {"a": a, "n": n, "value": value}
-    _check_framing(a)
 
 
 def _check_catalan(ovinv, k: int) -> int:
@@ -105,7 +104,7 @@ def _check_catalan(ovinv, k: int) -> int:
 
 def _rows_disc(job: argparse.Namespace, signed: bool):
     """d_{k,m} (signed) or e_{k,m} at framing a, each cell checked: integral d or
-    half-integral e, its defining recursion, and e = (-1)^k d at coprime (k, m)."""
+    half-integral e, and its defining recursion against the curve."""
     from . import mirror, ovinv
     a = job.framing
     name = "d" if signed else "e"
@@ -126,14 +125,10 @@ def _rows_disc(job: argparse.Namespace, signed: bool):
             # at winding m, s = (-1)^k for d and 1 for e: its left side reads printed cells
             # only, its right side the curve, m^2 (-1)^k [Q^k] = lagrange_log_y(a, m, k) = L,
             # so it is -L/m^2 for d and (-1)^{k+1} L/m^2 for e
-            g = gcd(k, m)
-            lhs = value + sum(lower[k // j, m // j] / (j * j) for j in partitions.divisors(g) if j > 1)
+            lhs = value + sum(lower[k // j, m // j] / (j * j) for j in partitions.divisors(gcd(k, m)) if j > 1)
             rhs = Fraction(mirror.lagrange_log_y(a, m, k), m * m)
             _check(lhs == (rhs if not signed and k % 2 else -rhs),
                    "%s_{%d,%d}^(%d) fails its defining recursion", name, k, m, a)
-            if not signed and g == 1:
-                _check(value == (-1) ** k * ovinv.disc_d(a, k, m),
-                       "e_{%d,%d}^(%d) != (-1)^k d at coprime (k, m)", k, m, a)
             # a later cell reads v_{k,m} only as v_{k'/j,m'/j} with j >= 2, k' <= k_max and m' <= m_max
             if 2 * m <= job.m_max and 2 * k <= job.k_max:
                 lower[k, m] = value
@@ -150,7 +145,6 @@ def _rows_disc(job: argparse.Namespace, signed: bool):
         for (k, m), v in anchors.items():
             if (k, m) == (1, 1) or (m <= job.m_max and k <= job.k_max):
                 _check(ovinv.disc_e(0, k, m) == v, "e_{%d,%d} fails its anchor", k, m)
-    _check_framing(a)
 
 
 def _brackets_at_two(args) -> Fraction:
@@ -201,27 +195,6 @@ def _rows_ovn(job: argparse.Namespace):
         ovinv.ov_N(0, 2, 1) == LaurentU({1: -1, -1: -1}),
         "N_{2,1} at zero framing fails its anchor",
     )
-    _check_framing(a)
-
-
-def _check_framing(a: int) -> None:
-    """Anchor a table at its own framing through the genus-zero potential.
-
-    Tables and genus0_onepoint read one formula, so the mirror-curve
-    comparison of log y with x d/dx Psi_0 at framing a checks the formula
-    the table was built from.
-    """
-    from . import mirror
-    _check_curve(True, mirror.framed_curve_check(a, 4), "mirror curve residual at framing %d does not vanish", a)
-
-
-def _check_curve(framed: bool, residuals: dict, message: str, *args) -> None:
-    """Check a curve check's residuals in order: log y, z0 (framed branch only), the curve."""
-    _check(not residuals["log y"], "log of the %s disagrees with x d/dx Psi_0",
-           "framed branch" if framed else "square-root closed form")
-    if framed:
-        _check(not residuals["z0"], "z0 = x y^{-(a+1)} fails")
-    _check(not residuals["curve"], message, *args)
 
 
 def _rows_sequences(job: argparse.Namespace):
@@ -241,19 +214,21 @@ def _rows_sequences(job: argparse.Namespace):
 def _rows_mirror(job: argparse.Namespace):
     from . import mirror
     a, order = job.framing, job.order
-    rows = []
     if a == 0:
         residuals = mirror.zero_framing_curve_check(order)
-        rows.append({"check": "zero-framing curve residual", "order": order, "ok": not residuals["curve"]})
-        _check_curve(False, residuals, "zero-framing residual does not vanish")
+        _check(not residuals["log y"], "log of the square-root closed form disagrees with x d/dx Psi_0")
+        _check(not residuals["curve"], "zero-framing residual does not vanish")
+        check = "zero-framing curve residual"
     else:
         residuals = mirror.framed_curve_check(a, order)
-        rows.append({"check": f"framed curve residual (a={a})", "order": order, "ok": not residuals["curve"]})
-        _check_curve(True, residuals, "framed residual does not vanish")
+        _check(not residuals["log y"], "log of the framed branch disagrees with x d/dx Psi_0")
+        _check(not residuals["z0"], "z0 = x y^{-(a+1)} fails")
+        _check(not residuals["curve"], "framed residual does not vanish")
+        check = f"framed curve residual (a={a})"
     ok = mirror.framing_transform_check(a)
-    rows.append({"check": "framing transformation x -> x y^(%d)" % -a, "order": order, "ok": ok})
     _check(ok, "framing transformation check failed")
-    return rows
+    return [{"check": check, "order": order, "ok": not residuals["curve"]},
+            {"check": "framing transformation x -> x y^(%d)" % -a, "order": order, "ok": ok}]
 
 
 def _rows_correlator(job: argparse.Namespace):

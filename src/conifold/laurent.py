@@ -133,6 +133,9 @@ class LaurentU:
         return self.content == o.content and self.poly == o.poly
 
     def __hash__(self):
+        # zero and the constants, poly {} and {0: 1}, hash as the int or Fraction they equal
+        if self.poly.keys() <= {0}:
+            return hash(self.content)
         return hash((self.content, frozenset(self.poly.items())))
 
     # -- ring operations ----------------------------------------------
@@ -480,7 +483,9 @@ class RationalFunctionU:
         return _times_brackets(self.num, lack_a) == _times_brackets(o.num, lack_b)
 
     def __hash__(self):
-        return hash(self.canonical())
+        # a value over the empty bracket product hashes as the LaurentU it equals
+        num, den = self.canonical()
+        return hash(num if den == LAURENT_ONE else (num, den))
 
     # -- ring operations ------------------------------------------------
 

@@ -300,11 +300,6 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         return self ** -1
 
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self * other.inverse()
-        return NotImplemented
-
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term 1."""
         if self.constant_term() != self.one:

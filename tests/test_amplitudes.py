@@ -11,6 +11,8 @@ from conifold.amplitudes import (
     genus0_integer,
     genus0_onepoint,
     genus_expand,
+    onepoint_args,
+    onepoint_bracket,
     onepoint_closed,
     onepoint_partition_sum,
 )
@@ -169,6 +171,14 @@ def test_genus0_integer_is_the_product_form():
                 reference = _reference_genus0_coefficient(a, n, j)
                 assert genus0_integer(a, n, j) == -n * n * reference, (a, n, j)
                 assert genus0_coefficient(a, n, j) == reference, (a, n, j)
+
+
+def test_onepoint_formula_refuses_a_Q_power_outside_0_to_n():
+    # [Q^j] F_hat_n vanishes outside 0 <= j <= n, where the bracket formula means nothing
+    for j in (-1, 4):
+        for f in (onepoint_args, onepoint_bracket, genus0_integer, genus0_coefficient):
+            with pytest.raises(ValueError, match="need 0 <= j <= n"):
+                f(1, 3, j)
 
 
 # -- closed string ------------------------------------------------------------------

@@ -3,6 +3,7 @@ import csv
 import inspect
 import io
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -69,7 +70,7 @@ def test_genus0_framing_minus_one_passes_its_anchor(capsys, monkeypatch):
     status, out, err = run_main(capsys, *args)
     assert status == EXIT_VERIFICATION
     assert out == ""
-    assert "anchor polynomial" in json.loads(err)["error"]["message"]
+    assert json.loads(err)["error"]["message"] == "genus-zero x^2 coefficient fails its anchor polynomial"
 
 
 def test_sequences_dmm_reports_mismatch_without_failing(capsys):
@@ -123,13 +124,14 @@ def test_mirror_check_ok(capsys):
 MIRROR_SLOTS = [(f, o) for f in ("-3", "-2", "0", "1", "2", "3") for o in ("1", "2", "6")]
 
 
-def _dropping_product(keep):
-    """A series product that loses every result term whose exponents `keep` rejects."""
+def _dropping_product(keep, applies=lambda left: True):
+    """A series product that loses every result term whose exponents `keep` rejects,
+    when its left operand is one that `applies` accepts."""
     mul = TruncatedSeries.__mul__
 
     def dropping(self, other):
         out = mul(self, other)
-        if isinstance(other, TruncatedSeries):
+        if isinstance(other, TruncatedSeries) and applies(self):
             out.terms = {e: c for e, c in out.terms.items() if keep(e, out.orders)}
         return out
 
@@ -265,23 +267,26 @@ def test_tables_fail_a_framing_shifted_formula(capsys, monkeypatch, argv, messag
     assert message in _assert_verification_failure(capsys, *argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("disc-d", "--framing", "0", "--m-max", "3", "--k-max", "2"),
-        ("disc-e", "--framing", "0", "--m-max", "3", "--k-max", "2"),
-        ("ov-n", "--framing", "0", "--m-max", "3"),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_tables_at_framing_zero_fail_a_shifted_formula(capsys, monkeypatch, argv):
-    # at these bounds the tables and their Catalan, boxed-e and N_{2,1} anchors read
-    # winding n <= 3; the order-4 curve check also reads n = 4, so it alone sees a fault there
-    status, _, _ = run_main(capsys, *argv)
-    assert status == EXIT_OK
+# each table at zero framing with its size flag last, and the message a fault at
+# winding 4 must give once the table prints that winding
+WINDING_FOUR_TABLES = [
+    (("disc-d", "--k-max", "2", "--m-max"), "d_{1,4}^(0) fails its defining recursion"),
+    (("disc-e", "--k-max", "2", "--m-max"), "e_{1,4}^(0) fails its defining recursion"),
+    (("ov-n", "--m-max"), "is not a Laurent polynomial"),
+    (("genus0", "--n-max"), "genus-zero Q^0 coefficient at winding 4 fails the curve's log y at framing 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", WINDING_FOUR_TABLES, ids=[argv[0] for argv, _ in WINDING_FOUR_TABLES])
+def test_tables_at_framing_zero_fail_a_shifted_formula(capsys, monkeypatch, argv, message):
+    # each table checks the values it prints against the curve once, so a fault at
+    # winding 4 fails a table that prints winding 4 and leaves one that stops at 3 as it was
+    printed = {size: run_main(capsys, *argv, size) for size in ("3", "4")}
+    assert [status for status, _, _ in printed.values()] == [EXIT_OK, EXIT_OK]
     args = amplitudes.onepoint_args
     monkeypatch.setattr(amplitudes, "onepoint_args", lambda a, n, j: args(4 if (a, n) == (0, 4) else a, n, j))
-    assert "x d/dx Psi_0" in _assert_verification_failure(capsys, *argv)
+    assert _assert_verification_failure(capsys, *argv, "4").endswith(message)
+    assert run_main(capsys, *argv, "3") == printed["3"]
 
 
 @pytest.mark.parametrize(
@@ -303,7 +308,8 @@ def test_tables_at_framing_minus_one_fail_a_shifted_formula(capsys, monkeypatch,
 
 def test_disc_and_dmm_jobs_compute_each_moebius_sum_once(capsys, monkeypatch):
     # a recursion that recomputed its lower cells would repeat the sums of cells
-    # the table has printed; off zero framing no anchor reads a printed cell.
+    # the table has printed, and a second check of a cell would add sums; off zero
+    # framing no anchor reads a printed cell.
     # ov-n checks its rows against the curve and makes none; the Catalan job makes
     # one per |d_{k,k+1}|, k = 1..11
     calls = []
@@ -314,11 +320,14 @@ def test_disc_and_dmm_jobs_compute_each_moebius_sum_once(capsys, monkeypatch):
         return mobius_sum(*args)
 
     monkeypatch.setattr(ovinv, "genus0_mobius_sum", recorded)
-    for argv in (("disc-d", "--framing", "2", "--m-max", "12", "--k-max", "12"),
-                 ("disc-e", "--framing", "3", "--m-max", "12", "--k-max", "12")):
-        calls.clear()
-        assert run_main(capsys, *argv)[0] == EXIT_OK
-        assert calls and len(set(calls)) == len(calls), argv
+    argv = ("disc-d", "--framing", "2", "--m-max", "12", "--k-max", "12")
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    assert calls and len(set(calls)) == len(calls), argv
+    calls.clear()
+    assert run_main(capsys, "disc-e", "--framing", "3", "--m-max", "12", "--k-max", "12")[0] == EXIT_OK
+    # one sum per printed cell k <= m, 12 * 13 / 2, and one per boxed anchor at zero framing
+    assert len(set(calls)) == len(calls) == 78 + 4
+    assert sum(a == 0 for a, *_ in calls) == 4
     calls.clear()
     assert run_main(capsys, "sequences", "--which", "dmm", "--count", "12")[0] == EXIT_OK
     assert len(calls) == 12
@@ -329,9 +338,26 @@ def test_disc_and_dmm_jobs_compute_each_moebius_sum_once(capsys, monkeypatch):
     assert len(calls) == len(set(calls)) == 11
 
 
+@pytest.mark.parametrize("framing", ["-3", "0", "2"])
+def test_tables_build_no_curve_series(capsys, monkeypatch, framing):
+    # the tables check their values against the curve's closed form; only mirror-check
+    # builds the curve as a series.  At odd framing d_{2,2} is a half integer (acceptance
+    # criterion 5), so disc-d stops at k = 1
+    calls = []
+    for module, name in ((mirror, "framed_curve_check"), (series, "_solve")):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=function, name=name: calls.append(name) or f(*args))
+    for argv in (("genus0", "--n-max", "5"), ("disc-d", "--m-max", "4", "--k-max", "1"),
+                 ("disc-e", "--m-max", "4", "--k-max", "2"), ("ov-n", "--m-max", "4")):
+        assert run_main(capsys, *argv, "--framing", framing)[0] == EXIT_OK, argv
+    assert calls == []
+    assert run_main(capsys, "mirror-check", "--order", "4", "--framing", framing)[0] == EXIT_OK
+    assert "_solve" in calls and ("framed_curve_check" in calls) == (framing != "0")
+
+
 @pytest.mark.parametrize("framing", ["-3", "-1", "0", "2"])
 def test_genus0_fails_a_formula_shifted_from_winding_three(capsys, monkeypatch, framing):
-    # the x^2 anchor reads winding 2 only; the framing check reads n <= 4
+    # the x^2 anchor reads winding 2 only; the row checks read windings 3 to 5
     argv = ("genus0", "--framing", framing, "--n-max", "5")
     status, _, _ = run_main(capsys, *argv)
     assert status == EXIT_OK
@@ -353,15 +379,15 @@ def test_onepoint_and_oracle_fail_a_corrupted_brane_weight(capsys, monkeypatch):
         return {**weights, 2: weights[2].scale(2)}
 
     jobs = {
-        ("onepoint", "--framing", "1", "--n-max", "3"): "closed form and partition sum disagree",
-        ("oracle-compare", "--framing", "1", "--n-max", "3"): "oracle disagreement",
+        ("onepoint", "--framing", "1", "--n-max", "3"): "closed form and partition sum disagree at (a=1, n=2)",
+        ("oracle-compare", "--framing", "1", "--n-max", "3"): "oracle disagreement at (a=1, n=2)",
     }
     for argv in jobs:
         assert run_main(capsys, *argv)[0] == EXIT_OK
     monkeypatch.setattr(fock, "brane_state", doubled_c2)
     for argv, message in jobs.items():
         del calls[:]
-        assert message in _assert_verification_failure(capsys, *argv)
+        assert _assert_verification_failure(capsys, *argv) == message
         assert calls == [3], argv
 
 
@@ -398,7 +424,8 @@ def test_ov_n_fails_a_term_that_vanishes_at_u_equal_one(capsys, monkeypatch):
         return ov_n(a, m, k) + planted if (m, k) == (5, 2) else ov_n(a, m, k)
 
     monkeypatch.setattr(ovinv, "ov_N", faulty)
-    assert "N_{5,2} at u = 2" in _assert_verification_failure(capsys, *argv)
+    message = _assert_verification_failure(capsys, *argv)
+    assert message == "N_{5,2} at u = 2 fails the divisor-sum relation with its amplitude"
     assert (5, 2) in calls
 
 
@@ -414,10 +441,7 @@ def test_ov_n_rows_keep_only_the_values_a_later_row_reads(a):
         assert list(COMMANDS["ov-n"].rows(job)) == expected
 
 
-def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):
-    argv = ("closed-string", "--order", "5")
-    status, _, _ = run_main(capsys, *argv)
-    assert status == EXIT_OK
+def _doubled_closed_string_Q2(monkeypatch):
     log_z = amplitudes.closed_string_logZ
 
     def doubled(order):
@@ -425,6 +449,13 @@ def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):
         return TruncatedSeries(s.variables, s.orders, {**s.terms, (2,): s.terms[(2,)] * 2}, s.one)
 
     monkeypatch.setattr(amplitudes, "closed_string_logZ", doubled)
+
+
+def test_closed_string_fails_a_wrong_Q2_coefficient(capsys, monkeypatch):
+    argv = ("closed-string", "--order", "5")
+    status, _, _ = run_main(capsys, *argv)
+    assert status == EXIT_OK
+    _doubled_closed_string_Q2(monkeypatch)
     assert "Q^2 coefficient" in _assert_verification_failure(capsys, *argv)
 
 
@@ -464,7 +495,7 @@ def _genus0_fault(change):
     return patch
 
 
-# faults on the genus-zero coefficients of windings the x^2 anchor and the order-4 curve do not read
+# faults on the genus-zero coefficients from winding 5 or 6 up, which only the row checks read
 GENUS0_FAULTS = {
     "genus0-doubled": _genus0_fault(lambda c, a, n, j: 2 * c(a, n, j) if n >= 6 else c(a, n, j)),
     "genus0-framing": _genus0_fault(lambda c, a, n, j: c(a + 1 if n >= 5 else a, n, j)),
@@ -507,6 +538,13 @@ def _dropping_top_order(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__init__", dropping)
 
 
+def _doubled_framed_x_term(monkeypatch):
+    """Patch mirror._curve_poly to read 2 x y^{-2} for x y^{-2} at framing 2."""
+    curve_poly = mirror._curve_poly
+    doubled = {(1, -2, 0): Fraction(2)}
+    monkeypatch.setattr(mirror, "_curve_poly", lambda a: {**curve_poly(a), **(doubled if a == 2 else {})})
+
+
 # one planted fault per check of the d, e and N values, the named sequences and the
 # mirror-curve residuals, with a job that must fail it and the message it must give
 PLANTED_FAULTS = {
@@ -518,16 +556,16 @@ PLANTED_FAULTS = {
                     ("disc-d", "--m-max", "2", "--k-max", "2"), "d_{2,2}^(0) fails its defining recursion"),
     "e-recursion": (_planted(ovinv, "disc_e", (0, 2, 2), 1),
                     ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{2,2}^(0) fails its defining recursion"),
-    # T + 36 at winding 6 keeps d_{1,6} integral, and the order-4 curve check reads
-    # windings n <= 4 only: the recursion's right side, read from the curve, sees it
+    # T + 36 at winding 6 keeps d_{1,6} integral: the recursion's right side, read
+    # from the curve, sees it
     "d-recursion-curve": (_planted(ovinv, "genus0_integer", (0, 6, 1), 36),
                           ("disc-d", "--m-max", "8", "--k-max", "4"), "d_{1,6}^(0) fails its defining recursion"),
     "e-recursion-curve": (_planted(ovinv, "genus0_integer", (2, 6, 1), 36),
                           ("disc-e", "--framing", "2", "--m-max", "8", "--k-max", "4"),
                           "e_{1,6}^(2) fails its defining recursion"),
-    # the disc-e job reads d only to compare it with e at coprime (k, m)
-    "e-coprime": (_planted(ovinv, "disc_d", (0, 1, 2), 1),
-                  ("disc-e", "--m-max", "2", "--k-max", "2"), "e_{1,2}^(0) != (-1)^k d at coprime (k, m)"),
+    # at framing 2 only the boxed anchor reads the zero-framing table
+    "e-anchor": (_planted(ovinv, "disc_e", (0, 2, 2), 1),
+                 ("disc-e", "--framing", "2", "--m-max", "2", "--k-max", "2"), "e_{2,2} fails its anchor"),
     "catalan-anchor": (_planted(ovinv, "catalan_number", (2,), 1),
                        ("disc-d", "--m-max", "3", "--k-max", "2"), "|d_{2,3}| is not the Catalan number C(2)"),
     "catalan": (_planted(ovinv, "catalan_number", (2,), 1),
@@ -540,8 +578,8 @@ PLANTED_FAULTS = {
                   ("ov-n", "--m-max", "2"), "N_{2,1}^(0) has non-integer coefficients"),
     "N-bar": (_planted(ovinv, "ov_N", (0, 2, 1), LaurentU({1: 1})),
               ("ov-n", "--m-max", "2"), "N_{2,1}^(0) is not bar symmetric"),
-    # the relation at u = 2 reads the shifted formula on both sides, and the order-4
-    # curve check reads windings n <= 4: the relation at u = 1, read from the curve, sees it
+    # the relation at u = 2 reads the shifted formula on both sides: the relation at
+    # u = 1, read from the curve, sees it
     "N-curve": (_numerator_shifted((6, 1)), ("ov-n", "--framing", "2", "--m-max", "8"),
                 "N_{6,1} at u = 1 fails the divisor-sum relation with the curve"),
     "framed-log": (lambda mp: mp.setattr(amplitudes, "onepoint_args", _shifted_args({2: 4})),
@@ -570,6 +608,16 @@ PLANTED_FAULTS = {
                   "genus-zero Q^1 coefficient at winding 5 fails the curve's log y at framing 0"),
     "winding-one": (_dropping_top_order, ("oracle-compare", "--n-max", "2"),
                     "winding-1 amplitude fails its anchor value (1+Q)/[1]"),
+    # of the framed check's products only x y^{-(a+1)} times y has a left operand of
+    # several terms and no constant term, so log y and z0 hold
+    "framed-curve": (lambda mp: mp.setattr(TruncatedSeries, "__mul__", _dropping_product(
+                         lambda e, orders: e[0] != orders[0],
+                         lambda left: len(left.terms) > 1 and not left.constant_term())),
+                     ("mirror-check", "--framing", "2", "--order", "3"), "framed residual does not vanish"),
+    "framing-transform": (_doubled_framed_x_term, ("mirror-check", "--framing", "2", "--order", "3"),
+                          "framing transformation check failed"),
+    "closed-string": (_doubled_closed_string_Q2, ("closed-string", "--order", "3"),
+                      "closed-string Q^2 coefficient fails its anchor (-1)^{n-1}/(n [n]^2)"),
 }
 
 
@@ -589,6 +637,35 @@ def test_ov_n_fails_a_formula_shifted_at_winding_six(capsys, monkeypatch, framin
     _numerator_shifted((6, 1))(monkeypatch)
     message = _assert_verification_failure(capsys, *argv)
     assert message == "N_{6,1} at u = 1 fails the divisor-sum relation with the curve"
+
+
+@pytest.mark.parametrize("framing", ["-3", "1"])
+def test_framed_curve_residual_fails_a_product_that_drops_its_x_edge(capsys, monkeypatch, framing):
+    # PLANTED_FAULTS["framed-curve"] at two more framings; at framing -1 the framed
+    # x y^0 is the single term x, so the fault changes no product
+    argv = ("mirror-check", "--framing", framing, "--order", "3")
+    assert run_main(capsys, *argv)[0] == EXIT_OK
+    PLANTED_FAULTS["framed-curve"][0](monkeypatch)
+    assert _assert_verification_failure(capsys, *argv) == "framed residual does not vanish"
+
+
+def test_every_check_message_is_expected_by_a_test():
+    # each _check template of cli, its %d read as an integer and its %s as any text, must
+    # match some whole string of this module: a check that no test expects to fail is
+    # one that no test has made fail
+    def pattern(template):
+        return "".join({"%d": r"-?\d+", "%s": ".+"}.get(p, re.escape(p)) for p in re.split(r"(%[ds])", template))
+
+    def parsed(path):
+        return ast.walk(ast.parse(Path(path).read_text(encoding="utf-8")))
+
+    templates = [call.args[1] for call in parsed(cli.__file__)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_check"]
+    assert all(isinstance(t, ast.Constant) and isinstance(t.value, str) for t in templates)
+    expected = [n.value for n in parsed(__file__) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    unexpected = [t.value for t in templates if not any(re.fullmatch(pattern(t.value), e, re.S) for e in expected)]
+    assert len(templates) > 20
+    assert unexpected == []
 
 
 # the tables that check each printed cell against the curve's n [x^n E^i] log y, with

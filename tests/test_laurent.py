@@ -121,6 +121,22 @@ def test_rational_function_canonical_equality():
     assert RationalFunctionU(qbracket(2), (1,)) != RationalFunctionU(qbracket(3), (1,))
 
 
+def test_equal_values_of_different_types_hash_alike():
+    # a set or dict key must find an equal value whatever its type
+    pairs = [
+        (RationalFunctionU(qbracket(2)), qbracket(2)),
+        (RationalFunctionU(qbracket(4), (2,)), LaurentU({2: 1, -2: 1})),
+        (RationalFunctionU(3), 3),
+        (LaurentU({0: 3}), 3),
+        (LaurentU({0: Fraction(-1, 2)}), Fraction(-1, 2)),
+        (LaurentU(), 0),
+        (RationalFunctionU(0), 0),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+        assert len({a, b}) == 1, (a, b)
+
+
 def test_rational_function_field_ops():
     a = RationalFunctionU(qbracket(1), (2,))
     b = RationalFunctionU(qbracket(3), (4,))
